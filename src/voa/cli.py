@@ -13,14 +13,13 @@ import re
 import sys
 from fractions import Fraction
 
-from .scalars import ParamPoint, Scalar, ScalarParseError, parse_scalar
+from .scalars import ParamPoint, PoleAtPoint, ScalarParseError, parse_scalar
 from .fock import ModeAlgebra, State, UnknownGenerator, normal_order, \
     render_state
 from .ope import commutator_via_formula, coset_graded, singular_part, \
     verify_axioms
 from .presets import PRESET_NAMES, boson_fermion_check, get_preset
-from .characters import boson_fermion_character_check, character, \
-    lattice_theta_character
+from .characters import boson_fermion_character_check, character
 from .correlators import heisenberg_npoint
 from .coords import CoordChange, NotPrimary, huang_check, \
     primary_differential_check
@@ -203,6 +202,8 @@ def cmd_character(args) -> int:
 def cmd_npoint(args) -> int:
     if args.algebra != "heisenberg":
         raise CliError("npoint supports --algebra heisenberg")
+    if args.n < 0:
+        raise CliError(f"--n must be >= 0, got {args.n}")
     f = heisenberg_npoint(None, args.n)
     if args.json:
         _emit(args, json.dumps(f.to_json(), indent=2, sort_keys=True))
@@ -255,7 +256,7 @@ def cmd_coord_check(args) -> int:
     for chunk in args.rho.split(","):
         try:
             coeffs.append(parse_scalar(chunk.strip()))
-        except ScalarParseError as exc:
+        except (ScalarParseError, ZeroDivisionError) as exc:
             raise CliError(f"--rho: {exc}")
     try:
         rho = CoordChange(tuple(coeffs))
@@ -385,11 +386,13 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # degree bounds, cutoffs and windows count down to 0
+        for name in ("degree", "cutoff", "window"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise CliError(f"--{name} must be >= 0, got {value}")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScalarParseError as exc:
+    except (CliError, ValueError, UnknownGenerator, PoleAtPoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,11 +15,11 @@ series only at the final comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
-from .scalars import DivisionByZero, Poly, Scalar, poly_derivative
+from .scalars import Scalar, poly_derivative
 from .fields import state_field_mode
 from .fock import State, basis_monomials, render_monomial
 
@@ -345,6 +345,9 @@ def _first_order_vanishes(s: Scalar, name: str) -> bool:
 # Huang's transformation formula
 # ---------------------------------------------------------------------------
 
+_T = "t"      # the parameter of the compared Laurent series
+
+
 @dataclass
 class CoordReport:
     description: str
@@ -358,7 +361,7 @@ class CoordReport:
 
 
 def _conjugated_field_element(inst, B: State, rho: CoordChange, v: State,
-                              cap: int, window: int, tname: str) -> State:
+                              cap: int, window: int) -> State:
     """R(rho) Y(B, rho(t)) R(rho)^{-1} v, complete on degrees <= cap.
 
     B may be non-homogeneous with t-dependent coefficients; the result is a
@@ -369,7 +372,7 @@ def _conjugated_field_element(inst, B: State, rho: CoordChange, v: State,
     """
     alg = inst.algebra
     u = R_inverse_apply(inst, rho, v)
-    rho_at_t = rho.evaluate_at(Scalar.param(tname))
+    rho_at_t = rho.evaluate_at(Scalar.param(_T))
     total = State.zero()
     for d in sorted({alg.mono_degree(m) for m in B.terms}):
         Bd = B.component(alg, d)
@@ -409,7 +412,7 @@ def _field_element(inst, A: State, v: State, cap: int) -> dict:
     return out
 
 
-def _compare_series(alg, lhs: dict, rhs: State, window: int, tname: str,
+def _compare_series(alg, lhs: dict, rhs: State, window: int,
                     first_order_in: str | None, cap: int):
     """Compare {exponent: State} with a t-dependent State up to t^window.
 
@@ -425,7 +428,7 @@ def _compare_series(alg, lhs: dict, rhs: State, window: int, tname: str,
         series = {}
         c = rhs.terms.get(mono)
         if c is not None:
-            series = laurent_coefficients(c, tname, window)
+            series = laurent_coefficients(c, _T, window)
         exps = set(series) | {e for e, st in lhs.items() if mono in st.terms}
         for e in sorted(exps):
             if e > window:
@@ -443,6 +446,29 @@ def _compare_series(alg, lhs: dict, rhs: State, window: int, tname: str,
     return None
 
 
+def _transformation_check(inst, A: State, B: State, rho: CoordChange,
+                          window: int, D: int, first_order_in: str | None,
+                          desc: str) -> CoordReport:
+    """Y(A,t) = R(rho) Y(B, rho(t)) R(rho)^{-1} on basis states of degree <= D.
+
+    The first basis state (by degree, then canonical order) whose matrix
+    elements differ gives the witness.
+    """
+    alg = inst.algebra
+    for d in range(D + 1):
+        for mono in basis_monomials(alg, d, 0):
+            v = State.monomial(mono)
+            lhs = _field_element(inst, A, v, D)
+            rhs = _conjugated_field_element(inst, B, rho, v, D, window)
+            witness = _compare_series(alg, lhs, rhs, window, first_order_in,
+                                      D)
+            if witness is not None:
+                return CoordReport(
+                    desc, False,
+                    f"on {render_monomial(alg, mono)}: {witness}")
+    return CoordReport(desc, True)
+
+
 def huang_check(inst, A: State, rho: CoordChange, window: int, D: int,
                 first_order_in: str | None = None) -> CoordReport:
     """Y(A,t) = R(rho) Y(R(rho_t)^{-1} A, rho(t)) R(rho)^{-1} on elements.
@@ -453,25 +479,11 @@ def huang_check(inst, A: State, rho: CoordChange, window: int, D: int,
     are discarded (for infinitesimal changes whose truncated charge
     decomposition is exact only to first order).
     """
-    tname = "t"
-    alg = inst.algebra
     desc = f"huang_check({rho.render()})"
-    dA = int(A.degree(alg))
-    rho = rho.padded(D + window + dA + 2)
-    rho_t = rho.shifted(tname)
-    B = R_inverse_apply(inst, rho_t, A)
-    for d in range(D + 1):
-        for mono in basis_monomials(alg, d, 0):
-            v = State.monomial(mono)
-            lhs = _field_element(inst, A, v, D)
-            rhs = _conjugated_field_element(inst, B, rho, v, D, window, tname)
-            witness = _compare_series(alg, lhs, rhs, window, tname,
-                                      first_order_in, D)
-            if witness is not None:
-                return CoordReport(
-                    desc, False,
-                    f"on {render_monomial(alg, mono)}: {witness}")
-    return CoordReport(desc, True)
+    rho = rho.padded(D + window + int(A.degree(inst.algebra)) + 2)
+    B = R_inverse_apply(inst, rho.shifted(_T), A)
+    return _transformation_check(inst, A, B, rho, window, D, first_order_in,
+                                 desc)
 
 
 def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
@@ -491,20 +503,8 @@ def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
             raise NotPrimary(f"L_{n} does not annihilate the state")
     if dA.denominator != 1:
         raise ValueError("primary check needs an integral weight")
-    tname = "t"
     desc = f"primary_differential_check({rho.render()})"
     rho = rho.padded(D + window + int(dA) + 2)
-    dpow = rho.derivative_at(Scalar.param(tname)) ** int(dA)
-    B = A.scale(dpow)
-    for d in range(D + 1):
-        for mono in basis_monomials(alg, d, 0):
-            v = State.monomial(mono)
-            lhs = _field_element(inst, A, v, D)
-            rhs = _conjugated_field_element(inst, B, rho, v, D, window, tname)
-            witness = _compare_series(alg, lhs, rhs, window, tname,
-                                      first_order_in, D)
-            if witness is not None:
-                return CoordReport(
-                    desc, False,
-                    f"on {render_monomial(alg, mono)}: {witness}")
-    return CoordReport(desc, True)
+    B = A.scale(rho.derivative_at(Scalar.param(_T)) ** int(dA))
+    return _transformation_check(inst, A, B, rho, window, D, first_order_in,
+                                 desc)

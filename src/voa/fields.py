@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .scalars import Scalar
 from .fock import (ModeAlgebra, PbwMonomial, State, apply_mode, shift_sector)
 
 
@@ -183,11 +182,12 @@ def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
 # Lattice vertex operators
 # ---------------------------------------------------------------------------
 
-def _exp_layer(alg, lam_N: int, degree: int, creation: bool):
+@lru_cache(maxsize=None)
+def _exp_layer(lam_N: int, degree: int, creation: bool):
     """Degree-homogeneous part of the vertex-operator exponentials.
 
-    Returns [(Fraction coeff, (modes...))] for the degree-`degree` piece of
-    exp(sum_{n>=1} (lam_N/n) beta_{-n} z^n) (creation) or
+    Returns ((Fraction coeff, (modes...)), ...) for the degree-`degree` piece
+    of exp(sum_{n>=1} (lam_N/n) beta_{-n} z^n) (creation) or
     exp(-sum_{n>=1} (lam_N/n) beta_n z^{-n}) (annihilation).
     """
     out = []
@@ -202,7 +202,7 @@ def _exp_layer(alg, lam_N: int, degree: int, creation: bool):
             coeff *= c ** k / factorial(k)
             word.extend([-n if creation else n] * k)
         out.append((coeff, tuple(word)))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +234,7 @@ def vertex_mode(alg: ModeAlgebra, m: int, p: Fraction, mono: PbwMonomial) -> Sta
         if adeg < 0 or adeg.denominator != 1:
             continue
         adeg = int(adeg)
-        for cb, bword in _exp_layer(alg, lam_N, bdeg, creation=False):
+        for cb, bword in _exp_layer(lam_N, bdeg, False):
             mid = start
             for n in reversed(bword):
                 mid = apply_mode(alg, b, n, mid)
@@ -243,7 +243,7 @@ def vertex_mode(alg: ModeAlgebra, m: int, p: Fraction, mono: PbwMonomial) -> Sta
             if mid.is_zero:
                 continue
             mid = shift_sector(alg, m, mid)
-            for ca, aword in _exp_layer(alg, lam_N, adeg, creation=True):
+            for ca, aword in _exp_layer(lam_N, adeg, True):
                 res = mid
                 for n in reversed(aword):
                     res = apply_mode(alg, b, n, res)

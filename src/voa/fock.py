@@ -387,10 +387,6 @@ def basis_monomials(alg: ModeAlgebra, degree, sector=0):
     return out
 
 
-def basis_states(alg: ModeAlgebra, degree, sector=0):
-    return [State.monomial(m) for m in basis_monomials(alg, degree, sector)]
-
-
 def all_sector_monomials(alg: ModeAlgebra, degree):
     """Monomials of one degree across every sector (finitely many)."""
     degree = Fraction(degree)

@@ -42,23 +42,3 @@ def kernel_basis(rows, ncols):
             v[pc] = -m[i][fc]
         basis.append(v)
     return basis
-
-
-def rank(rows, ncols) -> int:
-    return ncols - len(kernel_basis(rows, ncols))
-
-
-def solve_unique(rows, rhs, ncols):
-    """Solve M x = rhs when the solution exists and is unique; else None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ker = kernel_basis(aug, ncols + 1)
-    sols = [v for v in ker if not v[ncols].is_zero]
-    if not sols:
-        return None
-    v = sols[0]
-    scale = -(Scalar.one() / v[ncols])
-    x = [a * scale for a in v[:ncols]]
-    if len(sols) > 1 or len(ker) > 1:
-        # solution space may not be unique; caller should check
-        pass
-    return x

@@ -13,16 +13,18 @@ products: for n >= 0 (in the unshifted indexing Y(A,z) = sum A_(n) z^{-n-1})
 
 which is exhaustive over a computed mode window (the coefficient-wise
 domain swap involves no other finite data).
+
+Each check of `verify_axioms` is a generator of the witnesses of its failing
+cases; the report keeps the first one, so a witness is the first failing case
+in a fixed search order, (deg A, deg B, A, B, ...).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .scalars import Scalar
 from .fock import ModeAlgebra, State, all_sector_monomials, render_state
 from .fields import mode_index, state_field_mode, translate
 from .linalg import kernel_basis
@@ -52,10 +54,6 @@ def state_parity(alg: ModeAlgebra, state: State) -> int:
     return ps.pop() if ps else 0
 
 
-def _weight(alg, A):
-    return A.degree(alg)
-
-
 def _max_target_degree(alg, B):
     """Largest p with A_[p]B possibly nonzero: result degree must be >= 0."""
     return max(alg.mono_degree(m) for m in B.terms)
@@ -67,7 +65,7 @@ def _max_target_degree(alg, B):
 
 def singular_part(alg: ModeAlgebra, A: State, B: State) -> dict:
     """Poles of Y(A,z)B as {pole order j >= 1: State}."""
-    dA = _weight(alg, A)
+    dA = A.degree(alg)
     poles = {}
     p = 1 - dA
     p_max = _max_target_degree(alg, B)
@@ -87,18 +85,13 @@ def commutator_via_formula(alg: ModeAlgebra, A: State, m, B: State, kk):
     Returns (terms, mode) where terms is a list of (Fraction, State) and the
     combination acts as sum coeff * state_field_mode(state, mode, .).
     """
-    dA = _weight(alg, A)
+    dA = A.degree(alg)
     m = Fraction(m)
     terms = []
-    p = 1 - dA
-    p_max = _max_target_degree(alg, B)
-    while p <= p_max:
-        AB = state_field_mode(alg, A, p, B)
-        if not AB.is_zero:
-            c = gbinom(m + dA - 1, int(p + dA - 1))
-            if c:
-                terms.append((c, AB))
-        p += 1
+    for j, AB in singular_part(alg, A, B).items():
+        c = gbinom(m + dA - 1, j - 1)
+        if c:
+            terms.append((c, AB))
     return terms, m + Fraction(kk)
 
 
@@ -204,8 +197,8 @@ def locality_witness(alg: ModeAlgebra, A: State, B: State, N: int,
 
 def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
     """Least N annihilating the supercommutator on basis states of deg <= D."""
-    dA, dB = _weight(alg, A), _weight(alg, B)
-    states = _basis_states_upto(alg, D)
+    dA, dB = A.degree(alg), B.degree(alg)
+    states = [C for _, Cs in _grouped_basis(alg, D) for C in Cs]
     bound = int(D + dA + dB)
     witness = None
     for N in range(bound + 1):
@@ -213,16 +206,6 @@ def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
         if witness is None:
             return N
     raise NotLocalUpTo(D, witness)
-
-
-def _basis_states_upto(alg, D):
-    out = []
-    d = Fraction(0)
-    step = Fraction(1, alg.grading_denominator)
-    while d <= D:
-        out.extend(State.monomial(m) for m in all_sector_monomials(alg, d))
-        d += step
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +225,7 @@ def associativity_defect(alg: ModeAlgebra, A: State, B: State, n: int,
                          m, C: State) -> State:
     """LHS - RHS of the singular-product re-expansion identity (n >= 0)."""
     eps = state_parity(alg, A) * state_parity(alg, B)
-    dA, dB = mode_index(_weight(alg, A)), mode_index(_weight(alg, B))
+    dA, dB = mode_index(A.degree(alg)), mode_index(B.degree(alg))
     m = mode_index(m)
     AB = _umode(alg, A, n, B, dA)
     lhs = (_umode(alg, AB, m, C, dA + dB - n - 1) if not AB.is_zero
@@ -312,134 +295,103 @@ def _grouped_basis(alg, D):
     return groups
 
 
+def _pairs(groups, D):
+    """(dA, A, dB, B) with dA + dB <= D, in the order (deg A, deg B, A, B)."""
+    for dA, As in groups:
+        for dB, Bs in groups:
+            if dA + dB <= D:
+                for A in As:
+                    for B in Bs:
+                        yield dA, A, dB, B
+
+
+def _upto(groups, top):
+    """(dC, C) over the basis states of degree <= top, in basis order."""
+    for dC, Cs in groups:
+        if dC <= top:
+            for C in Cs:
+                yield dC, C
+
+
+def _vacuum_failures(alg, groups, D):
+    """Y(A,z)|0> is regular with constant term A."""
+    vac = State.vacuum()
+    for dA, As in groups:
+        for A in As:
+            p = 1 - dA
+            while p <= 0:
+                if not state_field_mode(alg, A, p, vac).is_zero:
+                    yield f"A={render_state(alg, A)}, mode {p}"
+                p += 1
+            if state_field_mode(alg, A, -dA, vac) != A:
+                yield f"A={render_state(alg, A)}, creation mode"
+
+
+def _translation_failures(alg, groups, D):
+    """[T, A_[p]] = (1 - p - wt A) A_[p-1]."""
+    for dA, A, dB, B in _pairs(groups, D):
+        top = _max_target_degree(alg, B)
+        p = -dA - 1
+        while p <= top + 1:
+            lhs = translate(alg, state_field_mode(alg, A, p, B)) \
+                - state_field_mode(alg, A, p, translate(alg, B))
+            rhs = state_field_mode(alg, A, p - 1, B).scale(1 - p - dA)
+            if lhs != rhs:
+                yield (f"A={render_state(alg, A)}, "
+                       f"B={render_state(alg, B)}, mode {p}")
+            p += 1
+
+
+def _locality_failures(alg, groups, D):
+    """N from the maximal pole order annihilates the supercommutator."""
+    for dA, A, dB, B in _pairs(groups, D):
+        if dB < dA:
+            continue
+        N = max(singular_part(alg, A, B), default=0)
+        Cs = [C for _, C in _upto(groups, D - dA - dB)]
+        w = locality_witness(alg, A, B, N, Cs, int(D))
+        if w is not None:
+            r, t, C = w
+            yield (f"A={render_state(alg, A)}, B={render_state(alg, B)}, "
+                   f"N={N}, modes ({r},{t}), C={render_state(alg, C)}")
+
+
+def _associativity_failures(alg, groups, D):
+    """Singular products re-expand consistently."""
+    for dA, A, dB, B in _pairs(groups, D):
+        n_max = int(_max_target_degree(alg, B) + dA - 1)
+        for n in range(0, n_max + 1):
+            dAB = dB - (n + 1 - dA)      # weight of A_(n)B
+            for dC, C in _upto(groups, D - dA - dB):
+                s_res = _charge(alg, C) + _charge(alg, A) + _charge(alg, B)
+                e_res = alg.sector_energy(s_res)
+                # m values hitting result degrees in [0, D]
+                for L in range(int(D) + 1):
+                    m = dC - (e_res + L) + dAB - 1
+                    if not associativity_defect(alg, A, B, n, m, C).is_zero:
+                        yield (f"A={render_state(alg, A)}, "
+                               f"B={render_state(alg, B)}, n={n}, m={m}, "
+                               f"C={render_state(alg, C)}")
+
+
 def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
     """Check the vertex-algebra axioms on basis triples of total degree <= D.
 
     Pairs and triples are bounded by total degree (deg A + deg B (+ deg C)
     <= D), which keeps the verification exhaustive over a well-defined
-    finite family while scaling to multi-generator presets.
+    finite family while scaling to multi-generator presets.  The checks run
+    in the order vacuum, translation, locality, associativity; each reports
+    the first failing case in a fixed search order, (deg A, deg B, A, B,
+    ...), where "..." are the check's own modes and test states.
     """
     report = AxiomReport(alg.name, D)
     groups = _grouped_basis(alg, D)
-    vac = State.vacuum()
-
-    # vacuum axiom: Y(A,z)|0> is regular with constant term A
-    witness = None
-    for dA, As in groups:
-        for A in As:
-            p = 1 - dA
-            while p <= 0:
-                if p > -dA and not state_field_mode(alg, A, p, vac).is_zero:
-                    witness = f"A={render_state(alg, A)}, mode {p}"
-                    break
-                p += 1
-            if witness is None and state_field_mode(alg, A, -dA, vac) != A:
-                witness = f"A={render_state(alg, A)}, creation mode"
-            if witness:
-                break
-        if witness:
-            break
-    report.checks.append(CheckResult("vacuum", witness is None, witness))
-
-    # translation axiom: [T, A_[p]] = (1 - p - wt A) A_[p-1]
-    witness = None
-    for dA, As in groups:
-        for dB, Bs in groups:
-            if dA + dB > D:
-                continue
-            for A in As:
-                for B in Bs:
-                    top = _max_target_degree(alg, B)
-                    p = -dA - 1
-                    while p <= top + 1 and witness is None:
-                        lhs = translate(alg, state_field_mode(alg, A, p, B)) \
-                            - state_field_mode(alg, A, p, translate(alg, B))
-                        rhs = state_field_mode(alg, A, p - 1, B).scale(1 - p - dA)
-                        if lhs != rhs:
-                            witness = (f"A={render_state(alg, A)}, "
-                                       f"B={render_state(alg, B)}, mode {p}")
-                        p += 1
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.checks.append(CheckResult("translation", witness is None, witness))
-
-    # locality: N from the maximal pole order annihilates the supercommutator
-    witness = None
-    for dA, As in groups:
-        for dB, Bs in groups:
-            if dB < dA or dA + dB > D:
-                continue
-            for A in As:
-                for B in Bs:
-                    poles = singular_part(alg, A, B)
-                    N = max(poles, default=0)
-                    Cs = [C for dC, Cgrp in groups
-                          if dA + dB + dC <= D for C in Cgrp]
-                    w = locality_witness(alg, A, B, N, Cs, int(D))
-                    if w is not None:
-                        r, t, C = w
-                        witness = (f"A={render_state(alg, A)}, "
-                                   f"B={render_state(alg, B)}, N={N}, "
-                                   f"modes ({r},{t}), C={render_state(alg, C)}")
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.checks.append(CheckResult("locality", witness is None, witness))
-
-    # associativity: singular products re-expand consistently
-    witness = None
-    for dA, As in groups:
-        for dB, Bs in groups:
-            if dA + dB > D:
-                continue
-            for A in As:
-                for B in Bs:
-                    n_max = int(_max_target_degree(alg, B) + dA - 1)
-                    for n in range(0, n_max + 1):
-                        dAB = dB - (n + 1 - dA)      # weight of A_(n)B
-                        for dC, Cgrp in groups:
-                            if dA + dB + dC > D:
-                                continue
-                            for C in Cgrp:
-                                s_res = (_charge(alg, C) + _charge(alg, A)
-                                         + _charge(alg, B))
-                                e_res = alg.sector_energy(s_res)
-                                # m values hitting result degrees in [0, D]
-                                for L in range(int(D) + 1):
-                                    m = dC - (e_res + L) + dAB - 1
-                                    if not associativity_defect(
-                                            alg, A, B, n, m, C).is_zero:
-                                        witness = (
-                                            f"A={render_state(alg, A)}, "
-                                            f"B={render_state(alg, B)}, "
-                                            f"n={n}, m={m}, "
-                                            f"C={render_state(alg, C)}")
-                                        break
-                                if witness:
-                                    break
-                            if witness:
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.checks.append(CheckResult("associativity", witness is None, witness))
+    for name, failures in (("vacuum", _vacuum_failures),
+                           ("translation", _translation_failures),
+                           ("locality", _locality_failures),
+                           ("associativity", _associativity_failures)):
+        witness = next(failures(alg, groups, D), None)
+        report.checks.append(CheckResult(name, witness is None, witness))
     return report
 
 
@@ -456,7 +408,7 @@ def coset_graded(alg: ModeAlgebra, Wgens, d):
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for A in Wgens:
-        dA = _weight(alg, A)
+        dA = A.degree(alg)
         p = 1 - dA
         while p <= Fraction(d):
             # rows of the matrix of A_[p] restricted to V_d

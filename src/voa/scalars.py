@@ -150,11 +150,6 @@ class Poly:
     def key(self) -> tuple:
         return tuple(sorted(self.terms.items()))
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(_mono_degree(m) for m in self.terms)
-
     def _grlex_key(self, mono: Mono, varlist) -> tuple:
         exps = dict(mono)
         return (_mono_degree(mono),) + tuple(exps.get(v, 0) for v in varlist)

@@ -140,6 +140,40 @@ def test_unknown_algebra_exits_2(capsys):
     assert "unknown preset" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["character", "--algebra", "virasoro", "--param", "c=1/2",
+      "--sector", "1"], "has no sectors"),
+    (["npoint", "--n", "-1"], "--n must be >= 0"),
+    (["verify", "--algebra", "heisenberg", "--degree", "-3"],
+     "--degree must be >= 0"),
+    (["center", "--algebra", "affine:sl2", "--degree", "-1"],
+     "--degree must be >= 0"),
+    (["coset", "--algebra", "heisenberg", "--states", "b(-1) |0>",
+      "--degree", "-1"], "--degree must be >= 0"),
+    (["coord-check", "--algebra", "heisenberg", "--state", "b(-1) |0>",
+      "--rho", "1", "--degree", "-1"], "--degree must be >= 0"),
+    (["coord-check", "--algebra", "heisenberg", "--state", "b(-1) |0>",
+      "--rho", "1", "--window", "-1"], "--window must be >= 0"),
+    (["bf-check", "--degree", "-1"], "--degree must be >= 0"),
+    (["character", "--algebra", "heisenberg", "--lambda", "0",
+      "--cutoff", "-1"], "--cutoff must be >= 0"),
+    (["coord-check", "--algebra", "heisenberg", "--state", "b(-1) |0>",
+      "--rho", "1/0"], "--rho"),
+])
+def test_bad_input_exits_2_with_one_line(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_npoint_zero_points(capsys):
+    code, out, _ = _run(capsys, "npoint", "--n", "0")
+    assert code == 0
+    assert out.strip() == "1"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, out, _ = _run(capsys, "npoint", "--n", "2",

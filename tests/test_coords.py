@@ -1,5 +1,6 @@
 """Tests for coordinate changes and conjugated field elements."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -134,6 +135,20 @@ def test_primary_differential_check():
     report = primary_differential_check(inst, A, _cc(2, Fraction(1, 2)),
                                         window=2, D=2)
     assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("check", [huang_check, primary_differential_check])
+def test_transformation_checks_fail_on_wrong_conformal_vector(check):
+    # doubling omega doubles L_1, so R(rho) no longer matches the fields
+    inst = get_preset("heisenberg", lam=0)
+    wrong = dataclasses.replace(inst, conformal=inst.conformal.scale(2))
+    A = inst.state([("b", -1)])
+    report = check(wrong, A, _cc(1, Fraction(1, 2)), window=2, D=2)
+    assert not report.passed
+    assert report.witness == ("on |0>: coefficient of t^1 b(-1) |0>: "
+                              "direct 0 vs conjugated -1")
+    assert report.render() == (f"{report.description}: FAIL "
+                               f"({report.witness})")
 
 
 def test_primary_check_rejects_nonprimary():

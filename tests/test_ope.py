@@ -139,12 +139,18 @@ def test_verify_axioms_negative_control():
 
 
 def test_verify_axioms_negative_control_witnesses():
-    # the first failing case of each check, in the search order
-    report = verify_axioms(_corrupted_heisenberg(), 2)
-    witness = {c.name: c.witness for c in report.checks}
-    assert witness["translation"] == "A=b(-1) |0>, B=b(-1) |0>, mode 2"
-    assert witness["locality"] == \
-        "A=b(-1) |0>, B=b(-1) |0>, N=2, modes (-2,0), C=|0>"
+    # the first failing case of each check, in the search order; the
+    # associativity failure needs a pair of total degree 3
+    for D, associativity in (
+            (2, None),
+            (3, "A=b(-1) |0>, B=b(-1)^2 |0>, n=2, m=-2, C=|0>")):
+        report = verify_axioms(_corrupted_heisenberg(), D)
+        witness = {c.name: c.witness for c in report.checks}
+        assert witness["vacuum"] is None
+        assert witness["translation"] == "A=b(-1) |0>, B=b(-1) |0>, mode 2"
+        assert witness["locality"] == \
+            "A=b(-1) |0>, B=b(-1) |0>, N=2, modes (-2,0), C=|0>"
+        assert witness["associativity"] == associativity
 
 
 def test_coset_commutative_is_everything():
