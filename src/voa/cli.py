@@ -86,8 +86,11 @@ def _parse_params(entries) -> dict:
         if "=" not in entry:
             raise CliError(f"--param expects name=value, got {entry!r}")
         name, _, value = entry.partition("=")
+        key = name.strip()
+        if key in out:
+            raise CliError(f"--param {key} given more than once")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[key] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise CliError(f"--param {name}: {value!r} is not a rational")
     return out

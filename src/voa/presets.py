@@ -362,6 +362,8 @@ def free_fermion() -> AlgebraInstance:
 
 def weyl(N: int = 1) -> AlgebraInstance:
     """N beta-gamma pairs: [a_{i,m}, a*_{j,n}] = delta_ij delta_{m,-n}."""
+    if N < 1:
+        raise ValueError("weyl rank parameter N must be >= 1")
     gens = []
     for i in range(1, N + 1):
         gens.append(GeneratorSpec(f"a{i}" if N > 1 else "a", Fraction(1)))

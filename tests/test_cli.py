@@ -159,6 +159,12 @@ def test_unknown_algebra_exits_2(capsys):
       "--cutoff", "-1"], "--cutoff must be >= 0"),
     (["coord-check", "--algebra", "heisenberg", "--state", "b(-1) |0>",
       "--rho", "1/0"], "--rho"),
+    (["verify", "--algebra", "weyl:0", "--degree", "1"],
+     "weyl rank parameter N must be >= 1"),
+    (["verify", "--algebra", "weyl:-1", "--degree", "1"],
+     "weyl rank parameter N must be >= 1"),
+    (["center", "--algebra", "affine:sl2", "--param", "k=-2", "--param",
+      "k=1", "--degree", "1"], "--param k given more than once"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

@@ -1,11 +1,12 @@
 """Tests for exact free-boson correlation functions."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from voa import (ExpansionRegion, RationalCorrelator, State,
+from voa import (BracketRule, CentralTerm, ExpansionRegion, GeneratorSpec,
+                 ModeAlgebra, PbwMonomial, RationalCorrelator, Scalar, State,
                  bootstrap_verify, consistency_check, expand, get_preset,
                  heisenberg_npoint)
 from voa.correlators import (Term, VACUUM_PHI, matrix_element_coefficient,
@@ -107,6 +108,64 @@ def test_consistency_all_regions_n3():
                for perm in permutations((1, 2, 3))]
     report = consistency_check(alg, states, VACUUM_PHI, regions, 8)
     assert report.passed, report.render()
+
+
+def _all_regions(n):
+    return [ExpansionRegion(tuple(zvar(i) for i in perm))
+            for perm in permutations(range(1, n + 1))]
+
+
+# b(-1)|0> -> 3/2, b(-2)|0> -> -1: odd point counts no longer vanish
+ONE_BOSON_PHI = {PbwMonomial(0, ((0, -1),)): Fraction(3, 2),
+                 PbwMonomial(0, ((0, -2),)): Fraction(-1)}
+
+
+@pytest.mark.parametrize("phi, any_nonzero", [(VACUUM_PHI, False),
+                                              (ONE_BOSON_PHI, True)])
+def test_consistency_walk_against_per_tuple_matrix_elements(phi,
+                                                            any_nonzero):
+    # every window tuple, read one at a time through the per-coefficient
+    # path, equals the expansion coefficient consistency_check compares with
+    inst = get_preset("heisenberg", lam=0)
+    alg = inst.algebra
+    states = [inst.state([("b", -1)]), inst.state([("b", -2)]),
+              inst.state([("b", -1)])]
+    f = heisenberg_npoint(phi, 3, [0, 1, 0])
+    regions = _all_regions(3)
+    nonzero = 0
+    for region in regions:
+        coeffs = expand(f, region, 8)
+        for e in product(range(-5, 4), repeat=3):
+            direct = matrix_element_coefficient(alg, states, phi, e, region)
+            key = tuple(e[int(v[1:]) - 1] for v in region.order)
+            assert direct == coeffs.get(key, Fraction(0)), (region, e)
+            nonzero += bool(direct)
+    assert (nonzero > 0) == any_nonzero
+    assert consistency_check(alg, states, phi, regions, 8).passed
+
+
+def test_consistency_negative_control_witnesses():
+    # Heisenberg corrupted to [b_m, b_n] = 2m delta_{m+n}: every direct
+    # coefficient doubles per contraction while the expansion does not
+    alg = ModeAlgebra(
+        "heisenberg", [GeneratorSpec("b", Fraction(1))],
+        {(0, 0): BracketRule((), CentralTerm(Scalar.from_fraction(2),
+                                             Poly.var("m")))})
+    b = get_preset("heisenberg", lam=0).state([("b", -1)])
+    report = consistency_check(alg, [b] * 2, VACUUM_PHI, _all_regions(2), 8)
+    assert report.render() == (
+        "consistency: FAIL (region ('z1', 'z2'), exponents (-5, 3): "
+        "direct 8 != expansion 4)")
+    report = consistency_check(alg, [b] * 2, VACUUM_PHI,
+                               _all_regions(2)[::-1], 8, window=2)
+    assert report.render() == (
+        "consistency: FAIL (region ('z2', 'z1'), exponents (0, -2): "
+        "direct 2 != expansion 1)")
+    report = consistency_check(alg, [b] * 4, VACUUM_PHI, _all_regions(4), 8)
+    assert not report.passed
+    assert report.render() == (
+        "consistency: FAIL (region ('z1', 'z2', 'z3', 'z4'), exponents "
+        "(-5, -5, 3, 3): direct 128 != expansion 32)")
 
 
 def test_derivative_insertions():

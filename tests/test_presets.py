@@ -126,3 +126,9 @@ def test_boson_fermion_check_small():
 def test_get_preset_unknown():
     with pytest.raises(ValueError):
         get_preset("nope")
+
+
+@pytest.mark.parametrize("name", ["weyl:0", "weyl:-1", "lattice:0"])
+def test_get_preset_rejects_rank_below_one(name):
+    with pytest.raises(ValueError, match="rank parameter N must be >= 1"):
+        get_preset(name)
