@@ -111,6 +111,10 @@ def _load_instance(args):
         inst = get_preset(args.algebra, level=level, lam=lam)
     except ValueError as exc:
         raise CliError(str(exc))
+    for name in params:
+        if name not in inst.params:
+            raise CliError(
+                f"--param {name} is not a parameter of {args.algebra}")
     return inst, params
 
 

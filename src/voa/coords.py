@@ -8,15 +8,19 @@ sum_j v_j z^{j+1} d/dz; the exponential is exact on graded components
 because each L_j lowers degree.
 
 Huang's identity Y(A,t) = R(rho) Y(R(rho_t)^{-1} A, rho(t)) R(rho)^{-1}
-(rho_t(z) = rho(t+z) - rho(t)) is verified on matrix elements with t kept
-as a Scalar parameter, expanding exact rational functions of t as Laurent
-series only at the final comparison.
+(rho_t(z) = rho(t+z) - rho(t)) is verified on matrix elements compared as
+Laurent series in t up to a window t^window.  Both sides are carried as
+{t-exponent: State} with t-free coefficients in Q(params): the inserted
+state is expanded in t once, and rho(t)^m = t^m U(t)^m is a truncated
+series in t (U = rho_1 + rho_2 t + ... is a unit), so no rational function
+of t, and no gcd in t, is ever formed on the conjugated side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .scalars import Scalar, poly_derivative
@@ -267,6 +271,18 @@ def _scaling_power(scaling: Scalar, state: State, alg, sign: int) -> State:
     return out
 
 
+def _acting_charge(inst, rho: CoordChange, A: State) -> VirasoroCharge:
+    """decompose(rho) cut to the charges v_1..v_top that can act on A.
+
+    top is the highest degree in A.  Degrees are >= 0 and L_j lowers degree
+    by j, so L_j with j > top kills A and everything the lower L_i make of
+    it.  The charges v_1..v_j depend only on rho_1..rho_{j+1}, so the
+    prefix rho_1..rho_{top+1} yields exactly the charges that act.
+    """
+    top = int(max(A.degrees(inst.algebra), default=0))
+    return decompose(CoordChange(rho.coeffs[:top + 1]))
+
+
 def R_apply(inst, rho: CoordChange, A: State) -> State:
     """R(rho) A = exp(-sum_j v_j L_j) rho_1^{-L_0} A.
 
@@ -276,15 +292,21 @@ def R_apply(inst, rho: CoordChange, A: State) -> State:
     with the factorization rho(z) = rho_1 * rho_+(z) this is the unique
     ordering satisfying both the transformation formula and the group law
     R(mu(rho(z))) = R(rho) R(mu).
+
+    Only the charges v_1..v_top act on a state of top degree `top`, so
+    only rho_1..rho_{top+1} is decomposed (`_acting_charge`).
     """
-    charge = decompose(rho)
+    charge = _acting_charge(inst, rho, A)
     mid = _scaling_power(charge.scaling, A, inst.algebra, -1)
     return _exp_lowering(inst, charge.charges, mid, -1)
 
 
 def R_inverse_apply(inst, rho: CoordChange, A: State) -> State:
-    """R(rho)^{-1} A = rho_1^{+L_0} exp(+sum_j v_j L_j) A."""
-    charge = decompose(rho)
+    """R(rho)^{-1} A = rho_1^{+L_0} exp(+sum_j v_j L_j) A.
+
+    Like `R_apply`, decomposes only rho_1..rho_{top+1}.
+    """
+    charge = _acting_charge(inst, rho, A)
     mid = _exp_lowering(inst, charge.charges, A, +1)
     return _scaling_power(charge.scaling, mid, inst.algebra, +1)
 
@@ -360,39 +382,79 @@ class CoordReport:
         return f"{self.description}: FAIL ({self.witness})"
 
 
-def _conjugated_field_element(inst, B: State, rho: CoordChange, v: State,
-                              cap: int, window: int) -> State:
-    """R(rho) Y(B, rho(t)) R(rho)^{-1} v, complete on degrees <= cap.
+def _power_series(rho: CoordChange, m: int, top: int) -> dict:
+    """{exponent: Scalar} of rho(t)^m up to t^top, as t^m U(t)^m.
 
-    B may be non-homogeneous with t-dependent coefficients; the result is a
-    State whose Scalars are rational functions of t.  The substituted-field
-    sum includes intermediate degrees above `cap`, since R(rho) lowers
-    degree again: the mode p contributes t-exponents >= -p - wt B, so
-    everything relevant below t^{window+1} lies at p >= -window - wt B.
+    U(t) = rho_1 + rho_2 t + ... is a unit (rho_1 != 0), so for m < 0 its
+    power is the power of its term-by-term inverse.  Only the exponents
+    m..top exist, and every coefficient is free of t.
+    """
+    n = top - m
+    if n < 0:
+        return {}
+    unit = dict(enumerate(rho.coeffs))
+    if m < 0:
+        inv0 = Scalar.one() / rho.coeffs[0]
+        inv = {0: inv0}
+        _extend_inverse(unit, inv, inv0, n)
+        base = [inv[k] for k in range(n + 1)]
+    else:
+        base = [unit.get(k, Scalar.zero()) for k in range(n + 1)]
+    acc = [Scalar.one()] + [Scalar.zero()] * n
+    for _ in range(abs(m)):
+        acc = _series_mul(acc, base, n)
+    return {m + k: c for k, c in enumerate(acc) if not c.is_zero}
+
+
+def _t_series(B: State, top: int) -> dict:
+    """{t-exponent: State} of a State with t-dependent coefficients."""
+    out = {}
+    for mono, c in B.terms.items():
+        for j, cj in laurent_coefficients(c, _T, top).items():
+            out.setdefault(j, {})[mono] = cj
+    return {j: State(terms) for j, terms in out.items()}
+
+
+def _conjugated_field_element(inst, Bt: dict, rho_power, rho: CoordChange,
+                              v: State, cap: int, window: int) -> dict:
+    """{t-exponent: State} of R(rho) Y(B, rho(t)) R(rho)^{-1} v up to t^window.
+
+    `Bt` is B expanded in t as {j: B_j}, t-free and possibly
+    non-homogeneous; `rho_power(m)` is the series of rho(t)^m.  The result
+    is complete on degrees <= cap.  With u = R(rho)^{-1} v, the mode p of
+    B_j (weight d) on u contributes t^j rho(t)^{-p-d}, whose exponents are
+    >= j - p - d; the modes p range over deg u - (cap + window + d) ..
+    deg u, including intermediate degrees above `cap` since R(rho) lowers
+    degree again.  Pairs (p, j) whose lowest exponent exceeds `window` are
+    skipped, and each product is cut at t^window.  R(rho) is t-free and
+    linear, so it acts on each t-coefficient once.
     """
     alg = inst.algebra
     u = R_inverse_apply(inst, rho, v)
-    rho_at_t = rho.evaluate_at(Scalar.param(_T))
-    total = State.zero()
-    for d in sorted({alg.mono_degree(m) for m in B.terms}):
-        Bd = B.component(alg, d)
-        if Bd.is_zero:
-            continue
-        if d.denominator != 1:
-            raise ValueError("field insertion needs integral weight")
-        for mono, c in u.terms.items():
-            du = alg.mono_degree(mono)
-            rcap = cap + window + int(d)
-            for r in range(rcap + 1):
-                p = du - r
-                if (p + d).denominator != 1:
-                    continue
-                w = state_field_mode(alg, Bd, p, State.monomial(mono))
-                if w.is_zero:
-                    continue
-                factor = c * (rho_at_t ** int(-p - d))
-                total = total + w.scale(factor)
-    return R_apply(inst, rho, total)
+    total = {}
+    for j, Bj in Bt.items():
+        for d in sorted(Bj.degrees(alg)):
+            if d.denominator != 1:
+                raise ValueError("field insertion needs integral weight")
+            Bd = Bj.component(alg, d)
+            for mono, c in u.terms.items():
+                du = alg.mono_degree(mono)
+                for r in range(cap + window + int(d) + 1):
+                    p = du - r
+                    if (p + d).denominator != 1:
+                        continue
+                    m = int(-p - d)
+                    if j + m > window:
+                        break
+                    w = state_field_mode(alg, Bd, p, State.monomial(mono))
+                    if w.is_zero:
+                        continue
+                    for e, s in rho_power(m).items():
+                        if j + e > window:
+                            break
+                        total[j + e] = total.get(j + e, State.zero()) + \
+                            w.scale(c * s)
+    return {e: R_apply(inst, rho, st) for e, st in total.items()}
 
 
 def _field_element(inst, A: State, v: State, cap: int) -> dict:
@@ -412,29 +474,25 @@ def _field_element(inst, A: State, v: State, cap: int) -> dict:
     return out
 
 
-def _compare_series(alg, lhs: dict, rhs: State, window: int,
+def _compare_series(alg, lhs: dict, rhs: dict, window: int,
                     first_order_in: str | None, cap: int):
-    """Compare {exponent: State} with a t-dependent State up to t^window.
+    """Compare two {exponent: State} series up to t^window.
 
     Only matrix elements against basis functionals of degree <= cap are
     compared; higher components of the conjugated side are incomplete.
     """
     monos = set()
-    for st in lhs.values():
+    for st in (*lhs.values(), *rhs.values()):
         monos.update(st.terms)
-    monos.update(rhs.terms)
     monos = {m for m in monos if alg.mono_degree(m) <= cap}
     for mono in sorted(monos, key=lambda m: (alg.mono_degree(m), str(m))):
-        series = {}
-        c = rhs.terms.get(mono)
-        if c is not None:
-            series = laurent_coefficients(c, _T, window)
-        exps = set(series) | {e for e, st in lhs.items() if mono in st.terms}
+        exps = {e for side in (lhs, rhs) for e, st in side.items()
+                if mono in st.terms}
         for e in sorted(exps):
             if e > window:
-                continue
+                break
             want = lhs.get(e, State.zero()).coeff(mono)
-            got = series.get(e, Scalar.zero())
+            got = rhs.get(e, State.zero()).coeff(mono)
             diff = want - got
             if diff.is_zero:
                 continue
@@ -451,15 +509,21 @@ def _transformation_check(inst, A: State, B: State, rho: CoordChange,
                           desc: str) -> CoordReport:
     """Y(A,t) = R(rho) Y(B, rho(t)) R(rho)^{-1} on basis states of degree <= D.
 
-    The first basis state (by degree, then canonical order) whose matrix
-    elements differ gives the witness.
+    B is expanded in t once, up to t^(window + D + max deg B): the mode
+    exponent -p - d is >= -D - d, so higher t-powers of B reach no
+    exponent <= window.  The first basis state (by degree, then canonical
+    order) whose matrix elements differ gives the witness.
     """
     alg = inst.algebra
+    Bt = _t_series(B, window + D + int(max(B.degrees(alg), default=0)))
+    top = window - min(Bt, default=0)
+    rho_power = cache(lambda m: _power_series(rho, m, top))
     for d in range(D + 1):
         for mono in basis_monomials(alg, d, 0):
             v = State.monomial(mono)
             lhs = _field_element(inst, A, v, D)
-            rhs = _conjugated_field_element(inst, B, rho, v, D, window)
+            rhs = _conjugated_field_element(inst, Bt, rho_power, rho, v, D,
+                                            window)
             witness = _compare_series(alg, lhs, rhs, window, first_order_in,
                                       D)
             if witness is not None:

@@ -231,7 +231,7 @@ class AlgebraInstance:
     conformal: State | None = None
     central_charge: Scalar | None = None
     lie: LieData | None = None
-    params: tuple = ()
+    params: tuple = ()  # the preset's parameter names, set or symbolic
 
     def state(self, word, sector=0) -> State:
         return normal_order(self.algebra, word, sector)
@@ -303,8 +303,7 @@ def affine(lie: LieData, level=None) -> AlgebraInstance:
     name = f"affine:{lie.name}"
     alg = ModeAlgebra(name, gens, rules, vacuum_symbol="v_k",
                       central_params=("k",) if level is None else ())
-    inst = AlgebraInstance(name, alg, lie=lie,
-                           params=("k",) if level is None else ())
+    inst = AlgebraInstance(name, alg, lie=lie, params=("k",))
     try:
         inst.conformal = sugawara(inst)
         dim_g = len(lie.basis)
@@ -537,10 +536,20 @@ def get_preset(name: str, level=None, lam=None) -> AlgebraInstance:
             return affine(sl3_data(), level)
         raise ValueError(f"unknown Lie algebra {which!r}")
     if name.startswith("weyl:"):
-        return weyl(int(name.split(":", 1)[1]))
+        return weyl(_rank(name))
     if name.startswith("lattice:"):
-        return lattice(int(name.split(":", 1)[1]))
+        return lattice(_rank(name))
     raise ValueError(f"unknown preset {name!r}")
+
+
+def _rank(name: str) -> int:
+    """The integer N of a "weyl:N" or "lattice:N" preset name."""
+    kind, _, text = name.partition(":")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{kind} rank parameter must be an integer, "
+                         f"got {text!r}") from None
 
 
 PRESET_NAMES = ["heisenberg", "virasoro", "affine:sl2", "affine:sl3",

@@ -165,6 +165,14 @@ def test_unknown_algebra_exits_2(capsys):
      "weyl rank parameter N must be >= 1"),
     (["center", "--algebra", "affine:sl2", "--param", "k=-2", "--param",
       "k=1", "--degree", "1"], "--param k given more than once"),
+    (["center", "--algebra", "affine:sl2", "--param", "q=3", "--degree",
+      "1"], "error: --param q is not a parameter of affine:sl2"),
+    (["verify", "--algebra", "virasoro", "--param", "k=3", "--degree", "1"],
+     "error: --param k is not a parameter of virasoro"),
+    (["verify", "--algebra", "weyl:x", "--degree", "1"],
+     "error: weyl rank parameter must be an integer, got 'x'"),
+    (["verify", "--algebra", "lattice:", "--degree", "1"],
+     "error: lattice rank parameter must be an integer, got ''"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
@@ -172,6 +180,18 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algebra", "heisenberg", "--param", "lam=1/2", "--degree",
+     "1"],
+    ["verify", "--algebra", "affine:sl3", "--param", "k=1", "--degree", "1"],
+    ["verify", "--algebra", "virasoro", "--param", "c=1/2", "--degree", "1"],
+])
+def test_preset_parameters_accepted(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert "all axioms pass" in out
 
 
 def test_npoint_zero_points(capsys):

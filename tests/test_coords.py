@@ -10,12 +10,15 @@ from voa import (CoordChange, NonInvertibleLinearTerm, NotPrimary, R_apply,
                  R_inverse_apply, Scalar, State, TruncationMismatch,
                  decompose, get_preset, huang_check,
                  primary_differential_check, reconstruct)
+from voa.coords import _power_series, laurent_coefficients
 from voa.scalars import parse_scalar
 
 
-def _cc(*fracs):
-    return CoordChange(tuple(Scalar.from_fraction(Fraction(f))
-                             for f in fracs))
+def _cc(*coeffs):
+    """A CoordChange from rationals; a str names a symbolic parameter."""
+    return CoordChange(tuple(Scalar.param(c) if isinstance(c, str)
+                             else Scalar.from_fraction(Fraction(c))
+                             for c in coeffs))
 
 
 def test_identity_and_render():
@@ -50,6 +53,34 @@ def test_decompose_reconstruct_roundtrip():
                        for _ in range(M - 1)]
             rho = _cc(*coeffs)
             assert reconstruct(decompose(rho)) == rho
+
+
+def test_decompose_prefix_gives_leading_charges():
+    # v_1..v_j depend only on rho_1..rho_{j+1}; the changes of criterion 8
+    rng = random.Random(11)
+    for M in range(1, 7):
+        for _ in range(4):
+            coeffs = [Fraction(rng.randint(1, 4))]
+            coeffs += [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(M - 1)]
+            rho = _cc(*coeffs)
+            full = decompose(rho).charges
+            for j in range(M):
+                prefix = CoordChange(rho.coeffs[:j + 1])
+                assert decompose(prefix).charges == full[:j]
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, "eps"), ("a",), (2, Fraction(1, 2), Fraction(-1, 3))])
+def test_power_series_matches_rational_expansion(coeffs):
+    # the truncated series of rho(t)^m against the Laurent expansion of the
+    # rational function rho(t)^m, which divides and reduces by gcd
+    rho = _cc(*coeffs)
+    t = Scalar.param("t")
+    top = 4
+    for m in range(-4, 5):
+        want = laurent_coefficients(rho.evaluate_at(t) ** m, "t", top)
+        assert _power_series(rho, m, top) == want, m
 
 
 def test_decompose_scaling_only():
@@ -122,6 +153,11 @@ def test_huang_exact_nonlinear():
     report = huang_check(inst, inst.conformal, _cc(1, Fraction(1, 2)),
                          window=2, D=2)
     assert report.passed, report.render()
+    # R(rho_t)^{-1} omega has t-powers above the window that still reach it
+    vir = get_preset("virasoro")
+    report = huang_check(vir, vir.conformal, _cc(1, Fraction(1, 4)),
+                         window=1, D=2)
+    assert report.passed, report.render()
 
 
 def test_primary_differential_check():
@@ -149,6 +185,23 @@ def test_transformation_checks_fail_on_wrong_conformal_vector(check):
                               "direct 0 vs conjugated -1")
     assert report.render() == (f"{report.description}: FAIL "
                                f"({report.witness})")
+
+
+@pytest.mark.parametrize("check, preset, gen, rho, first_order_in, witness", [
+    (primary_differential_check, "affine:sl2", "e", (2, Fraction(1, 2)),
+     None, "on v_k: coefficient of t^1 e(-1) v_k: "
+           "direct 0 vs conjugated -1/2"),
+    (huang_check, "heisenberg", "b", (1, "eps"), "eps",
+     "on |0>: coefficient of t^1 b(-1) |0>: direct 0 vs conjugated -2*eps"),
+])
+def test_wrong_conformal_vector_witnesses(check, preset, gen, rho,
+                                          first_order_in, witness):
+    inst = get_preset(preset, lam=0)
+    wrong = dataclasses.replace(inst, conformal=inst.conformal.scale(2))
+    report = check(wrong, inst.gen_state(gen), _cc(*rho), window=2, D=2,
+                   first_order_in=first_order_in)
+    assert not report.passed
+    assert report.witness == witness
 
 
 def test_primary_check_rejects_nonprimary():

@@ -132,3 +132,13 @@ def test_get_preset_unknown():
 def test_get_preset_rejects_rank_below_one(name):
     with pytest.raises(ValueError, match="rank parameter N must be >= 1"):
         get_preset(name)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("weyl:x", "weyl rank parameter must be an integer, got 'x'"),
+    ("lattice:", "lattice rank parameter must be an integer, got ''"),
+])
+def test_get_preset_rejects_malformed_rank(name, message):
+    with pytest.raises(ValueError) as info:
+        get_preset(name)
+    assert str(info.value) == message
