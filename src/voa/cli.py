@@ -104,7 +104,9 @@ def _load_instance(args):
             lam = Fraction(lam)
         except (ValueError, ZeroDivisionError):
             raise CliError(f"--lambda: {lam!r} is not a rational")
-    if lam is None and "lam" in params:
+        if "lam" in params:
+            raise CliError("lam given twice: by --lambda and by --param lam")
+    elif "lam" in params:
         lam = params["lam"]
     level = params.get("k")
     try:
@@ -115,6 +117,8 @@ def _load_instance(args):
         if name not in inst.params:
             raise CliError(
                 f"--param {name} is not a parameter of {args.algebra}")
+    if lam is not None and "lam" not in inst.params:
+        raise CliError(f"--lambda: lam is not a parameter of {args.algebra}")
     return inst, params
 
 

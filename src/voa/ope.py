@@ -405,21 +405,19 @@ def coset_graded(alg: ModeAlgebra, Wgens, d):
     monos = basis_monomials(alg, d, 0)
     if not monos:
         return []
-    index = {m: i for i, m in enumerate(monos)}
     rows = []
     for A in Wgens:
         dA = A.degree(alg)
         p = 1 - dA
         while p <= Fraction(d):
-            # rows of the matrix of A_[p] restricted to V_d
-            images = [state_field_mode(alg, A, p, State.monomial(m))
-                      for m in monos]
-            targets = sorted({t for img in images for t in img.terms})
-            for tmono in targets:
-                rows.append([img.coeff(tmono) for img in images])
+            # sparse rows {column: coefficient} of A_[p] restricted to V_d
+            block = {}
+            for i, m in enumerate(monos):
+                img = state_field_mode(alg, A, p, State.monomial(m))
+                for t, c in img.terms.items():
+                    block.setdefault(t, {})[i] = c
+            rows.extend(block[t] for t in sorted(block))
             p += 1
-    if not rows:
-        return [State.monomial(m) for m in monos]
     kernel = kernel_basis(rows, len(monos))
     out = []
     for vec in kernel:

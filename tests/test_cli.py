@@ -173,6 +173,13 @@ def test_unknown_algebra_exits_2(capsys):
      "error: weyl rank parameter must be an integer, got 'x'"),
     (["verify", "--algebra", "lattice:", "--degree", "1"],
      "error: lattice rank parameter must be an integer, got ''"),
+    (["verify", "--algebra", "virasoro", "--lambda", "3", "--degree", "1"],
+     "error: --lambda: lam is not a parameter of virasoro"),
+    (["center", "--algebra", "affine:sl2", "--lambda", "1", "--degree", "1"],
+     "error: --lambda: lam is not a parameter of affine:sl2"),
+    (["character", "--algebra", "heisenberg", "--lambda", "0", "--param",
+      "lam=1", "--cutoff", "3"],
+     "error: lam given twice: by --lambda and by --param lam"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

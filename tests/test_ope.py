@@ -1,5 +1,6 @@
 """Tests for OPE extraction, commutator formulas, axioms, and cosets."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,54 @@ def test_coset_commutative_is_everything():
     gens = [s for _, s in inst.generator_states()]
     for d in range(4):
         assert len(coset_graded(alg, gens, d)) == graded_dim(alg, d)
+
+
+def _partitions_min_part(d, smallest):
+    """Number of partitions of d into parts >= smallest (a hand oracle)."""
+    if d == 0:
+        return 1
+    return sum(_partitions_min_part(d - part, part)
+               for part in range(smallest, d + 1))
+
+
+def _center_dims(name, level, degrees):
+    inst = get_preset(name, level=level)
+    currents = [s for _, s in inst.generator_states()]
+    return [len(coset_graded(inst.algebra, currents, d)) for d in degrees]
+
+
+def test_feigin_frenkel_center_critical_sl2():
+    # At the critical level k = -2 the center of V_k(sl2) is the polynomial
+    # algebra on the Segal-Sugawara modes S_{-2}, S_{-3}, ... (Feigin-Frenkel
+    # 1992): its degree-d piece has one vector per partition of d into parts
+    # >= 2.  The dense elimination took about 27 s for d = 2..6.
+    degrees = range(2, 7)
+    t0 = time.monotonic()
+    dims = _center_dims("affine:sl2", -2, degrees)
+    dt = time.monotonic() - t0
+    assert dims == [_partitions_min_part(d, 2) for d in degrees]
+    assert dims == [1, 1, 2, 2, 4]
+    assert dt < 10, f"center of V_-2(sl2), d = 2..6, took {dt:.1f} s"
+
+
+def test_center_generic_sl2_trivial():
+    # away from the critical level the center of V_k(sl2) is C|0>; the dense
+    # elimination took about 8 s for d = 1..5
+    t0 = time.monotonic()
+    dims = _center_dims("affine:sl2", None, range(1, 6))
+    dt = time.monotonic() - t0
+    assert dims == [0] * 5
+    assert dt < 4, f"center of V_k(sl2), d = 1..5, took {dt:.1f} s"
+
+
+def test_feigin_frenkel_center_critical_sl3():
+    # at k = -3 the center of V_k(sl3) is generated by Segal-Sugawara vectors
+    # of degrees 2 and 3; the dense elimination took about 11 s for d = 2, 3
+    t0 = time.monotonic()
+    dims = _center_dims("affine:sl3", -3, (2, 3))
+    dt = time.monotonic() - t0
+    assert dims == [1, 2]
+    assert dt < 5, f"center of V_-3(sl3), d = 2, 3, took {dt:.1f} s"
 
 
 def test_coset_heisenberg_center_trivial(heis):
