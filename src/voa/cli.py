@@ -37,7 +37,7 @@ _FACTOR = re.compile(
 
 
 def parse_state(alg: ModeAlgebra, text: str) -> State:
-    """Parse "b(-2)^2 b(-1) |0>", "v_k", "1_{m,N}" into a State."""
+    """Parse "b(-2)^2 b(-1) |0>", "v_k", "1_{m,N}" into a nonzero State."""
     word = []
     sector = None
     pos = 0
@@ -77,7 +77,10 @@ def parse_state(alg: ModeAlgebra, text: str) -> State:
     if sector is None:
         raise CliError("state syntax: missing vacuum "
                        f"(expected |0>, {alg.vacuum_symbol} or 1_{{m,N}})")
-    return normal_order(alg, word, sector)
+    state = normal_order(alg, word, sector)
+    if state.is_zero:
+        raise CliError(f"state {text!r} is zero")
+    return state
 
 
 def _parse_params(entries) -> dict:

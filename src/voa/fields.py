@@ -85,10 +85,11 @@ def mono_field(alg: ModeAlgebra, mono: PbwMonomial):
 def mode_index(p):
     """A mode index as an int when it is integral, else as a Fraction.
 
-    Mode indices key the field_mode and ope memos and are added up in the
-    locality and associativity windows; ints hash, compare and add without
-    a call into Python code, Fractions do not.  Equal values of the two
-    types hash and compare equal, so either finds the same memo entry.
+    Mode indices key the field_mode memo and the axiom checks' caches and
+    are added up in the locality and associativity windows; ints hash,
+    compare and add without a call into Python code, Fractions do not.
+    Equal values of the two types hash and compare equal, so either finds
+    the same cache entry.
     """
     if type(p) is int:
         return p

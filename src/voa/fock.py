@@ -66,7 +66,14 @@ _NO_ENERGY = Fraction(0)
 
 
 class ModeAlgebra:
-    """Generator table plus bracket structure constants; immutable."""
+    """Generator table plus bracket structure constants.
+
+    The table never changes.  The algebra memoizes pure functions of it for
+    its whole life: `bracket` in `_bracket_memo`, and the mode actions on
+    PBW monomials in `_apply_memo` (keys of `apply_mode`, `field_mode`,
+    `mono_field` and `translate`).  Caches over states, such as the axiom
+    checks' A_[p] v, belong to the call that fills them.
+    """
 
     def __init__(self, name, generators, rules, *, lattice_N=None,
                  charge_gen=None, vacuum_symbol="|0>", zero_mode_cap=2,

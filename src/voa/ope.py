@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from math import comb
 
 from .fock import ModeAlgebra, State, all_sector_monomials, render_state
@@ -103,41 +104,19 @@ def apply_combination(alg: ModeAlgebra, combination, C: State) -> State:
     return out
 
 
-def _mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
-    """A_[p] v by `state_field_mode`, memoized per algebra on (A, p, v).
-
-    The one state-level memo of this module, shared by the locality check
-    (through `commutator_direct`) and the associativity check (through
-    `_umode`): both revisit the same inner applications across their mode
-    windows.  Keys are ("um", A, p, v) with the shifted mode p.
-    """
-    key = ("um", A, p, v)
-    hit = alg._apply_memo.get(key)
-    if hit is not None:
-        return hit
-    result = alg._apply_memo[key] = state_field_mode(alg, A, p, v)
-    return result
+def _bracket(alg: ModeAlgebra, A: State, B: State, C: State, mode):
+    """(r, t) -> [A_[r], B_[t]] C, the supercommutator, by two orders of
+    mode application; the inner ones go through `mode(X, p, v)`."""
+    eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
+    return lambda r, t: (state_field_mode(alg, A, r, mode(B, t, C))
+                         - state_field_mode(alg, B, t, mode(A, r, C))
+                         .scale(eps))
 
 
 def commutator_direct(alg: ModeAlgebra, A: State, m, B: State, kk,
                       C: State) -> State:
-    """[A_[m], B_[kk]] C by two mode-application orders (supercommutator).
-
-    Memoized: the finite-difference windows of the locality check revisit
-    the same mode pairs many times.  The inner applications B_[kk]C and
-    A_[m]C depend on one mode index each and go through the shared `_mode`
-    memo; the outer ones are plain `state_field_mode` calls.
-    """
-    key = ("cd", A, m, B, kk, C)
-    hit = alg._apply_memo.get(key)
-    if hit is not None:
-        return hit
-    eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
-    first = state_field_mode(alg, A, m, _mode(alg, B, kk, C))
-    second = state_field_mode(alg, B, kk, _mode(alg, A, m, C))
-    result = first - second.scale(eps)
-    alg._apply_memo[key] = result
-    return result
+    """[A_[m], B_[kk]] C by two mode-application orders (supercommutator)."""
+    return _bracket(alg, A, B, C, partial(state_field_mode, alg))(m, kk)
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +152,30 @@ def _locality_windows(alg, A, B, C, N, cap):
             yield S - t, t
 
 
-def locality_defect(alg: ModeAlgebra, A: State, B: State, N: int,
-                    r, t, C: State) -> State:
-    """Coefficient of the (z-w)^N-multiplied supercommutator at modes (r,t)."""
+def locality_defect(row, N: int, r, t) -> State:
+    """Coefficient of the (z-w)^N-multiplied supercommutator at modes (r,t),
+    with `row(r', t')` = [A_[r'], B_[t']] C for one test state C."""
     out = State.zero()
     for i in range(N + 1):
         c = (-1) ** i * comb(N, i)
-        term = commutator_direct(alg, A, r + N - i, B, t + i, C)
+        term = row(r + N - i, t + i)
         if not term.is_zero:
             out = out + term.scale(c)
     return out
 
 
 def locality_witness(alg: ModeAlgebra, A: State, B: State, N: int,
-                     test_states, cap):
-    """First (r, t, C) where (z-w)^N [Y(A,z),Y(B,w)] C != 0, else None."""
+                     test_states, cap, mode):
+    """First (r, t, C) where (z-w)^N [Y(A,z),Y(B,w)] C != 0, else None.
+
+    Each C has a row of supercommutators cached by mode pair, since
+    neighbouring windows share N of their N+1 pairs.  `mode(X, p, v)` is
+    the caller's cache of X_[p] v.
+    """
     for C in test_states:
+        row = cache(_bracket(alg, A, B, C, mode))
         for r, t in _locality_windows(alg, A, B, C, N, cap):
-            if not locality_defect(alg, A, B, N, r, t, C).is_zero:
+            if not locality_defect(row, N, r, t).is_zero:
                 return (r, t, C)
     return None
 
@@ -200,9 +185,10 @@ def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
     dA, dB = A.degree(alg), B.degree(alg)
     states = [C for _, Cs in _grouped_basis(alg, D) for C in Cs]
     bound = int(D + dA + dB)
+    mode = cache(partial(state_field_mode, alg))
     witness = None
     for N in range(bound + 1):
-        witness = locality_witness(alg, A, B, N, states, int(D))
+        witness = locality_witness(alg, A, B, N, states, int(D), mode)
         if witness is None:
             return N
     raise NotLocalUpTo(D, witness)
@@ -212,30 +198,25 @@ def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
 # Associativity (finite Borcherds-type coefficient identities)
 # ---------------------------------------------------------------------------
 
-def _umode(alg, A, j, v, wt):
-    """Unshifted j-th product A_(j) v = A_[j + 1 - wt] v, wt = wt A.
-
-    Goes through the shared `_mode` memo; the caller passes the weight so
-    that it is not recomputed from A's terms on every call.
-    """
-    return _mode(alg, A, j + 1 - wt, v)
-
-
 def associativity_defect(alg: ModeAlgebra, A: State, B: State, n: int,
-                         m, C: State) -> State:
-    """LHS - RHS of the singular-product re-expansion identity (n >= 0)."""
+                         m, C: State, mode) -> State:
+    """LHS - RHS of the singular-product re-expansion identity (n >= 0).
+
+    `mode(X, p, v)` is the caller's cache of X_[p] v.  The unshifted
+    product X_(j) is X_[j + s] with s = 1 - wt X, so (A_(n)B)_(m) is
+    (A_(n)B)_[m + n + sA + sB].
+    """
     eps = state_parity(alg, A) * state_parity(alg, B)
-    dA, dB = mode_index(A.degree(alg)), mode_index(B.degree(alg))
+    sA, sB = 1 - mode_index(A.degree(alg)), 1 - mode_index(B.degree(alg))
     m = mode_index(m)
-    AB = _umode(alg, A, n, B, dA)
-    lhs = (_umode(alg, AB, m, C, dA + dB - n - 1) if not AB.is_zero
-           else State.zero())
+    AB = mode(A, n + sA, B)
+    lhs = mode(AB, m + n + sA + sB, C) if not AB.is_zero else State.zero()
     rhs = State.zero()
     sign2 = (-1) ** (n + eps)
     for i in range(n + 1):
         c = (-1) ** i * comb(n, i)
-        t1 = _umode(alg, A, n - i, _umode(alg, B, m + i, C, dB), dA)
-        t2 = _umode(alg, B, n + m - i, _umode(alg, A, i, C, dA), dB)
+        t1 = mode(A, n - i + sA, mode(B, m + i + sB, C))
+        t2 = mode(B, n + m - i + sB, mode(A, i + sA, C))
         rhs = rhs + (t1 - t2.scale(sign2)).scale(c)
     return lhs - rhs
 
@@ -342,21 +323,21 @@ def _translation_failures(alg, groups, D):
             p += 1
 
 
-def _locality_failures(alg, groups, D):
+def _locality_failures(alg, groups, D, mode):
     """N from the maximal pole order annihilates the supercommutator."""
     for dA, A, dB, B in _pairs(groups, D):
         if dB < dA:
             continue
         N = max(singular_part(alg, A, B), default=0)
         Cs = [C for _, C in _upto(groups, D - dA - dB)]
-        w = locality_witness(alg, A, B, N, Cs, int(D))
+        w = locality_witness(alg, A, B, N, Cs, int(D), mode)
         if w is not None:
             r, t, C = w
             yield (f"A={render_state(alg, A)}, B={render_state(alg, B)}, "
                    f"N={N}, modes ({r},{t}), C={render_state(alg, C)}")
 
 
-def _associativity_failures(alg, groups, D):
+def _associativity_failures(alg, groups, D, mode):
     """Singular products re-expand consistently."""
     for dA, A, dB, B in _pairs(groups, D):
         n_max = int(_max_target_degree(alg, B) + dA - 1)
@@ -368,7 +349,8 @@ def _associativity_failures(alg, groups, D):
                 # m values hitting result degrees in [0, D]
                 for L in range(int(D) + 1):
                     m = dC - (e_res + L) + dAB - 1
-                    if not associativity_defect(alg, A, B, n, m, C).is_zero:
+                    if not associativity_defect(alg, A, B, n, m, C,
+                                                mode).is_zero:
                         yield (f"A={render_state(alg, A)}, "
                                f"B={render_state(alg, B)}, n={n}, m={m}, "
                                f"C={render_state(alg, C)}")
@@ -382,15 +364,19 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
     finite family while scaling to multi-generator presets.  The checks run
     in the order vacuum, translation, locality, associativity; each reports
     the first failing case in a fixed search order, (deg A, deg B, A, B,
-    ...), where "..." are the check's own modes and test states.
+    ...), where "..." are the check's own modes and test states.  The
+    locality and associativity checks share one cache of state-level mode
+    actions, which lives for this call only.
     """
     report = AxiomReport(alg.name, D)
     groups = _grouped_basis(alg, D)
-    for name, failures in (("vacuum", _vacuum_failures),
-                           ("translation", _translation_failures),
-                           ("locality", _locality_failures),
-                           ("associativity", _associativity_failures)):
-        witness = next(failures(alg, groups, D), None)
+    mode = cache(partial(state_field_mode, alg))
+    for name, failures in (
+            ("vacuum", _vacuum_failures(alg, groups, D)),
+            ("translation", _translation_failures(alg, groups, D)),
+            ("locality", _locality_failures(alg, groups, D, mode)),
+            ("associativity", _associativity_failures(alg, groups, D, mode))):
+        witness = next(failures, None)
         report.checks.append(CheckResult(name, witness is None, witness))
     return report
 

@@ -180,6 +180,14 @@ def test_unknown_algebra_exits_2(capsys):
     (["character", "--algebra", "heisenberg", "--lambda", "0", "--param",
       "lam=1", "--cutoff", "3"],
      "error: lam given twice: by --lambda and by --param lam"),
+    (["bracket", "--algebra", "heisenberg", "--a", "b(-1) |0>", "--b",
+      "b(2) |0>", "--m", "1", "--n", "1"], "error: state 'b(2) |0>' is zero"),
+    (["ope", "--algebra", "heisenberg", "--a", "b(1) |0>", "--b",
+      "b(-1) |0>"], "error: state 'b(1) |0>' is zero"),
+    (["coset", "--algebra", "heisenberg", "--states", "b(1) |0>",
+      "--degree", "1"], "error: state 'b(1) |0>' is zero"),
+    (["coord-check", "--algebra", "heisenberg", "--lambda", "0", "--state",
+      "b(1) |0>", "--rho", "1"], "error: state 'b(1) |0>' is zero"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

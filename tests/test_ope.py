@@ -124,11 +124,12 @@ def test_verify_axioms_heisenberg_quick(heis):
     assert {"vacuum", "translation", "locality", "associativity"} <= names
 
 
-def _corrupted_heisenberg():
-    # central term polynomial 1 instead of m: breaks skew symmetry
+def _corrupted_heisenberg(central=Poly.const(1)):
+    # [b_m, b_n] = central(m) delta_{m+n,0} in place of m: the constant 1
+    # breaks skew symmetry, and m^3 does not fit the weight of b
     return ModeAlgebra(
         "heisenberg-corrupted", [GeneratorSpec("b", Fraction(1))],
-        {(0, 0): BracketRule((), CentralTerm(Scalar.one(), Poly.const(1)))})
+        {(0, 0): BracketRule((), CentralTerm(Scalar.one(), central))})
 
 
 def test_verify_axioms_negative_control():
@@ -141,17 +142,41 @@ def test_verify_axioms_negative_control():
 
 def test_verify_axioms_negative_control_witnesses():
     # the first failing case of each check, in the search order; the
-    # associativity failure needs a pair of total degree 3
-    for D, associativity in (
-            (2, None),
-            (3, "A=b(-1) |0>, B=b(-1)^2 |0>, n=2, m=-2, C=|0>")):
-        report = verify_axioms(_corrupted_heisenberg(), D)
-        witness = {c.name: c.witness for c in report.checks}
-        assert witness["vacuum"] is None
-        assert witness["translation"] == "A=b(-1) |0>, B=b(-1) |0>, mode 2"
-        assert witness["locality"] == \
-            "A=b(-1) |0>, B=b(-1) |0>, N=2, modes (-2,0), C=|0>"
-        assert witness["associativity"] == associativity
+    # associativity failure needs a pair of total degree 3.  With the
+    # central term m^3 the first failing locality window is not the first
+    # window tried.
+    m = Poly.var("m")
+    for central, locality in (
+            (Poly.const(1), "modes (-2,0)"), (m * m * m, "modes (-3,1)")):
+        for D, associativity in (
+                (2, None),
+                (3, "A=b(-1) |0>, B=b(-1)^2 |0>, n=2, m=-2, C=|0>")):
+            report = verify_axioms(_corrupted_heisenberg(central), D)
+            witness = {c.name: c.witness for c in report.checks}
+            assert witness["vacuum"] is None
+            assert witness["translation"] == \
+                "A=b(-1) |0>, B=b(-1) |0>, mode 2"
+            assert witness["locality"] == \
+                f"A=b(-1) |0>, B=b(-1) |0>, N=2, {locality}, C=|0>"
+            assert witness["associativity"] == associativity
+
+
+def _memo_kinds(alg):
+    """Kinds of key in the algebra's memo; apply_mode's keys are untagged."""
+    return {key[0] if isinstance(key[0], str) else "apply_mode"
+            for key in alg._apply_memo}
+
+
+def test_axiom_checks_free_their_caches():
+    # after verify_axioms and locality_order return, the algebra holds only
+    # its memo of pure mode actions
+    pure = {"apply_mode", "fm", "mf", "T"}
+    inst = get_preset("heisenberg")
+    alg, b = inst.algebra, inst.gen_state("b")
+    assert verify_axioms(alg, 3).passed
+    assert _memo_kinds(alg) <= pure
+    assert locality_order(alg, b, b, 3) == 2
+    assert _memo_kinds(alg) <= pure
 
 
 def test_coset_commutative_is_everything():
@@ -181,13 +206,13 @@ def test_feigin_frenkel_center_critical_sl2():
     # algebra on the Segal-Sugawara modes S_{-2}, S_{-3}, ... (Feigin-Frenkel
     # 1992): its degree-d piece has one vector per partition of d into parts
     # >= 2.  The dense elimination took about 27 s for d = 2..6.
-    degrees = range(2, 7)
+    degrees = range(2, 8)
     t0 = time.monotonic()
     dims = _center_dims("affine:sl2", -2, degrees)
     dt = time.monotonic() - t0
     assert dims == [_partitions_min_part(d, 2) for d in degrees]
-    assert dims == [1, 1, 2, 2, 4]
-    assert dt < 10, f"center of V_-2(sl2), d = 2..6, took {dt:.1f} s"
+    assert dims == [1, 1, 2, 2, 4, 4]
+    assert dt < 10, f"center of V_-2(sl2), d = 2..7, took {dt:.1f} s"
 
 
 def test_center_generic_sl2_trivial():

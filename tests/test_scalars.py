@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from voa.fock import PbwMonomial, State
 from voa.scalars import (
@@ -75,7 +75,41 @@ class TestCanonicalForm:
         assert S("2^-2") == Scalar.from_fraction(Fraction(1, 4))
 
 
+# monomials 1, k, c, c*k, k^2 in Poly's (name, exponent) form
+_SMALL_MONOS = [(), (("k", 1),), (("c", 1),), (("c", 1), ("k", 1)),
+                (("k", 2),)]
+
+
+@st.composite
+def fractions_of_polys(draw):
+    """(num, den): small polynomials in k and c, den nonzero."""
+    def poly():
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+        return Poly({m: Fraction(a) for m, a in zip(_SMALL_MONOS, coeffs)
+                     if a})
+    num, den = poly(), poly()
+    assume(not den.is_zero)
+    return num, den
+
+
 class TestEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(fractions_of_polys(), fractions_of_polys(), rationals, rationals)
+    def test_evaluate_is_a_ring_homomorphism(self, a, b, k, c):
+        # the expected values come from the unreduced polynomials, so the
+        # oracle shares no code with the gcd reduction of Scalar
+        point = {"k": k, "c": c}
+        (an, ad), (bn, bd) = a, b
+        assume(ad.evaluate(point) != 0 and bd.evaluate(point) != 0)
+        av = an.evaluate(point) / ad.evaluate(point)
+        bv = bn.evaluate(point) / bd.evaluate(point)
+        x, y = Scalar(an, ad), Scalar(bn, bd)
+        assert x.evaluate(point) == av and y.evaluate(point) == bv
+        for op in (operator.add, operator.sub, operator.mul):
+            assert op(x, y).evaluate(point) == op(av, bv)
+        if bv:
+            assert (x / y).evaluate(point) == av / bv
+
     def test_central_charge_formula(self):
         c = S("1-12*lam^2")
         assert c.evaluate(ParamPoint(lam=Fraction(1, 2))) == Fraction(-2)
