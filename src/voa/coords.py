@@ -5,7 +5,11 @@ with Scalar coefficients (rho_1 invertible).  Its action on a conformal
 algebra is R(rho) = rho_1^{L_0} exp(-sum_j v_j L_j), where the charges v_j
 come from factoring rho through the exponential of the vector field
 sum_j v_j z^{j+1} d/dz; the exponential is exact on graded components
-because each L_j lowers degree.
+because each L_j lowers degree.  R(rho) keeps denominators out of its
+inner loop: it acts with S = q omega, where q is the monic lcm of the
+denominators of omega's coefficients (q = k + 2 for the Sugawara vector),
+clears the charges and the state the same way, and divides the sum of the
+powers once.  A check decomposes its rho and clears omega once.
 
 Huang's identity Y(A,t) = R(rho) Y(R(rho_t)^{-1} A, rho(t)) R(rho)^{-1}
 (rho_t(z) = rho(t+z) - rho(t)) is verified on matrix elements compared as
@@ -23,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .scalars import Scalar, poly_derivative
+from .scalars import Poly, Scalar, _poly_divexact, poly_derivative, poly_gcd
 from .fields import state_field_mode
 from .fock import State, basis_monomials, render_monomial
 
@@ -234,29 +238,50 @@ def reconstruct(charge: VirasoroCharge) -> CoordChange:
 # The operator R(rho) on graded components
 # ---------------------------------------------------------------------------
 
-def _virasoro_mode(inst, j, v: State) -> State:
-    return state_field_mode(inst.algebra, inst.conformal, Fraction(j), v)
+def _common_denominator(scalars) -> Scalar:
+    """The monic lcm of the denominators of some Scalars."""
+    lcm = Poly.const(1)
+    for den in {s.den for s in scalars}:
+        if not den.is_constant:
+            lcm = _poly_divexact(lcm * den, poly_gcd(lcm, den))
+    return Scalar(lcm, _canonical=True)
 
 
-def _exp_lowering(inst, charges, v: State, sign: int) -> State:
-    """exp(sign * sum_j charges[j-1] L_j) v; exact since L_j lowers degree."""
-    out = v
-    cur = v
-    fact = 1
-    step = 0
-    while not cur.is_zero:
-        step += 1
+def _exp_lowering(alg, q: Scalar, S: State, charges, v: State,
+                  sign: int) -> State:
+    """exp(sign * sum_j charges[j-1] L_j) v; exact since L_j lowers degree.
+
+    Denominators are cleared first: omega = S / q, so S_[j] = q L_j, and
+    likewise charges[j-1] = w_j / r and v = V / p, all of S, w_j and V free
+    of denominators.  The powers C_n = (sum_j w_j S_[j])^n V then carry
+    polynomial coefficients, whose adds and products form no gcd, and
+
+        exp(...) v = sum_{n <= N} sign^n (N!/n!) (q r)^(N-n) C_n
+                     / (N! (q r)^N p),
+
+    with N the last nonzero power, is summed as polynomials too and
+    divided once.
+    """
+    r = _common_denominator(charges)
+    w = [vj * r for vj in charges]
+    p = _common_denominator(v.terms.values())
+    qr = q * r
+    cur = acc = v.scale(p)
+    den = p
+    n = 0
+    while True:
+        n += 1
         nxt = State.zero()
-        for j, vj in enumerate(charges, start=1):
-            if not vj.is_zero:
-                term = _virasoro_mode(inst, j, cur)
+        for j, wj in enumerate(w, start=1):
+            if not wj.is_zero:
+                term = state_field_mode(alg, S, j, cur)
                 if not term.is_zero:
-                    nxt = nxt + term.scale(vj * sign)
+                    nxt = nxt + term.scale(wj)
         cur = nxt
-        fact *= step
-        if not cur.is_zero:
-            out = out + cur.scale(Fraction(1, fact))
-    return out
+        if cur.is_zero:
+            return acc.scale(Scalar.one() / den)
+        den = den * qr * n
+        acc = acc.scale(qr * n) + cur.scale(sign ** n)
 
 
 def _scaling_power(scaling: Scalar, state: State, alg, sign: int) -> State:
@@ -271,16 +296,44 @@ def _scaling_power(scaling: Scalar, state: State, alg, sign: int) -> State:
     return out
 
 
-def _acting_charge(inst, rho: CoordChange, A: State) -> VirasoroCharge:
-    """decompose(rho) cut to the charges v_1..v_top that can act on A.
+def _top_degree(alg, A: State) -> int:
+    return int(max(A.degrees(alg), default=0))
 
-    top is the highest degree in A.  Degrees are >= 0 and L_j lowers degree
-    by j, so L_j with j > top kills A and everything the lower L_i make of
-    it.  The charges v_1..v_j depend only on rho_1..rho_{j+1}, so the
-    prefix rho_1..rho_{top+1} yields exactly the charges that act.
+
+class _ROperator:
+    """R(rho) and its inverse with rho decomposed and omega cleared once.
+
+    A transformation check builds one for its rho and applies it to many
+    states; it lives only as long as the check.  Degrees are >= 0 and L_j
+    lowers degree by j, so on a state of top degree `top` only the charges
+    v_1..v_top act: L_j with j > top kills the state and everything the
+    lower L_i make of it.  The charges v_1..v_j depend only on
+    rho_1..rho_{j+1}, so the first `top` charges of rho are those of its
+    prefix rho_1..rho_{top+1}.
     """
-    top = int(max(A.degrees(inst.algebra), default=0))
-    return decompose(CoordChange(rho.coeffs[:top + 1]))
+
+    def __init__(self, inst, rho: CoordChange):
+        self.alg = inst.algebra
+        self.charge = decompose(rho)
+        self.q = _common_denominator(inst.conformal.terms.values())
+        self.S = inst.conformal.scale(self.q)
+
+    def _lower(self, A: State, sign: int) -> State:
+        charges = self.charge.charges[:_top_degree(self.alg, A)]
+        return _exp_lowering(self.alg, self.q, self.S, charges, A, sign)
+
+    def apply(self, A: State) -> State:
+        mid = _scaling_power(self.charge.scaling, A, self.alg, -1)
+        return self._lower(mid, -1)
+
+    def inverse(self, A: State) -> State:
+        return _scaling_power(self.charge.scaling, self._lower(A, +1),
+                              self.alg, +1)
+
+
+def _acting_prefix(inst, rho: CoordChange, A: State) -> CoordChange:
+    """rho_1..rho_{top+1}, all that the charges acting on A depend on."""
+    return CoordChange(rho.coeffs[:_top_degree(inst.algebra, A) + 1])
 
 
 def R_apply(inst, rho: CoordChange, A: State) -> State:
@@ -294,11 +347,9 @@ def R_apply(inst, rho: CoordChange, A: State) -> State:
     R(mu(rho(z))) = R(rho) R(mu).
 
     Only the charges v_1..v_top act on a state of top degree `top`, so
-    only rho_1..rho_{top+1} is decomposed (`_acting_charge`).
+    only rho_1..rho_{top+1} is decomposed.
     """
-    charge = _acting_charge(inst, rho, A)
-    mid = _scaling_power(charge.scaling, A, inst.algebra, -1)
-    return _exp_lowering(inst, charge.charges, mid, -1)
+    return _ROperator(inst, _acting_prefix(inst, rho, A)).apply(A)
 
 
 def R_inverse_apply(inst, rho: CoordChange, A: State) -> State:
@@ -306,9 +357,7 @@ def R_inverse_apply(inst, rho: CoordChange, A: State) -> State:
 
     Like `R_apply`, decomposes only rho_1..rho_{top+1}.
     """
-    charge = _acting_charge(inst, rho, A)
-    mid = _exp_lowering(inst, charge.charges, A, +1)
-    return _scaling_power(charge.scaling, mid, inst.algebra, +1)
+    return _ROperator(inst, _acting_prefix(inst, rho, A)).inverse(A)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +416,9 @@ def _first_order_vanishes(s: Scalar, name: str) -> bool:
 # Huang's transformation formula
 # ---------------------------------------------------------------------------
 
-_T = "t"      # the parameter of the compared Laurent series
+# The parameter of the compared Laurent series.  parse_scalar makes no name
+# with a quote in it, so t in rho stays apart from this one.
+_T = "t'"
 
 
 @dataclass
@@ -415,7 +466,7 @@ def _t_series(B: State, top: int) -> dict:
     return {j: State(terms) for j, terms in out.items()}
 
 
-def _conjugated_field_element(inst, Bt: dict, rho_power, rho: CoordChange,
+def _conjugated_field_element(alg, Bt: dict, rho_power, R: _ROperator,
                               v: State, cap: int, window: int) -> dict:
     """{t-exponent: State} of R(rho) Y(B, rho(t)) R(rho)^{-1} v up to t^window.
 
@@ -429,8 +480,7 @@ def _conjugated_field_element(inst, Bt: dict, rho_power, rho: CoordChange,
     skipped, and each product is cut at t^window.  R(rho) is t-free and
     linear, so it acts on each t-coefficient once.
     """
-    alg = inst.algebra
-    u = R_inverse_apply(inst, rho, v)
+    u = R.inverse(v)
     total = {}
     for j, Bj in Bt.items():
         for d in sorted(Bj.degrees(alg)):
@@ -454,7 +504,7 @@ def _conjugated_field_element(inst, Bt: dict, rho_power, rho: CoordChange,
                             break
                         total[j + e] = total.get(j + e, State.zero()) + \
                             w.scale(c * s)
-    return {e: R_apply(inst, rho, st) for e, st in total.items()}
+    return {e: R.apply(st) for e, st in total.items()}
 
 
 def _field_element(inst, A: State, v: State, cap: int) -> dict:
@@ -504,6 +554,13 @@ def _compare_series(alg, lhs: dict, rhs: dict, window: int,
     return None
 
 
+def _check_first_order(rho: CoordChange, name: str | None):
+    if name is not None and \
+            not any(name in c.parameters() for c in rho.coeffs):
+        raise ValueError(f"first-order parameter {name!r} does not occur "
+                         f"in rho = {rho.render()}")
+
+
 def _transformation_check(inst, A: State, B: State, rho: CoordChange,
                           window: int, D: int, first_order_in: str | None,
                           desc: str) -> CoordReport:
@@ -518,11 +575,12 @@ def _transformation_check(inst, A: State, B: State, rho: CoordChange,
     Bt = _t_series(B, window + D + int(max(B.degrees(alg), default=0)))
     top = window - min(Bt, default=0)
     rho_power = cache(lambda m: _power_series(rho, m, top))
+    R = _ROperator(inst, rho)
     for d in range(D + 1):
         for mono in basis_monomials(alg, d, 0):
             v = State.monomial(mono)
             lhs = _field_element(inst, A, v, D)
-            rhs = _conjugated_field_element(inst, Bt, rho_power, rho, v, D,
+            rhs = _conjugated_field_element(alg, Bt, rho_power, R, v, D,
                                             window)
             witness = _compare_series(alg, lhs, rhs, window, first_order_in,
                                       D)
@@ -543,6 +601,7 @@ def huang_check(inst, A: State, rho: CoordChange, window: int, D: int,
     are discarded (for infinitesimal changes whose truncated charge
     decomposition is exact only to first order).
     """
+    _check_first_order(rho, first_order_in)
     desc = f"huang_check({rho.render()})"
     rho = rho.padded(D + window + int(A.degree(inst.algebra)) + 2)
     B = R_inverse_apply(inst, rho.shifted(_T), A)
@@ -560,6 +619,7 @@ def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
     the specialization of the transformation formula, since R(rho_t)^{-1}
     acts on a primary by rho_t,1^{L_0} = rho'(t)^{Delta}.
     """
+    _check_first_order(rho, first_order_in)
     alg = inst.algebra
     dA = A.degree(alg)
     for n in range(1, int(dA) + 2):

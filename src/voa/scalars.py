@@ -271,6 +271,9 @@ def _content(coeffs) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Multivariate gcd via content / primitive-part recursion.
 
+    Operands with different variable sets reduce to the gcd of their
+    coefficients over the variables they do not share, which stops at the
+    first constant; gcd(num(k, eps), (k+2)^n) becomes gcds in k alone.
     Result is normalized to leading coefficient 1 (grlex).
     """
     if a.is_zero and b.is_zero:
@@ -285,6 +288,16 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     common = [v for v in avars if v in bvars]
     if not common:
         return Poly.const(1)
+    if len(common) < len(avars) or len(common) < len(bvars):
+        # A common factor involves the shared variables only, so it divides
+        # each coefficient of a and of b over the variables not shared.
+        g = Poly()
+        for p in sorted(_coefficients(a, common) + _coefficients(b, common),
+                        key=lambda p: len(p.terms)):
+            g = poly_gcd(g, p)
+            if g.is_constant:
+                break
+        return g
     x = common[0]
     ua, ub = a._as_univariate(x), b._as_univariate(x)
     ca, cb = _content(list(ua.values())), _content(list(ub.values()))
@@ -304,6 +317,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         f, g = g, r
     gp = Poly._from_univariate(x, g)
     return _monic(cont * gp)
+
+
+def _coefficients(p: Poly, keep) -> list:
+    """The coefficients of p, as polynomials in `keep`, over the other
+    variables."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        inner = tuple(ve for ve in m if ve[0] in keep)
+        outer = tuple(ve for ve in m if ve[0] not in keep)
+        out.setdefault(outer, {})[inner] = c
+    return [Poly(t) for t in out.values()]
 
 
 def _pseudo_rem(f: dict, g: dict, x: str) -> dict:

@@ -128,6 +128,22 @@ def test_coord_check(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("check", ["huang", "primary"])
+@pytest.mark.parametrize("rho, first_order", [
+    ("1, {}", []), ("{}", []), ("1, {}", ["--first-order", "{}"])])
+def test_coord_check_parameter_named_t(capsys, check, rho, first_order):
+    # t in --rho is a parameter like any other, not the series variable
+    runs = []
+    for name in ("t", "s"):
+        runs.append(_run(capsys, "coord-check", "--algebra", "heisenberg",
+                         "--lambda", "0", "--state", "b(-1) |0>",
+                         "--rho", rho.format(name), "--check", check,
+                         *(a.format(name) for a in first_order)))
+    (code_t, out_t, _), (code_s, out_s, _) = runs
+    assert code_t == code_s == 0
+    assert out_t == out_s.replace("(s)", "(t)")
+
+
 def test_bf_check(capsys):
     code, out, _ = _run(capsys, "bf-check", "--degree", "2")
     assert code == 0
@@ -188,6 +204,9 @@ def test_unknown_algebra_exits_2(capsys):
       "--degree", "1"], "error: state 'b(1) |0>' is zero"),
     (["coord-check", "--algebra", "heisenberg", "--lambda", "0", "--state",
       "b(1) |0>", "--rho", "1"], "error: state 'b(1) |0>' is zero"),
+    (["coord-check", "--algebra", "heisenberg", "--lambda", "0", "--state",
+      "b(-1) |0>", "--rho", "1, eps", "--first-order", "zz"],
+     "error: first-order parameter 'zz' does not occur in rho"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

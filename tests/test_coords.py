@@ -11,6 +11,8 @@ from voa import (CoordChange, NonInvertibleLinearTerm, NotPrimary, R_apply,
                  decompose, get_preset, huang_check,
                  primary_differential_check, reconstruct)
 from voa.coords import _power_series, laurent_coefficients
+from voa.fields import state_field_mode
+from voa.fock import basis_monomials
 from voa.scalars import parse_scalar
 
 
@@ -101,27 +103,71 @@ def test_scaling_action_is_inverse_power():
     assert R_apply(inst, rho, w) == w.scale(Scalar.one() / (a * a * a))
 
 
+def _states_up_to(inst, D):
+    return [State.monomial(mono) for d in range(D + 1)
+            for mono in basis_monomials(inst.algebra, d, 0)]
+
+
 def test_r_inverse_is_inverse():
-    inst = get_preset("heisenberg", lam=0)
+    # Heisenberg at lam=0 has a conformal vector without denominators;
+    # the Sugawara vector at symbolic k carries 1/(2(k+2))
     rho = _cc(2, Fraction(1, 2), Fraction(-1, 3))
-    for word in ([("b", -1)], [("b", -2)], [("b", -1), ("b", -1)],
-                 [("b", -3)]):
-        v = inst.state(word)
-        assert R_inverse_apply(inst, rho, R_apply(inst, rho, v)) == v
+    for inst, D in ((get_preset("heisenberg", lam=0), 3),
+                    (get_preset("affine:sl2"), 2)):
+        for v in _states_up_to(inst, D):
+            assert R_inverse_apply(inst, rho, R_apply(inst, rho, v)) == v
 
 
 def test_group_law():
     # R is an antihomomorphism on coordinate changes composed as
     # (mu after rho)(z) = mu(rho(z)): R(mu(rho(z))) = R(rho) R(mu)
-    inst = get_preset("heisenberg", lam=0)
     rho = _cc(2, 1, 0, 0)
     mu = _cc(1, Fraction(-1, 2), Fraction(1, 3), 0)
     comp = rho.compose(mu)
-    for word in ([("b", -1)], [("b", -2)], [("b", -1), ("b", -1)]):
-        v = inst.state(word)
-        lhs = R_apply(inst, comp, v)
-        rhs = R_apply(inst, rho, R_apply(inst, mu, v))
-        assert lhs == rhs
+    for inst, D in ((get_preset("heisenberg", lam=0), 2),
+                    (get_preset("affine:sl2"), 2)):
+        for v in _states_up_to(inst, D):
+            lhs = R_apply(inst, comp, v)
+            rhs = R_apply(inst, rho, R_apply(inst, mu, v))
+            assert lhs == rhs
+
+
+def _R_by_steps(inst, rho, v):
+    """R(rho) v with each power of exp(-sum_j v_j L_j) built from the last
+    by L_j = omega_[j] on inst.conformal itself, denominators and all."""
+    charge = decompose(rho)
+    cur = State.zero()
+    for mono, c in v.terms.items():
+        d = int(inst.algebra.mono_degree(mono))
+        cur = cur + State.monomial(mono, c / charge.scaling ** d)
+    out = cur
+    fact = 1
+    for step in range(1, 2 + int(max(v.degrees(inst.algebra)))):
+        nxt = State.zero()
+        for j, vj in enumerate(charge.charges, start=1):
+            term = state_field_mode(inst.algebra, inst.conformal, j, cur)
+            nxt = nxt + term.scale(-vj)
+        cur = nxt
+        fact *= step
+        out = out + cur.scale(Fraction(1, fact))
+    return out
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, "eps"), (2, Fraction(1, 2), Fraction(-1, 3)), ("a", 1)])
+def test_r_apply_matches_stepwise_exponential(coeffs):
+    # affine:sl2 at symbolic k: omega = S / (k+2), and (a, 1) has the
+    # charge v_1 = 1/a, so both denominators are cleared out of the loop
+    inst = get_preset("affine:sl2")
+    rho = _cc(*coeffs)
+    states = _states_up_to(inst, 3)
+    for v in states:
+        assert R_apply(inst, rho, v) == _R_by_steps(inst, rho, v), v
+    # a non-homogeneous state whose coefficients have denominators
+    k = Scalar.param("k")
+    v = (states[1].scale(Scalar.one() / (k + 1)) + states[5].scale(k / 3) +
+         states[-1].scale(Scalar.one() / (k * k + 2)))
+    assert R_apply(inst, rho, v) == _R_by_steps(inst, rho, v)
 
 
 def test_huang_scaling_symbolic():
@@ -202,6 +248,47 @@ def test_wrong_conformal_vector_witnesses(check, preset, gen, rho,
                    first_order_in=first_order_in)
     assert not report.passed
     assert report.witness == witness
+
+
+@pytest.mark.parametrize("check", [huang_check, primary_differential_check])
+@pytest.mark.parametrize("coeffs", [(1, "{}"), ("{}",), (2, "{}", 1)])
+def test_parameter_named_t(check, coeffs):
+    # the Laurent series of the check are in a variable of their own, so a
+    # parameter t of rho gives the verdict a parameter s gives
+    inst = get_preset("heisenberg", lam=0)
+    A = inst.state([("b", -1)])
+    for name in ("t", "s"):
+        rho = _cc(*(c.format(name) if isinstance(c, str) else c
+                    for c in coeffs))
+        report = check(inst, A, rho, window=2, D=2)
+        assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("check", [huang_check, primary_differential_check])
+def test_first_order_parameter_must_occur_in_rho(check):
+    inst = get_preset("heisenberg", lam=0)
+    with pytest.raises(ValueError, match="'zz' does not occur in rho"):
+        check(inst, inst.state([("b", -1)]), _cc(1, "eps"), window=2, D=2,
+              first_order_in="zz")
+
+
+def test_checks_leave_no_state_behind():
+    # R(rho) with its decomposed charges and cleared omega lives as long
+    # as one check: the instance, the algebra's memo kinds and the module
+    # are as they were
+    import voa.coords as coords
+    inst = get_preset("affine:sl2")
+    module = dict(vars(coords))
+    fields = dict(vars(inst))
+    report = primary_differential_check(inst, inst.gen_state("e"),
+                                        _cc(1, "eps"), window=2, D=1,
+                                        first_order_in="eps")
+    assert report.passed
+    assert vars(inst) == fields
+    assert {key[0] if isinstance(key[0], str) else "apply_mode"
+            for key in inst.algebra._apply_memo} <= {"apply_mode", "fm",
+                                                     "mf", "T"}
+    assert vars(coords) == module
 
 
 def test_primary_check_rejects_nonprimary():

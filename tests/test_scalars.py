@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from voa.fock import PbwMonomial, State
 from voa.scalars import (
     Scalar, ParamPoint, Poly, PoleAtPoint, DivisionByZero,
-    parse_scalar, render_scalar, ScalarParseError,
+    parse_scalar, poly_gcd, render_scalar, ScalarParseError,
 )
 
 
@@ -124,6 +124,65 @@ class TestEvaluation:
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             S("k") / Scalar.zero()
+
+
+def P(text):
+    """The numerator polynomial of a parsed polynomial expression."""
+    s = S(text)
+    assert s.den == Poly.const(1)
+    return s.num
+
+
+class TestPolyGcd:
+    @pytest.mark.parametrize("a, b, want", [
+        ("eps*(k+2)^2", "(k+2)^3", "(k+2)^2"),
+        ("eps*k + 1", "k + 2", "1"),
+        ("eps + 1", "k + 2", "1"),
+        ("eps^2 - 1", "c*k + 3", "1"),
+        ("(k+1)*(c*k + 2*c^2 - k)", "(k+1)*(eps*k^2 + 2*eps - 3)", "k+1"),
+        ("(k+1)*(c+k)*eps", "(k+1)^2*(c+k)*lam + (c+k)", "c+k"),
+        ("(2*k+4)*eps^2 + (k^2-4)*eps", "3*k^2 + 12*k + 12", "k+2"),
+        ("-4*eps*(k+2)*(c-k)", "(k+2)*(c-k)^2", "c*k-k^2+2*c-2*k"),
+    ])
+    def test_operands_with_different_variables(self, a, b, want):
+        g = P(want)
+        assert poly_gcd(P(a), P(b)) == g
+        assert poly_gcd(P(b), P(a)) == g
+
+    def test_matches_sympy(self):
+        # random pairs with a planted common factor, most of them with
+        # different variable sets, against sympy's gcd made monic the same way
+        sympy = pytest.importorskip("sympy")
+        import random
+        rng = random.Random(5)
+        names = ["c", "eps", "k", "lam"]
+        gens = sympy.symbols(names)
+
+        def rand_poly(variables, terms):
+            out = sympy.Integer(0)
+            for _ in range(terms):
+                mono = sympy.Integer(rng.randint(-3, 3))
+                for v in variables:
+                    mono *= gens[names.index(v)] ** rng.randint(0, 2)
+                out += mono
+            return out
+
+        def ours(expr):
+            return P(str(sympy.expand(expr)).replace("**", "^"))
+
+        for _ in range(120):
+            shared = rng.sample(names, rng.randint(1, 2))
+            extra = [n for n in names if n not in shared]
+            avars = shared + rng.sample(extra, rng.randint(0, len(extra)))
+            bvars = shared + rng.sample(extra, rng.randint(0, len(extra)))
+            f = rand_poly(shared, rng.randint(1, 3))
+            a = sympy.expand(f * rand_poly(avars, rng.randint(1, 3)))
+            b = sympy.expand(f * rand_poly(bvars, rng.randint(1, 3)))
+            if a == 0 or b == 0:
+                continue
+            want = ours(sympy.gcd(a, b))
+            want = want.scale(1 / want.leading()[1])
+            assert poly_gcd(ours(a), ours(b)) == want, (a, b)
 
 
 class TestParsing:
