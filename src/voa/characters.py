@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fock import basis_monomials
+from .fock import all_sector_monomials, basis_monomials
 from .scalars import ParamPoint
 
 
@@ -214,12 +214,7 @@ def boson_fermion_character_check(cutoff=4) -> CharacterReport:
     ldims: dict = {}
     deg = Fraction(0)
     while deg <= cutoff:
-        m = 0
-        total = 0
-        while lalg.sector_energy(m) <= deg:
-            for s in ([0] if m == 0 else [m, -m]):
-                total += len(basis_monomials(lalg, deg, s))
-            m += 1
+        total = len(all_sector_monomials(lalg, deg))
         if total:
             ldims[deg] = total
         deg += Fraction(1, 2)

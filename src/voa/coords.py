@@ -79,8 +79,6 @@ class CoordChange:
                 f"orders {self.order} != {other.order}")
         M = self.order
         out = [Scalar.zero()] * M
-        power = [Scalar.zero()] * (M + 1)  # self(z)^j coefficients
-        power[0] = Scalar.one()
         cur = [Scalar.zero()] + list(self.coeffs)  # z^0..z^M of self(z)
         acc = [Scalar.one()] + [Scalar.zero()] * M
         for j in range(1, M + 1):

@@ -25,17 +25,6 @@ def zvar(i: int) -> str:
     return f"z{i}"
 
 
-def _poly_subst(p: Poly, name: str, q: Poly) -> Poly:
-    """Substitute a polynomial for one variable."""
-    out = Poly()
-    for mono, c in p.terms.items():
-        term = Poly.const(c)
-        for v, e in mono:
-            term = term * (q ** e if v == name else Poly.var(v) ** e)
-        out = out + term
-    return out
-
-
 @dataclass(frozen=True)
 class Term:
     coeff: Fraction
@@ -135,17 +124,6 @@ class RationalCorrelator:
                     p = p * (Poly.var(zvar(i)) ** extra)
             total = total + p
         return total.is_zero
-
-    def variables(self):
-        vs = set()
-        for t in self.terms:
-            vs.update(t.num.variables())
-            for i, j, _ in t.poles:
-                vs.add(zvar(i))
-                vs.add(zvar(j))
-            for i, _ in t.zpows:
-                vs.add(zvar(i))
-        return sorted(vs)
 
     def deriv(self, i: int) -> "RationalCorrelator":
         """Partial derivative with respect to z_i."""
@@ -268,9 +246,7 @@ def _phi_terms(phi):
     if phi is None:
         return VACUUM_PHI
     if isinstance(phi, State):
-        return {m: Fraction(c.num.constant_value()) /
-                Fraction(c.den.constant_value())
-                for m, c in phi.terms.items()}
+        return {m: c.as_fraction() for m, c in phi.terms.items()}
     return dict(phi)
 
 
@@ -575,14 +551,22 @@ class BootstrapReport:
 
 
 def bootstrap_verify(phi, n_max: int) -> BootstrapReport:
-    """Order-2 diagonal coefficients of omega_n reproduce omega_{n-2}."""
+    """Order-2 diagonal coefficients of omega_n reproduce omega_{n-2}.
+
+    For each pair i < j of omega_n, with g = (z_i-z_j)^2 omega_n, the
+    Laurent coefficients at z_i -> z_j are c_{-2}, c_{-1} = g, d_i g at
+    z_i = z_j (`_diagonal_coefficients`).  c_{-2} must be omega_{n-2} on
+    the remaining labels in increasing order, and c_{-1} must vanish.  The
+    first failure in (n, i, j) order is reported.
+    """
     family = {n: heisenberg_npoint(phi, n) for n in range(0, n_max + 1, 2)}
     for n in range(2, n_max + 1, 2):
         f = family[n]
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 c2, c1 = _diagonal_coefficients(f, i, j)
-                target = _relabel(family[n - 2], i, j, n)
+                rest = [k for k in range(1, n + 1) if k not in (i, j)]
+                target = _rename(family[n - 2], dict(enumerate(rest, 1)))
                 if c2 != target:
                     return BootstrapReport(
                         False, f"n={n}, pair ({i},{j}): order-2 coefficient")
@@ -595,99 +579,52 @@ def bootstrap_verify(phi, n_max: int) -> BootstrapReport:
 def _diagonal_coefficients(f: RationalCorrelator, i: int, j: int):
     """Laurent coefficients of (z_i - z_j)^{-2} and ^{-1} at z_i -> z_j.
 
+    With g = (z_i-z_j)^2 f they are c_{-2}, c_{-1} = g, d_i g at z_i = z_j.
     Requires pole multiplicity at (i,j) at most 2 in every term (true for
-    the Wick family).  Returns (c_{-2}, c_{-1}) as correlators in the
+    the Wick family); a term without that pole vanishes to second order in
+    g and adds to neither.  Returns (c_{-2}, c_{-1}) as correlators in the
     remaining variables (z_j may appear and must cancel for the bootstrap).
     """
-    c2_terms, c1_terms = [], []
-    zi, zj = zvar(i), zvar(j)
+    terms = []
     for t in f.terms:
         mult = next((m for a, b, m in t.poles if (a, b) == (i, j)), 0)
         if mult == 0:
             continue
         if mult > 2:
             raise ValueError("diagonal pole of order > 2")
-        others = tuple((a, b, m) for a, b, m in t.poles if (a, b) != (i, j))
-        # substitute z_i = z_j + u in numerator and other factors
-        num_u = _poly_subst(t.num, zi, Poly.var(zj) + Poly.var("u"))
-        den_fac = []
-        for a, b, m in others:
-            fac = _poly_subst(_diag(a, b), zi, Poly.var(zj) + Poly.var("u"))
-            den_fac.append((fac, m, (a, b)))
-        for a, k in t.zpows:
-            fac = Poly.var(zvar(a))
-            fac = _poly_subst(fac, zi, Poly.var(zj) + Poly.var("u"))
-            den_fac.append((fac, k, (a,)))
-        num0 = num_u.substitute({"u": 0})
-        den0_poles, den0_zp = _collect_den0(den_fac, i, j)
-        if mult == 2:
-            c2_terms.append(Term(t.coeff, num0, den0_poles, den0_zp))
-            # c_{-1}: d/du [num_u / prod den_fac] at u = 0
-            dnum = _poly_deriv(num_u, "u").substitute({"u": 0})
-            if not dnum.is_zero:
-                c1_terms.append(Term(t.coeff, dnum, den0_poles, den0_zp))
-            for idx, (fac, m, _) in enumerate(den_fac):
-                dfac = _poly_deriv(fac, "u").substitute({"u": 0})
-                if dfac.is_zero:
-                    continue
-                # -m * fac' / fac extra factor
-                extra_num = num0 * dfac
-                poles = {(a, b): mm for a, b, mm in den0_poles}
-                zp = dict(den0_zp)
-                key = den_fac[idx][2]
-                if len(key) == 2:
-                    kk = _norm_pair(key, i, j)
-                    poles[kk] = poles.get(kk, 0) + 1
-                else:
-                    a0 = j if key[0] == i else key[0]
-                    zp[a0] = zp.get(a0, 0) + 1
-                c1_terms.append(Term(
-                    t.coeff * (-m), extra_num,
-                    tuple(sorted((a, b, mm) for (a, b), mm in poles.items())),
-                    tuple(sorted(zp.items()))))
-        else:
-            c1_terms.append(Term(t.coeff, num0, den0_poles, den0_zp))
-    return RationalCorrelator(c2_terms), RationalCorrelator(c1_terms)
+        num = t.num if mult == 2 else t.num * _diag(i, j)
+        poles = tuple(p for p in t.poles if p[:2] != (i, j))
+        terms.append(Term(t.coeff, num, poles, t.zpows))
+    g = RationalCorrelator(terms)
+    return _rename(g, {i: j}), _rename(g.deriv(i), {i: j})
 
 
-def _norm_pair(pair, i, j):
-    a, b = pair
-    a = j if a == i else a
-    b = j if b == i else b
-    return (min(a, b), max(a, b))
+def _rename(f: RationalCorrelator, mapping: dict) -> RationalCorrelator:
+    """Substitute z_a -> z_{mapping[a]} for every label a in `mapping`.
 
-
-def _collect_den0(den_fac, i, j):
-    poles = {}
-    zp = {}
-    for fac, m, key in den_fac:
-        if len(key) == 2:
-            kk = _norm_pair(key, i, j)
-            poles[kk] = poles.get(kk, 0) + m
-        else:
-            a0 = j if key[0] == i else key[0]
-            zp[a0] = zp.get(a0, 0) + m
-    return (tuple(sorted((a, b, mm) for (a, b), mm in poles.items())),
-            tuple(sorted(zp.items())))
-
-
-def _relabel(f: RationalCorrelator, i: int, j: int, n: int):
-    """Rename variables of omega_{n-2} (built on z1..z_{n-2}) to the
-    remaining labels after removing z_i, z_j from z1..zn."""
-    remaining = [k for k in range(1, n + 1) if k not in (i, j)]
-    mapping = {k + 1: remaining[k] for k in range(len(remaining))}
+    All labels are renamed at once.  Multiplicities and powers that land on
+    one label add up, and a pole whose labels come out decreasing is turned
+    round: (z_b - z_a)^m = (-1)^m (z_a - z_b)^m.
+    """
+    names = {zvar(a): zvar(b) for a, b in mapping.items()}
     out = []
     for t in f.terms:
-        num = t.num
-        for old, new in sorted(mapping.items(), reverse=True):
-            if old != new:
-                num = _poly_subst(num, zvar(old), Poly.var(f"tmp{new}"))
-        for old, new in mapping.items():
-            if old != new:
-                num = _poly_subst(num, f"tmp{new}", Poly.var(zvar(new)))
-        poles = tuple(sorted(
-            (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]), m)
-            for a, b, m in t.poles))
-        zp = tuple(sorted((mapping[a], k) for a, k in t.zpows))
-        out.append(Term(t.coeff, num, poles, zp))
+        coeff, poles, zp = t.coeff, {}, {}
+        for a, b, m in t.poles:
+            a, b = mapping.get(a, a), mapping.get(b, b)
+            if a > b:
+                a, b, coeff = b, a, coeff * (-1) ** m
+            poles[(a, b)] = poles.get((a, b), 0) + m
+        for a, k in t.zpows:
+            a = mapping.get(a, a)
+            zp[a] = zp.get(a, 0) + k
+        num = Poly()
+        for mono, c in t.num.terms.items():
+            term = Poly.const(c)
+            for v, e in mono:
+                term = term * Poly.var(names.get(v, v)) ** e
+            num = num + term
+        out.append(Term(coeff, num,
+                        tuple(sorted((a, b, m) for (a, b), m in poles.items())),
+                        tuple(sorted(zp.items()))))
     return RationalCorrelator(out)

@@ -86,7 +86,6 @@ class ModeAlgebra:
         self.vacuum_symbol = vacuum_symbol
         self.zero_mode_cap = zero_mode_cap
         self.central_params = tuple(central_params)
-        self.sector_vertex = None          # set by presets for lattice algebras
         self._by_name = {g.name: i for i, g in enumerate(self.generators)}
         if len(self._by_name) != len(self.generators):
             raise ValueError("generator names must be unique")
@@ -131,10 +130,6 @@ class ModeAlgebra:
         if sector == 0 or not self.has_sectors or self.lattice_N % 2 == 0:
             return 0
         return (sector * self.lattice_N) % 2
-
-    def cocycle(self, shift, sector):
-        """Sign picked up by the shift operator S_shift on a charge sector."""
-        return 1
 
     def vacuum_eigenvalue(self, g, n, sector) -> Fraction:
         if self.has_sectors and g == self.charge_gen and n == 0:
@@ -366,15 +361,11 @@ def normal_order(alg: ModeAlgebra, word, sector=0) -> State:
 
 
 def shift_sector(alg: ModeAlgebra, shift: int, state: State) -> State:
-    """Action of the lattice shift operator S_shift (with cocycle sign)."""
+    """Action of the lattice shift operator S_shift."""
     if not alg.has_sectors:
         raise SectorMismatch(f"shift in sector-free algebra {alg.name!r}")
-    out = {}
-    for mono, c in state.terms.items():
-        eps = alg.cocycle(shift, mono.sector)
-        tgt = PbwMonomial(mono.sector + shift, mono.word)
-        out[tgt] = out.get(tgt, Scalar.zero()) + c * eps
-    return State({m: c for m, c in out.items() if not c.is_zero})
+    return State({PbwMonomial(m.sector + shift, m.word): c
+                  for m, c in state.terms.items()})
 
 
 # ---------------------------------------------------------------------------

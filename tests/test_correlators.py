@@ -9,7 +9,9 @@ from voa import (BracketRule, CentralTerm, ExpansionRegion, GeneratorSpec,
                  ModeAlgebra, PbwMonomial, RationalCorrelator, Scalar, State,
                  bootstrap_verify, consistency_check, expand, get_preset,
                  heisenberg_npoint)
-from voa.correlators import (Term, VACUUM_PHI, matrix_element_coefficient,
+from voa import correlators
+from voa.correlators import (Term, VACUUM_PHI, _diagonal_coefficients,
+                             _rename, matrix_element_coefficient,
                              state_insertion, zvar)
 from voa.scalars import Poly
 
@@ -179,6 +181,81 @@ def test_derivative_insertions():
 def test_bootstrap():
     report = bootstrap_verify(VACUUM_PHI, 6)
     assert report.passed, report.render()
+
+
+B1B1 = PbwMonomial(0, ((0, -1), (0, -1)))
+B2B1 = PbwMonomial(0, ((0, -2), (0, -1)))
+
+
+@pytest.mark.parametrize("phi", [
+    {B1B1: Fraction(1)},
+    {B2B1: Fraction(1)},
+    {PbwMonomial(0, ()): Fraction(2), B1B1: Fraction(1, 3),
+     B2B1: Fraction(-3, 2)},
+], ids=["b(-1)^2", "b(-2)b(-1)", "mixed-with-vacuum"])
+def test_bootstrap_non_vacuum_functionals(phi):
+    # phi reads the two unpaired fields of omega_4 (omega_0 = phi(|0>) may
+    # be 0), so the bootstrap compares nonzero correlators
+    assert not heisenberg_npoint(phi, 4).is_zero
+    report = bootstrap_verify(phi, 6)
+    assert report.passed, report.render()
+
+
+def test_bootstrap_negative_control(monkeypatch):
+    # every contraction doubled: the (z1-z2)^{-2} coefficient of omega_2 is
+    # 2, against omega_0 = 1
+    pair_kernel = correlators._pair_kernel
+
+    def doubled(a, b, i, j):
+        t = pair_kernel(a, b, i, j)
+        return Term(2 * t.coeff, t.num, t.poles, t.zpows)
+
+    monkeypatch.setattr(correlators, "_pair_kernel", doubled)
+    assert bootstrap_verify(VACUUM_PHI, 6).render() == (
+        "bootstrap: FAIL (n=2, pair (1,2): order-2 coefficient)")
+
+
+def test_diagonal_coefficients_turn_poles_round():
+    # f = 1/((z1-z3)^2 (z1-z2)) at z1 -> z3: 1/(z1-z2) = 1/(z3-z2) + ...
+    # so c_{-2} = -1/(z2-z3) and c_{-1} = d/dz1 1/(z1-z2) = -1/(z2-z3)^2
+    f = RationalCorrelator([Term(Fraction(1), Poly.const(1),
+                                 ((1, 2, 1), (1, 3, 2)), ())])
+    c2, c1 = _diagonal_coefficients(f, 1, 3)
+    assert c2 == _pole(2, 3, 1).scale(-1)
+    assert c1 == _pole(2, 3, 2).scale(-1)
+    # a simple pole at (1,3): c_{-2} = 0, c_{-1} = 1/(z3-z2)^2
+    f = RationalCorrelator([Term(Fraction(1), Poly.const(1),
+                                 ((1, 2, 2), (1, 3, 1)), ())])
+    c2, c1 = _diagonal_coefficients(f, 1, 3)
+    assert c2.is_zero and c1 == _pole(2, 3, 2)
+    f = RationalCorrelator([Term(Fraction(1), Poly.const(1),
+                                 ((1, 2, 3),), ())])
+    with pytest.raises(ValueError, match="order > 2"):
+        _diagonal_coefficients(f, 1, 2)
+
+
+def test_rename_adds_multiplicities_and_turns_poles_round():
+    z = {i: Poly.var(zvar(i)) for i in (1, 2, 3)}
+    # z1 z2 / (z1 (z1-z3)^3 (z2-z3)) under z1 -> z2, z2 -> z1
+    f = RationalCorrelator([Term(Fraction(1), z[1] * z[2],
+                                 ((1, 3, 3), (2, 3, 1)), ((1, 1),))])
+    g = _rename(f, {1: 2, 2: 1})
+    assert g == RationalCorrelator([Term(Fraction(1), z[1] * z[2],
+                                         ((1, 3, 1), (2, 3, 3)), ((2, 1),))])
+    # (z1-z2)^-3 under z1 -> z3 is (z3-z2)^-3 = -(z2-z3)^-3; poles and
+    # z-powers landing on one label add up
+    f = RationalCorrelator([Term(Fraction(5), z[1],
+                                 ((1, 2, 3), (2, 3, 1)), ((1, 2), (3, 1)))])
+    g = _rename(f, {1: 3})
+    assert g.terms == [Term(Fraction(-5), Poly.const(1), ((2, 3, 4),),
+                            ((3, 2),))]
+
+
+@pytest.mark.parametrize("coeff", [Scalar.param("k") + 1, Scalar.param("k")])
+def test_state_functional_must_be_rational(coeff):
+    phi = State({PbwMonomial(0, ()): coeff})
+    with pytest.raises(ValueError, match="not a plain rational"):
+        heisenberg_npoint(phi, 0)
 
 
 def test_correlator_arithmetic_and_json():
