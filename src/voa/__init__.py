@@ -7,7 +7,7 @@ from .fock import (BracketRule, BracketTerm, CentralTerm, GeneratorSpec,
                    UnknownGenerator, algebra_from_json, algebra_to_json,
                    apply_mode, basis_monomials, graded_dim, normal_order,
                    render_monomial, render_state)
-from .fields import field_mode, mono_field, state_field_mode, translate
+from .fields import field_mode, state_field_mode, translate
 from .ope import (AxiomReport, NotLocalUpTo, commutator_direct,
                   commutator_via_formula, coset_graded, locality_order,
                   singular_part, verify_axioms)
@@ -42,7 +42,6 @@ __all__ = [
     "field_mode", "free_fermion", "get_preset", "graded_dim",
     "heisenberg", "heisenberg_npoint", "huang_check", "lattice",
     "lattice_theta_character", "lattice_vertex_op", "locality_order",
-    "mono_field",
     "normal_order", "parse_scalar", "primary_differential_check",
     "reconstruct", "render_monomial", "render_state", "singular_part",
     "sl2_data", "sl3_data", "state_field_mode", "sugawara", "translate",

@@ -4,17 +4,15 @@ Fields are indexed in the weight-shifted convention
 
     Y(A, z) = sum_p A_[p] z^(-p - wt A),
 
-so A_[p] lowers degree by p.  A field expression is a small tree:
+so A_[p] lowers degree by p.  A field is named by the PBW monomial of its
+state, and its modes follow the reconstruction formula
 
-    ("id",)            identity field, weight 0
-    ("gen", g, j)      j-th derivative of a generator field, weight wt(g)+j
-    ("no", left, right)  normally ordered product :left right:
-    ("vert", m)        lattice vertex operator for the charge-m sector vacuum
+    Y(g(n) R, z) = :(d^j g(z) / j!) Y(R, z):,    j = -n - wt(g) >= 0,
 
-`mono_field` implements the reconstruction formula: a PBW monomial
-g1(n1)...gk(nk)|0> corresponds to the right-nested normally ordered product
-of the fields d^{j_i} g_i(z) / j_i! with j_i = -n_i - wt(g_i); in a charge
-sector the rightmost factor is the vertex operator of the sector vacuum.
+recursing on the word of the monomial: the empty word is the identity field
+in sector 0 and the vertex operator of the sector vacuum in a charge sector,
+and a single letter g(n) over the vacuum has the modes
+binom(-p - wt g, j) g_p.
 """
 
 from __future__ import annotations
@@ -26,56 +24,14 @@ from math import factorial
 from .fock import (ModeAlgebra, PbwMonomial, State, apply_mode, shift_sector)
 
 
-# ---------------------------------------------------------------------------
-# Field expressions
-# ---------------------------------------------------------------------------
-
-def field_weight(alg: ModeAlgebra, fx) -> Fraction:
-    tag = fx[0]
-    if tag == "id":
+def gbinom(a, k: int) -> Fraction:
+    """Binomial coefficient with integer (possibly negative) upper index."""
+    if k < 0:
         return Fraction(0)
-    if tag == "gen":
-        return alg.weight(fx[1]) + fx[2]
-    if tag == "no":
-        return field_weight(alg, fx[1]) + field_weight(alg, fx[2])
-    if tag == "vert":
-        return alg.sector_energy(fx[1])
-    raise ValueError(f"unknown field expression tag {tag!r}")
-
-
-def field_parity(alg: ModeAlgebra, fx) -> int:
-    tag = fx[0]
-    if tag == "id":
-        return 0
-    if tag == "gen":
-        return 1 if alg.odd(fx[1]) else 0
-    if tag == "no":
-        return field_parity(alg, fx[1]) ^ field_parity(alg, fx[2])
-    if tag == "vert":
-        return alg.sector_parity(fx[1])
-    raise ValueError(f"unknown field expression tag {tag!r}")
-
-
-def mono_field(alg: ModeAlgebra, mono: PbwMonomial):
-    """Field expression and rational prefactor for a PBW monomial.
-
-    The result depends only on (alg, mono), so each one is computed once
-    and kept in the algebra's memo under the key ("mf", mono).
-    """
-    key = ("mf", mono)
-    hit = alg._apply_memo.get(key)
-    if hit is not None:
-        return hit
-    fx = ("id",) if mono.sector == 0 else ("vert", mono.sector)
-    pref = Fraction(1)
-    for g, n in reversed(mono.word):
-        j = int(-n - alg.weight(g))
-        if j < 0:
-            raise ValueError("word contains an annihilation mode")
-        fx = ("no", ("gen", g, j), fx)
-        pref /= factorial(j)
-    result = alg._apply_memo[key] = (fx, pref)
-    return result
+    num = Fraction(1)
+    for i in range(k):
+        num *= Fraction(a - i, i + 1)
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -98,73 +54,69 @@ def mode_index(p):
     return p.numerator if p.denominator == 1 else p
 
 
-def field_mode(alg: ModeAlgebra, fx, p, state: State) -> State:
-    """Apply the shifted mode fx_[p] to a state."""
+def field_mode(alg: ModeAlgebra, A: PbwMonomial, p, state: State) -> State:
+    """Apply the shifted mode A_[p] of the field of the monomial A to a state."""
     p = mode_index(p)
     out = State.zero()
     for mono, c in state.terms.items():
-        out = out + _field_mode_mono(alg, fx, p, mono).scale(c)
+        out = out + _field_mode_mono(alg, A, p, mono).scale(c)
     return out
 
 
-def _field_mode_mono(alg: ModeAlgebra, fx, p, mono: PbwMonomial) -> State:
-    key = ("fm", fx, p, mono)
+def _field_mode_mono(alg: ModeAlgebra, A: PbwMonomial, p,
+                     mono: PbwMonomial) -> State:
+    key = ("fm", A, p, mono)
     hit = alg._apply_memo.get(key)
     if hit is not None:
         return hit
-    result = _field_mode_raw(alg, fx, p, mono)
+    result = _field_mode_raw(alg, A, p, mono)
     alg._apply_memo[key] = result
     return result
 
 
-def _field_mode_raw(alg, fx, p, mono):
-    tag = fx[0]
-    if tag == "id":
+def _field_mode_raw(alg, A, p, mono):
+    word, sector = A.word, A.sector
+    if not word:
+        if sector:
+            return vertex_mode(alg, sector, p, mono)
         return State.monomial(mono) if p == 0 else State.zero()
 
-    if tag == "gen":
-        g, j = fx[1], fx[2]
+    g, n = word[0]
+    w = alg.weight(g)
+    j = int(-n - w)
+    if j < 0:
+        raise ValueError("word contains an annihilation mode")
+
+    if len(word) == 1 and sector == 0:
         if p.denominator != 1:
             return State.zero()
-        n = int(p)
-        coeff = Fraction(1)
-        w = alg.weight(g)
-        for i in range(j):
-            coeff *= (-n - w - i)
+        coeff = gbinom(-p - w, j)
         if coeff == 0:
             return State.zero()
-        return apply_mode(alg, g, n, State.monomial(mono)).scale(coeff)
+        return apply_mode(alg, g, int(p), State.monomial(mono)).scale(coeff)
 
-    if tag == "vert":
-        return vertex_mode(alg, fx[1], p, mono)
-
-    if tag == "no":
-        left, right = fx[1], fx[2]
-        wl = field_weight(alg, left)
-        if wl.denominator != 1:
-            raise ValueError("left factor of a normal product must have integer weight")
-        wl = int(wl)
-        d = alg.mono_degree(mono)
-        sign = -1 if (field_parity(alg, left) and field_parity(alg, right)) else 1
-        out = State.zero()
-        # creation part of left on the outside
-        m = -wl
-        while m >= p - d:
-            inner = _field_mode_mono(alg, right, p - m, mono)
-            if not inner.is_zero:
-                out = out + field_mode(alg, left, m, inner)
-            m -= 1
-        # annihilation part of left moved inside
-        m = -wl + 1
-        while m <= d:
-            inner = field_mode(alg, left, m, State.monomial(mono))
-            if not inner.is_zero:
-                term = field_mode(alg, right, p - m, inner)
-                out = out + (term.scale(sign) if sign < 0 else term)
-            m += 1
-        return out
-
-    raise ValueError(f"unknown field expression tag {tag!r}")
+    # :left rest: with left = g(n)|0>, a field of weight -n
+    left = PbwMonomial(0, word[:1])
+    rest = PbwMonomial(sector, word[1:])
+    d = alg.mono_degree(mono)
+    sign = -1 if (alg.odd(g) and alg.mono_parity(rest)) else 1
+    out = State.zero()
+    # creation part of left on the outside
+    m = n
+    while m >= p - d:
+        inner = _field_mode_mono(alg, rest, p - m, mono)
+        if not inner.is_zero:
+            out = out + field_mode(alg, left, m, inner)
+        m -= 1
+    # annihilation part of left moved inside
+    m = n + 1
+    while m <= d:
+        inner = _field_mode_mono(alg, left, m, mono)
+        if not inner.is_zero:
+            term = field_mode(alg, rest, p - m, inner)
+            out = out + (term.scale(sign) if sign < 0 else term)
+        m += 1
+    return out
 
 
 def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
@@ -172,10 +124,9 @@ def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
     p = mode_index(p)
     out = State.zero()
     for mono, c in A.terms.items():
-        fx, pref = mono_field(alg, mono)
-        contrib = field_mode(alg, fx, p, v)
+        contrib = field_mode(alg, mono, p, v)
         if not contrib.is_zero:
-            out = out + contrib.scale(c * pref)
+            out = out + contrib.scale(c)
     return out
 
 

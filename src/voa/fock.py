@@ -70,9 +70,9 @@ class ModeAlgebra:
 
     The table never changes.  The algebra memoizes pure functions of it for
     its whole life: `bracket` in `_bracket_memo`, and the mode actions on
-    PBW monomials in `_apply_memo` (keys of `apply_mode`, `field_mode`,
-    `mono_field` and `translate`).  Caches over states, such as the axiom
-    checks' A_[p] v, belong to the call that fills them.
+    PBW monomials in `_apply_memo` (keys of `apply_mode`, `field_mode` and
+    `translate`).  Caches over states, such as the axiom checks' A_[p] v,
+    belong to the call that fills them.
     """
 
     def __init__(self, name, generators, rules, *, lattice_N=None,
@@ -533,6 +533,7 @@ def algebra_to_json(alg: ModeAlgebra) -> dict:
         "bracket": brackets,
         "central_params": list(alg.central_params),
         "grading_denominator": alg.grading_denominator,
+        "vacuum_symbol": alg.vacuum_symbol,
     }
     if alg.has_sectors:
         doc["lattice_N"] = alg.lattice_N

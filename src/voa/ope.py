@@ -27,7 +27,7 @@ from functools import cache, partial
 from math import comb
 
 from .fock import ModeAlgebra, State, all_sector_monomials, render_state
-from .fields import mode_index, state_field_mode, translate
+from .fields import gbinom, mode_index, state_field_mode, translate
 from .linalg import kernel_basis
 
 
@@ -36,16 +36,6 @@ class NotLocalUpTo(Exception):
         super().__init__(f"no locality order found up to degree bound {D}")
         self.D = D
         self.witness = witness
-
-
-def gbinom(a, k: int) -> Fraction:
-    """Binomial coefficient with integer (possibly negative) upper index."""
-    if k < 0:
-        return Fraction(0)
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(a - i, i + 1)
-    return num
 
 
 def state_parity(alg: ModeAlgebra, state: State) -> int:

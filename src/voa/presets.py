@@ -453,9 +453,10 @@ def _fermion_to_lattice(ferm: AlgebraInstance, lat: AlgebraInstance,
     out = State.vacuum(0)
     for g, n in reversed(mono.word):
         if g == psi:
-            out = field_mode(lalg, ("vert", -1), Fraction(2 * n + 1, 2), out)
+            vert, p = PbwMonomial(-1, ()), Fraction(2 * n + 1, 2)
         else:
-            out = field_mode(lalg, ("vert", 1), Fraction(2 * n - 1, 2), out)
+            vert, p = PbwMonomial(1, ()), Fraction(2 * n - 1, 2)
+        out = field_mode(lalg, vert, p, out)
     return out
 
 
@@ -504,8 +505,8 @@ def boson_fermion_check(D: int = 4) -> BosonFermionReport:
                         fimg = fimg + _fermion_to_lattice(ferm, lat, m2).scale(c)
                     p = Fraction(2 * n + 1, 2) if g == psi \
                         else Fraction(2 * n - 1, 2)
-                    limg = field_mode(lalg, ("vert", -1 if g == psi else 1),
-                                      p, img)
+                    vert = PbwMonomial(-1 if g == psi else 1, ())
+                    limg = field_mode(lalg, vert, p, img)
                     if fimg != limg:
                         gen = falg.generators[g].name
                         report.passed = False

@@ -187,18 +187,53 @@ B1B1 = PbwMonomial(0, ((0, -1), (0, -1)))
 B2B1 = PbwMonomial(0, ((0, -2), (0, -1)))
 
 
-@pytest.mark.parametrize("phi", [
+NON_VACUUM_PHIS = [
     {B1B1: Fraction(1)},
     {B2B1: Fraction(1)},
     {PbwMonomial(0, ()): Fraction(2), B1B1: Fraction(1, 3),
      B2B1: Fraction(-3, 2)},
-], ids=["b(-1)^2", "b(-2)b(-1)", "mixed-with-vacuum"])
+]
+NON_VACUUM_IDS = ["b(-1)^2", "b(-2)b(-1)", "mixed-with-vacuum"]
+
+
+@pytest.mark.parametrize("phi", NON_VACUUM_PHIS, ids=NON_VACUUM_IDS)
 def test_bootstrap_non_vacuum_functionals(phi):
     # phi reads the two unpaired fields of omega_4 (omega_0 = phi(|0>) may
     # be 0), so the bootstrap compares nonzero correlators
     assert not heisenberg_npoint(phi, 4).is_zero
     report = bootstrap_verify(phi, 6)
     assert report.passed, report.render()
+
+
+# The bootstrap builds both of its sides from heisenberg_npoint, so the
+# unpaired part (_creation_polynomial) cancels out of its comparison;
+# consistency_check reads the same correlators mode by mode instead.
+CREATION_CASES = [(phi, 2) for phi in NON_VACUUM_PHIS] + [({B1B1: 1}, 4)]
+CREATION_IDS = [f"{name}-n2" for name in NON_VACUUM_IDS] + ["b(-1)^2-n4"]
+
+
+def _boson_consistency(phi, n):
+    inst = get_preset("heisenberg", lam=0)
+    b = inst.gen_state("b")
+    return consistency_check(inst.algebra, [b] * n, phi, _all_regions(n), 8)
+
+
+@pytest.mark.parametrize("phi,n", CREATION_CASES, ids=CREATION_IDS)
+def test_consistency_non_vacuum_functionals(phi, n):
+    report = _boson_consistency(phi, n)
+    assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("phi,n", CREATION_CASES, ids=CREATION_IDS)
+def test_creation_polynomial_negative_control(monkeypatch, phi, n):
+    # the unpaired part scaled by (number of unpaired fields + 1)
+    creation = correlators._creation_polynomial
+
+    def scaled(phi_terms, free):
+        return creation(phi_terms, free).scale(len(free) + 1)
+
+    monkeypatch.setattr(correlators, "_creation_polynomial", scaled)
+    assert not _boson_consistency(phi, n).passed
 
 
 def test_bootstrap_negative_control(monkeypatch):

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from voa import (State, apply_mode, basis_monomials, get_preset,
-                 lattice_vertex_op, state_field_mode, translate)
-from voa.fields import field_weight, mono_field
+from voa import (PbwMonomial, State, apply_mode, basis_monomials,
+                 get_preset, lattice_vertex_op, state_field_mode, translate)
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +26,68 @@ def _basis_states(alg, D, sectors=(0,)):
     return out
 
 
-def test_generator_field_matches_mode_action(heis):
+# (preset, generator, mode n, coefficient of g_m in Y(g(n)|0>)_[m]): the
+# field of g(n)|0> is d^j g / j! with j = -n - wt g, written out by hand.
+DERIVATIVE_FIELDS = [
+    ("heisenberg", "b", -1, lambda m: 1),
+    ("heisenberg", "b", -2, lambda m: -m - 1),
+    ("heisenberg", "b", -3, lambda m: Fraction((m + 1) * (m + 2), 2)),
+    ("fermion", "psi*", 0, lambda m: 1),
+    ("fermion", "psi*", -1, lambda m: -m),
+    ("fermion", "psi*", -2, lambda m: Fraction(m * (m + 1), 2)),
+]
+
+
+def test_generator_field_matches_mode_action():
+    for name, gen, n, coeff in DERIVATIVE_FIELDS:
+        inst = get_preset(name)
+        alg = inst.algebra
+        g = alg.gen_index(gen)
+        A = inst.state([(gen, n)])
+        for v in _basis_states(alg, 3):
+            for m in range(-3, 4):
+                assert state_field_mode(alg, A, m, v) == \
+                    apply_mode(alg, g, m, v).scale(coeff(m))
+
+
+# (preset, word g(n) h(-wt h), coefficient of g_k in Y(g(n)|0>)_[k], sign
+# of moving g past h): Y(A)_[m] = sum_{k+l=m} c(k) :g_k h_l:, where
+# :g_k h_l: = g_k h_l for k < 0 and sign * h_l g_k for k >= 0.
+NORMAL_PRODUCTS = [
+    ("heisenberg", [("b", -2), ("b", -1)], lambda k: -k - 1, 1),
+    ("fermion", [("psi", -1), ("psi*", 0)], lambda k: 1, -1),
+]
+
+
+@pytest.mark.parametrize("name,word,coeff,sign", NORMAL_PRODUCTS,
+                         ids=["db-b", "psi-psi*"])
+def test_normal_product_of_two_generators(name, word, coeff, sign):
+    inst = get_preset(name)
+    alg = inst.algebra
+    g, h = (alg.gen_index(gen) for gen, _ in word)
+    A = inst.state(word)
+    for v in _basis_states(alg, 3):
+        d = int(alg.mono_degree(next(iter(v.terms))))
+        for m in range(-4, 4):
+            expect = State.zero()
+            for k in range(min(m - d, 0), d + 1):
+                if k < 0:
+                    term = apply_mode(alg, g, k, apply_mode(alg, h, m - k, v))
+                else:
+                    term = apply_mode(alg, h, m - k, apply_mode(alg, g, k, v))
+                    term = term.scale(sign)
+                expect = expect + term.scale(coeff(k))
+            assert state_field_mode(alg, A, m, v) == expect
+
+
+def test_annihilation_mode_in_word_raises(heis):
     alg = heis.algebra
     b = alg.gen_index("b")
-    A = heis.gen_state("b")
-    for v in _basis_states(alg, 3):
-        for p in range(-3, 4):
-            assert state_field_mode(alg, A, p, v) == apply_mode(alg, b, p, v)
+    vac = State.vacuum()
+    for word in (((b, 1),), ((b, -1), (b, 1))):
+        A = State.monomial(PbwMonomial(0, word))
+        with pytest.raises(ValueError, match="annihilation mode"):
+            state_field_mode(alg, A, -1, vac)
 
 
 def test_vacuum_field_is_identity(heis, vir):
@@ -80,15 +134,6 @@ def test_conformal_zero_mode_grades(heis):
         for m in basis_monomials(alg, d, 0):
             v = State.monomial(m)
             assert state_field_mode(alg, omega, 0, v) == v.scale(d)
-
-
-def test_field_weight_and_mono_field(vir):
-    alg = vir.algebra
-    omega = vir.conformal
-    mono = next(iter(omega.terms))
-    fx, pref = mono_field(alg, mono)
-    assert field_weight(alg, fx) == Fraction(2)
-    assert pref == Fraction(1)
 
 
 def test_composite_field_virasoro_bracket(vir):

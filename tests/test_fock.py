@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from voa import PRESET_NAMES, get_preset, verify_axioms
 from voa.scalars import Scalar, parse_scalar
 from voa.fock import (
     ModeAlgebra, GeneratorSpec, BracketRule, BracketTerm, CentralTerm,
     PbwMonomial, State, normal_order, apply_mode, graded_dim,
-    basis_monomials, render_monomial, render_state,
+    basis_monomials, all_sector_monomials, render_monomial, render_state,
     algebra_to_json, algebra_from_json, UnknownGenerator, SectorMismatch,
 )
 
@@ -202,6 +203,25 @@ class TestJson:
         v = normal_order(alg2, [("L", 2), ("L", -2)])
         assert render_state(alg2, v) == "(c/2) |0>"
         assert algebra_to_json(alg2)["bracket"] == doc["bracket"]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_roundtrip(self, name):
+        alg = get_preset(name).algebra
+        alg2 = algebra_from_json(algebra_to_json(alg))
+        window = range(-2, 3)
+        gens = range(len(alg.generators))
+        for i in gens:
+            for j in gens:
+                for m in window:
+                    for n in window:
+                        assert alg2.bracket(i, m, j, n) == \
+                            alg.bracket(i, m, j, n)
+        assert alg2.vacuum_symbol == alg.vacuum_symbol
+        step = Fraction(1, alg.grading_denominator)
+        for k in range(4 * alg.grading_denominator + 1):
+            assert len(all_sector_monomials(alg2, k * step)) == \
+                len(all_sector_monomials(alg, k * step))
+        assert verify_axioms(alg2, 2).passed and verify_axioms(alg, 2).passed
 
     def test_lattice_fields(self, lat):
         doc = algebra_to_json(lat)

@@ -170,7 +170,7 @@ def _memo_kinds(alg):
 def test_axiom_checks_free_their_caches():
     # after verify_axioms and locality_order return, the algebra holds only
     # its memo of pure mode actions
-    pure = {"apply_mode", "fm", "mf", "T"}
+    pure = {"apply_mode", "fm", "T"}
     inst = get_preset("heisenberg")
     alg, b = inst.algebra, inst.gen_state("b")
     assert verify_axioms(alg, 3).passed

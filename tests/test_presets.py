@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from voa import (ParamPoint, Scalar, State, boson_fermion_check, get_preset,
-                 graded_dim, parse_scalar, singular_part, sl2_data, sl3_data,
-                 state_field_mode, sugawara, translate)
+from voa import (InvalidLieData, LieData, ParamPoint, Scalar, State,
+                 boson_fermion_check, get_preset, graded_dim, parse_scalar,
+                 singular_part, sl2_data, sl3_data, state_field_mode, sugawara,
+                 translate)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,6 +40,28 @@ def test_lie_data_invariants():
                 assert lie.form[i][j] == lie.form[j][i]
     assert sl2_data().h_vee == 2
     assert sl3_data().h_vee == 3
+
+
+def _sl2_with(bracket=None, form=None):
+    # basis e, h, f: [e,f] = h is the (0, 2) entry, [f,e] = -h the (2, 0)
+    lie = sl2_data()
+    new_bracket = dict(lie.bracket)
+    new_bracket.update(bracket or {})
+    return LieData("sl2", lie.basis, new_bracket,
+                   form if form is not None else lie.form)
+
+
+@pytest.mark.parametrize("bracket,form,message", [
+    ({(0, 2): {1: Fraction(2)}}, None, "not antisymmetric"),
+    ({(0, 2): {1: Fraction(2)}, (2, 0): {1: Fraction(-2)}}, None,
+     "form not invariant"),
+    (None, [[Fraction(0)] * 3 for _ in range(3)],
+     "invariant form is degenerate"),
+], ids=["one-sided", "both-sides", "zero-form"])
+def test_invalid_lie_data(bracket, form, message):
+    assert sl2_data().basis == ["e", "h", "f"]
+    with pytest.raises(InvalidLieData, match=message):
+        _sl2_with(bracket, form)
 
 
 def test_conformal_vector_ope_shape_everywhere():
