@@ -421,7 +421,9 @@ def matrix_element_coefficient(alg, states, phi, exponents, region):
     """Exact coefficient of prod z_i^{e_i} in phi(Y(A_1,z_1)...|0>).
 
     The operator composition follows `region` (leftmost = largest modulus);
-    each field's mode is pinned by its variable's exponent.
+    each field's mode is pinned by its variable's exponent.  A test oracle,
+    one coefficient at a time: `consistency_check` reads the same
+    coefficients from `_region_walk`, and the tests compare the two.
     """
     from .fields import state_field_mode
     phi = _phi_terms(phi)

@@ -13,15 +13,28 @@ recursing on the word of the monomial: the empty word is the identity field
 in sector 0 and the vertex operator of the sector vacuum in a charge sector,
 and a single letter g(n) over the vacuum has the modes
 binom(-p - wt g, j) g_p.
+
+The vertex operator of the charge-m vacuum is
+
+    Y(1_m, z) = E+(z) S_m z^(lam b_0) E-(z),
+    E+(z) = exp(lam sum_{n>=1} b_{-n} z^n / n) = sum_k E+_k z^k,
+    E-(z) = exp(-lam sum_{n>=1} b_n z^-n / n) = sum_k E-_k z^-k,
+
+with lam = m N in the rescaled boson normalization.  The positive modes
+commute among themselves, and so do the negative ones, so differentiating
+the exponentials gives the recursions
+
+    k E-_k = -lam sum_{n=1..k} b_n E-_{k-n},
+    k E+_k =  lam sum_{n=1..k} b_{-n} E+_{k-n},
+
+by which `vertex_mode` builds each layer from the lower ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
 
-from .fock import (ModeAlgebra, PbwMonomial, State, apply_mode, shift_sector)
+from .fock import ModeAlgebra, PbwMonomial, State, apply_mode
 
 
 def gbinom(a, k: int) -> Fraction:
@@ -57,10 +70,8 @@ def mode_index(p):
 def field_mode(alg: ModeAlgebra, A: PbwMonomial, p, state: State) -> State:
     """Apply the shifted mode A_[p] of the field of the monomial A to a state."""
     p = mode_index(p)
-    out = State.zero()
-    for mono, c in state.terms.items():
-        out = out + _field_mode_mono(alg, A, p, mono).scale(c)
-    return out
+    return State.sum((_field_mode_mono(alg, A, p, mono), c)
+                     for mono, c in state.terms.items())
 
 
 def _field_mode_mono(alg: ModeAlgebra, A: PbwMonomial, p,
@@ -99,108 +110,88 @@ def _field_mode_raw(alg, A, p, mono):
     left = PbwMonomial(0, word[:1])
     rest = PbwMonomial(sector, word[1:])
     d = alg.mono_degree(mono)
-    sign = -1 if (alg.odd(g) and alg.mono_parity(rest)) else 1
-    out = State.zero()
+    odd = alg.odd(g) and alg.mono_parity(rest)
+    pairs = []
     # creation part of left on the outside
     m = n
     while m >= p - d:
-        inner = _field_mode_mono(alg, rest, p - m, mono)
-        if not inner.is_zero:
-            out = out + field_mode(alg, left, m, inner)
+        for x, c in _field_mode_mono(alg, rest, p - m, mono).terms.items():
+            pairs.append((_field_mode_mono(alg, left, m, x), c))
         m -= 1
     # annihilation part of left moved inside
     m = n + 1
     while m <= d:
-        inner = _field_mode_mono(alg, left, m, mono)
-        if not inner.is_zero:
-            term = field_mode(alg, rest, p - m, inner)
-            out = out + (term.scale(sign) if sign < 0 else term)
+        for x, c in _field_mode_mono(alg, left, m, mono).terms.items():
+            pairs.append((_field_mode_mono(alg, rest, p - m, x),
+                          -c if odd else c))
         m += 1
-    return out
+    return State.sum(pairs)
 
 
 def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
     """A_[p] v for states A, v: the reconstruction-theorem mode action."""
     p = mode_index(p)
-    out = State.zero()
-    for mono, c in A.terms.items():
-        contrib = field_mode(alg, mono, p, v)
-        if not contrib.is_zero:
-            out = out + contrib.scale(c)
-    return out
+    return State.sum((_field_mode_mono(alg, a, p, x), ca * cx)
+                     for a, ca in A.terms.items()
+                     for x, cx in v.terms.items())
 
 
 # ---------------------------------------------------------------------------
 # Lattice vertex operators
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _exp_layer(lam_N: int, degree: int, creation: bool):
-    """Degree-homogeneous part of the vertex-operator exponentials.
-
-    Returns ((Fraction coeff, (modes...)), ...) for the degree-`degree` piece
-    of exp(sum_{n>=1} (lam_N/n) beta_{-n} z^n) (creation) or
-    exp(-sum_{n>=1} (lam_N/n) beta_n z^{-n}) (annihilation).
-    """
-    out = []
-    for part in _partitions(degree):
-        coeff = Fraction(1)
-        mult = {}
-        for n in part:
-            mult[n] = mult.get(n, 0) + 1
-        word = []
-        for n, k in sorted(mult.items()):
-            c = Fraction(lam_N, n) if creation else Fraction(-lam_N, n)
-            coeff *= c ** k / factorial(k)
-            word.extend([-n if creation else n] * k)
-        out.append((coeff, tuple(word)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _partitions(n: int):
-    def rec(remaining, max_part):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for tail in rec(remaining - part, part):
-                yield (part,) + tail
-    return tuple(rec(n, n)) if n >= 0 else ()
-
-
-def vertex_mode(alg: ModeAlgebra, m: int, p: Fraction, mono: PbwMonomial) -> State:
+def vertex_mode(alg: ModeAlgebra, m: int, p, mono: PbwMonomial) -> State:
     """Shifted mode of the vertex operator of the charge-m sector vacuum."""
     if not alg.has_sectors:
         raise ValueError(f"algebra {alg.name!r} has no lattice sectors")
-    N = alg.lattice_N
-    lam_N = m * N
-    w = alg.sector_energy(m)
-    d = alg.mono_degree(mono) - alg.sector_energy(mono.sector)
-    charge_power = m * mono.sector * N
-    b = alg.charge_gen
-    out = State.zero()
-    start = State.monomial(mono)
-    for bdeg in range(int(d) + 1):
-        adeg = bdeg - p - w - charge_power
-        if adeg < 0 or adeg.denominator != 1:
+    lam_N = m * alg.lattice_N
+    # E+_k z^k S_m z^(lam b_0) E-_j z^-j on mono has the z-exponent
+    # k - j + lam * sector, which the mode p fixes at -p - wt 1_m
+    shift = p + alg.sector_energy(m) + lam_N * mono.sector
+    pairs = []
+    for j, lower in enumerate(_annihilation_layers(alg, lam_N, mono)):
+        k = j - shift
+        if k < 0 or k.denominator != 1:
             continue
-        adeg = int(adeg)
-        for cb, bword in _exp_layer(lam_N, bdeg, False):
-            mid = start
-            for n in reversed(bword):
-                mid = apply_mode(alg, b, n, mid)
-                if mid.is_zero:
-                    break
-            if mid.is_zero:
-                continue
-            mid = shift_sector(alg, m, mid)
-            for ca, aword in _exp_layer(lam_N, adeg, True):
-                res = mid
-                for n in reversed(aword):
-                    res = apply_mode(alg, b, n, res)
-                out = out + res.scale(cb * ca)
-    return out
+        for x, c in lower.terms.items():
+            moved = PbwMonomial(x.sector + m, x.word)
+            pairs.append((_creation_layer(alg, lam_N, int(k), moved), c))
+    return State.sum(pairs)
+
+
+def _annihilation_layers(alg, lam_N: int, mono: PbwMonomial) -> tuple:
+    """(E-_0 mono, ..., E-_d mono): every layer that keeps a degree >= 0."""
+    key = ("E-", lam_N, mono)
+    hit = alg._apply_memo.get(key)
+    if hit is not None:
+        return hit
+    b = alg.charge_gen
+    d = int(alg.mono_degree(mono) - alg.sector_energy(mono.sector))
+    layers = [State.monomial(mono)]
+    for k in range(1, d + 1):
+        c = Fraction(-lam_N, k)
+        layers.append(State.sum((apply_mode(alg, b, n, layers[k - n]), c)
+                                for n in range(1, k + 1)))
+    layers = tuple(layers)
+    alg._apply_memo[key] = layers
+    return layers
+
+
+def _creation_layer(alg, lam_N: int, k: int, mono: PbwMonomial) -> State:
+    """E+_k mono."""
+    if k == 0:
+        return State.monomial(mono)
+    key = ("E+", lam_N, k, mono)
+    hit = alg._apply_memo.get(key)
+    if hit is not None:
+        return hit
+    b = alg.charge_gen
+    c = Fraction(lam_N, k)
+    result = State.sum(
+        (apply_mode(alg, b, -n, _creation_layer(alg, lam_N, k - n, mono)), c)
+        for n in range(1, k + 1))
+    alg._apply_memo[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +200,8 @@ def vertex_mode(alg: ModeAlgebra, m: int, p: Fraction, mono: PbwMonomial) -> Sta
 
 def translate(alg: ModeAlgebra, state: State) -> State:
     """The canonical translation operator T (infinitesimal shift of z)."""
-    out = State.zero()
-    for mono, c in state.terms.items():
-        out = out + _translate_mono(alg, mono).scale(c)
-    return out
+    return State.sum((_translate_mono(alg, mono), c)
+                     for mono, c in state.terms.items())
 
 
 def _translate_mono(alg: ModeAlgebra, mono: PbwMonomial) -> State:

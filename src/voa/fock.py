@@ -69,10 +69,20 @@ class ModeAlgebra:
     """Generator table plus bracket structure constants.
 
     The table never changes.  The algebra memoizes pure functions of it for
-    its whole life: `bracket` in `_bracket_memo`, and the mode actions on
-    PBW monomials in `_apply_memo` (keys of `apply_mode`, `field_mode` and
-    `translate`).  Caches over states, such as the axiom checks' A_[p] v,
-    belong to the call that fills them.
+    its whole life: `bracket` in `_bracket_memo` under (i, m, j, n), and the
+    mode actions on PBW monomials in `_apply_memo`, under one key kind each:
+
+    - (g, n, mono), untagged: the generator mode g_n (`apply_mode`);
+    - ("fm", A, p, mono): the mode A_[p] of the field of the monomial A
+      (`fields.field_mode`);
+    - ("T", mono): the translation operator (`fields.translate`);
+    - ("E-", lam_N, mono): the annihilation layers of a lattice vertex
+      operator, the tuple (E-_0 mono, ..., E-_d mono) down to degree 0;
+    - ("E+", lam_N, k, mono): its creation layer E+_k mono, k >= 1
+      (both in `fields.vertex_mode`).
+
+    Caches over states, such as the axiom checks' A_[p] v, belong to the
+    call that fills them.
     """
 
     def __init__(self, name, generators, rules, *, lattice_N=None,
@@ -136,11 +146,14 @@ class ModeAlgebra:
             return Fraction(sector)
         return Fraction(0)
 
-    def mono_degree(self, mono: PbwMonomial) -> Fraction:
+    def mono_degree(self, mono: PbwMonomial):
+        """Degree of a monomial: an int in sector 0, else a Fraction."""
         n = 0
         for _, m in mono.word:
             n += m
-        return self.sector_energy(mono.sector) - n
+        if mono.sector:
+            return self.sector_energy(mono.sector) - n
+        return -n
 
     def mono_parity(self, mono: PbwMonomial) -> int:
         p = self.sector_parity(mono.sector)
@@ -236,6 +249,32 @@ class State:
                 t[m] = s
         return State(t)
 
+    @staticmethod
+    def sum(pairs) -> "State":
+        """sum c * state over (state, c) pairs, accumulated in one dict.
+
+        Equal to adding the scaled states one after the other, term order
+        included, without copying the partial sum at each step.
+        """
+        t = {}
+        for state, c in pairs:
+            if not isinstance(c, Scalar):
+                c = Scalar.from_fraction(c)
+            if c.is_zero:
+                continue
+            one = c._frac == 1
+            for m, v in state.terms.items():
+                if not one:
+                    v = v * c
+                s = t.get(m)
+                if s is not None:
+                    v = s + v
+                    if v.is_zero:
+                        del t[m]
+                        continue
+                t[m] = v
+        return State(t)
+
     def __sub__(self, other: "State") -> "State":
         return self + other.scale(-1)
 
@@ -266,7 +305,8 @@ class State:
         """Degree of a homogeneous state; raises on mixed degrees."""
         ds = self.degrees(alg)
         if len(ds) != 1:
-            raise ValueError(f"state is not homogeneous: degrees {sorted(ds)}")
+            raise ValueError("state is not homogeneous: degrees "
+                             f"{sorted(map(Fraction, ds))}")
         return ds.pop()
 
     def component(self, alg, degree) -> "State":
@@ -296,10 +336,8 @@ def apply_mode(alg: ModeAlgebra, g: int, n: int, state: State) -> State:
     """Action of the mode x^g_n on a State, in PBW-canonical form."""
     if not 0 <= g < len(alg.generators):
         raise UnknownGenerator(g)
-    out = State.zero()
-    for mono, c in state.terms.items():
-        out = out + _apply_mono(alg, g, n, mono).scale(c)
-    return out
+    return State.sum((_apply_mono(alg, g, n, mono), c)
+                     for mono, c in state.terms.items())
 
 
 def _apply_mono(alg: ModeAlgebra, g: int, n: int, mono: PbwMonomial) -> State:
@@ -329,16 +367,14 @@ def _apply_mono_raw(alg, g, n, mono):
         return State.monomial(PbwMonomial(mono.sector, ((g, n),) + word))
     rest = PbwMonomial(mono.sector, word[1:])
     sign = -1 if (alg.odd(g) and alg.odd(g1)) else 1
-    moved = _apply_mono(alg, g, n, rest)
-    out = apply_mode(alg, g1, n1, moved)
-    if sign < 0:
-        out = out.scale(-1)
+    pairs = [(_apply_mono(alg, g1, n1, m), c if sign > 0 else -c)
+             for m, c in _apply_mono(alg, g, n, rest).terms.items()]
     terms, central = alg.bracket(g, n, g1, n1)
     for tg, sc in terms:
-        out = out + _apply_mono(alg, tg, n + n1, rest).scale(sc)
+        pairs.append((_apply_mono(alg, tg, n + n1, rest), sc))
     if not central.is_zero:
-        out = out + State.monomial(rest, central)
-    return out
+        pairs.append((State.monomial(rest), central))
+    return State.sum(pairs)
 
 
 def normal_order(alg: ModeAlgebra, word, sector=0) -> State:

@@ -87,6 +87,11 @@ def commutator_via_formula(alg: ModeAlgebra, A: State, m, B: State, kk):
 
 
 def apply_combination(alg: ModeAlgebra, combination, C: State) -> State:
+    """Apply a `commutator_via_formula` combination to the state C.
+
+    A test oracle: the tests compare it with `commutator_direct`, and no
+    check of the library calls it.
+    """
     terms, mode = combination
     out = State.zero()
     for c, AB in terms:
@@ -145,13 +150,8 @@ def _locality_windows(alg, A, B, C, N, cap):
 def locality_defect(row, N: int, r, t) -> State:
     """Coefficient of the (z-w)^N-multiplied supercommutator at modes (r,t),
     with `row(r', t')` = [A_[r'], B_[t']] C for one test state C."""
-    out = State.zero()
-    for i in range(N + 1):
-        c = (-1) ** i * comb(N, i)
-        term = row(r + N - i, t + i)
-        if not term.is_zero:
-            out = out + term.scale(c)
-    return out
+    return State.sum((row(r + N - i, t + i), (-1) ** i * comb(N, i))
+                     for i in range(N + 1))
 
 
 def locality_witness(alg: ModeAlgebra, A: State, B: State, N: int,
@@ -201,14 +201,13 @@ def associativity_defect(alg: ModeAlgebra, A: State, B: State, n: int,
     m = mode_index(m)
     AB = mode(A, n + sA, B)
     lhs = mode(AB, m + n + sA + sB, C) if not AB.is_zero else State.zero()
-    rhs = State.zero()
+    pairs = [(lhs, 1)]
     sign2 = (-1) ** (n + eps)
     for i in range(n + 1):
         c = (-1) ** i * comb(n, i)
-        t1 = mode(A, n - i + sA, mode(B, m + i + sB, C))
-        t2 = mode(B, n + m - i + sB, mode(A, i + sA, C))
-        rhs = rhs + (t1 - t2.scale(sign2)).scale(c)
-    return lhs - rhs
+        pairs.append((mode(A, n - i + sA, mode(B, m + i + sB, C)), -c))
+        pairs.append((mode(B, n + m - i + sB, mode(A, i + sA, C)), c * sign2))
+    return State.sum(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +335,10 @@ def _associativity_failures(alg, groups, D, mode):
             for dC, C in _upto(groups, D - dA - dB):
                 s_res = _charge(alg, C) + _charge(alg, A) + _charge(alg, B)
                 e_res = alg.sector_energy(s_res)
-                # m values hitting result degrees in [0, D]
+                # m values hitting result degrees e_res + L in [0, D]
+                top = mode_index(dC - e_res + dAB - 1)
                 for L in range(int(D) + 1):
-                    m = dC - (e_res + L) + dAB - 1
+                    m = top - L
                     if not associativity_defect(alg, A, B, n, m, C,
                                                 mode).is_zero:
                         yield (f"A={render_state(alg, A)}, "

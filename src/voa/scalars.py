@@ -5,10 +5,11 @@ Fraction coefficients.  Canonical form: gcd(num, den) = 1 and the leading
 coefficient of den (graded lexicographic order, variables sorted
 alphabetically) is 1.  Scalars are immutable and hashable.
 
-A Scalar without parameters is stored as a bare Fraction, and its canonical
-polynomials (the constant num, den = 1) are built only when read.  Most
-coefficients of a vertex algebra without symbolic parameters are such plain
-rationals, and their arithmetic never touches a Poly.
+A Scalar without parameters is stored as a bare number, an int when it is
+integral and a Fraction otherwise, and its canonical polynomials (the
+constant num, den = 1) are built only when read.  Most coefficients of a
+vertex algebra without symbolic parameters are such plain rationals, most of
+them integers, and their arithmetic never touches a Poly.
 """
 
 from __future__ import annotations
@@ -109,9 +110,13 @@ class Poly:
             return Poly()
         if other.is_constant:
             c = other.constant_value()
+            if c == 1:
+                return self
             return Poly({m: a * c for m, a in self.terms.items()})
         if self.is_constant:
             c = self.constant_value()
+            if c == 1:
+                return other
             return Poly({m: a * c for m, a in other.terms.items()})
         t: dict = {}
         for m1, c1 in self.terms.items():
@@ -359,13 +364,17 @@ class Scalar:
     """Reduced rational function in named parameters over Q.
 
     A Scalar has one of two forms.  A plain rational (no parameter) holds
-    only its Fraction in `_frac`; its `num` and `den` polynomials are built
-    on first use.  A parametric Scalar holds canonical `num` and `den` and
-    `_frac` is None.  Every constructor that yields a rational value sets
-    `_frac`, so equal scalars compare and hash equal whichever path built
-    them.  Arithmetic on two rationals works on the Fractions alone; a
-    rational meeting a parametric Scalar in `+`, `-`, `*` or `/` scales or
-    shifts the numerator, which keeps the canonical form without a gcd.
+    only its value in `_frac`, as an int when the value is integral and as
+    a Fraction otherwise; its `num` and `den` polynomials are built on first
+    use.  A parametric Scalar holds canonical `num` and `den` and `_frac` is
+    None.  Every constructor that yields a rational value sets `_frac` in
+    that form, so equal scalars compare and hash equal whichever path built
+    them (an int and a Fraction of equal value hash equal too).  Arithmetic
+    on two rationals works on the bare values alone, and a division goes
+    through Fraction so that no float appears; `as_fraction` and `evaluate`
+    return a Fraction.  A rational meeting a parametric Scalar in `+`, `-`,
+    `*` or `/` scales or shifts the numerator, which keeps the canonical
+    form without a gcd.
     """
 
     __slots__ = ("_num", "_den", "_frac")
@@ -383,7 +392,8 @@ class Scalar:
         if num.is_constant and den.is_constant:
             n = num.constant_value()
             d = den.constant_value()
-            self._frac = n if d == 1 else n / d
+            v = n if d == 1 else Fraction(n) / d
+            self._frac = v.numerator if v.denominator == 1 else v
         else:
             self._frac = None
 
@@ -391,15 +401,14 @@ class Scalar:
 
     @staticmethod
     def from_fraction(c) -> "Scalar":
-        if type(c) is not Fraction:
-            s = _SMALL_INTS.get(c)
-            if s is not None:
-                return s
-            c = Fraction(c)
-        s = object.__new__(Scalar)
-        s._frac = c
-        s._num = s._den = None
-        return s
+        if type(c) is not int:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c.denominator != 1:
+                return _rational(c)
+            c = c.numerator
+        s = _SMALL_INTS.get(c)
+        return s if s is not None else _rational(c)
 
     @staticmethod
     def param(name: str) -> "Scalar":
@@ -442,7 +451,7 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if self._frac is None:
             raise ValueError(f"scalar {self} is not a plain rational")
-        return self._frac
+        return Fraction(self._frac)
 
     def parameters(self):
         if self._frac is not None:
@@ -534,8 +543,8 @@ class Scalar:
         a, b = self._frac, other._frac
         if b is not None:
             if a is not None:
-                return Scalar.from_fraction(a / b)
-            return self._scaled(1 / b)
+                return Scalar.from_fraction(Fraction(a) / b)
+            return self._scaled(Fraction(1) / b)
         return Scalar(self.num * other._den, self.den * other._num)
 
     def __rtruediv__(self, other):
@@ -568,7 +577,7 @@ class Scalar:
     def evaluate(self, point) -> Fraction:
         """Substitute rational values for all parameters and reduce."""
         if self._frac is not None:
-            return self._frac
+            return Fraction(self._frac)
         if isinstance(point, ParamPoint):
             point = point.values
         d = self._den.evaluate(point)
@@ -587,7 +596,8 @@ def _reduce(num: Poly, den: Poly):
     if num.is_zero:
         return Poly(), Poly.const(1)
     if den.is_constant:
-        return num.scale(1 / den.constant_value()), Poly.const(1)
+        c = den.constant_value()
+        return (num if c == 1 else num.scale(1 / c)), Poly.const(1)
     g = poly_gcd(num, den)
     if not (g.is_constant and g.constant_value() == 1):
         num = _poly_divexact(num, g)
@@ -599,8 +609,16 @@ def _reduce(num: Poly, den: Poly):
     return num, den
 
 
+def _rational(c) -> Scalar:
+    """The plain-rational Scalar of an int or a non-integral Fraction."""
+    s = object.__new__(Scalar)
+    s._frac = c
+    s._num = s._den = None
+    return s
+
+
 # the small integers that mode actions scale by all the time, built once
-_SMALL_INTS = {i: Scalar.from_fraction(Fraction(i)) for i in range(-16, 17)}
+_SMALL_INTS = {i: _rational(i) for i in range(-16, 17)}
 _ZERO = _SMALL_INTS[0]
 _ONE = _SMALL_INTS[1]
 

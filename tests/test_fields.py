@@ -1,11 +1,15 @@
 """Tests for state fields, reconstruction, and the translation operator."""
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from voa import (PbwMonomial, State, apply_mode, basis_monomials,
                  get_preset, lattice_vertex_op, state_field_mode, translate)
+from voa import fields
+from voa.fock import shift_sector
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +188,105 @@ def test_commutative_field_has_no_singular_part():
     for v in _basis_states(alg, 3):
         for p in range(1, 4):
             assert state_field_mode(alg, x, p, v).is_zero
+
+
+# -- lattice vertex operators against the partition expansion -------------
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for tail in _partitions(n - part, part):
+            yield (part,) + tail
+
+
+def _exp_terms(lam_N, degree, creation):
+    """(coefficient, modes) of the degree-`degree` part of
+    exp(lam_N sum_n b_{-n} z^n / n) (creation) or
+    exp(-lam_N sum_n b_n z^-n / n): prod (+-lam_N/n)^k / k! per partition."""
+    for part in _partitions(degree):
+        coeff, modes = Fraction(1), []
+        for n, k in Counter(part).items():
+            coeff *= Fraction(lam_N if creation else -lam_N, n) ** k \
+                / factorial(k)
+            modes += [-n if creation else n] * k
+        yield coeff, modes
+
+
+def _vertex_mode_oracle(alg, m, p, mono):
+    """Y(1_m)_[p] mono, one chain of apply_mode per pair of partitions."""
+    lam_N, b = m * alg.lattice_N, alg.charge_gen
+    d = int(alg.mono_degree(mono) - alg.sector_energy(mono.sector))
+    shift = p + alg.sector_energy(m) + lam_N * mono.sector
+    out = State.zero()
+    for j in range(d + 1):
+        k = j - shift
+        if k < 0 or k.denominator != 1:
+            continue
+        for cb, bmodes in _exp_terms(lam_N, j, False):
+            mid = State.monomial(mono)
+            for n in bmodes:
+                mid = apply_mode(alg, b, n, mid)
+            mid = shift_sector(alg, m, mid)
+            for ca, amodes in _exp_terms(lam_N, int(k), True):
+                res = mid
+                for n in amodes:
+                    res = apply_mode(alg, b, n, res)
+                out = out + res.scale(cb * ca)
+    return out
+
+
+def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2), top=4):
+    """First (m, p, mono) where vertex_mode differs from the oracle.
+
+    Monomials run over degrees <= top in sectors -1, 0 and 1, and p over
+    every mode in the right coset from the largest that can give a
+    nonzero result (one above it as well) down through 5 creation layers.
+    """
+    step = Fraction(1, alg.grading_denominator)
+    monos = [mono for i in range(int(top / step) + 1)
+             for s in (-1, 0, 1) for mono in basis_monomials(alg, i * step, s)]
+    for m in charges:
+        for mono in monos:
+            d = alg.mono_degree(mono) - alg.sector_energy(mono.sector)
+            p_max = d - alg.sector_energy(m) - m * alg.lattice_N * mono.sector
+            for i in range(-1, 6):
+                p = p_max - i
+                got = fields.vertex_mode(alg, m, p, mono)
+                if got != _vertex_mode_oracle(alg, m, p, mono):
+                    return m, p, mono
+                if i < 0:
+                    assert got.is_zero
+    return None
+
+
+@pytest.mark.parametrize("name", ["lattice:1", "lattice:2", "lattice:3"])
+def test_vertex_mode_matches_partition_expansion(name):
+    assert _vertex_mode_mismatch(get_preset(name).algebra) is None
+
+
+def test_vertex_mode_oracle_negative_control(monkeypatch):
+    # the recursions without their 1/k: the comparison above must see it
+    def annihilation_layers(alg, lam_N, mono):
+        d = int(alg.mono_degree(mono) - alg.sector_energy(mono.sector))
+        layers = [State.monomial(mono)]
+        for k in range(1, d + 1):
+            layers.append(State.sum(
+                (apply_mode(alg, alg.charge_gen, n, layers[k - n]), -lam_N)
+                for n in range(1, k + 1)))
+        return tuple(layers)
+
+    def creation_layer(alg, lam_N, k, mono):
+        if k == 0:
+            return State.monomial(mono)
+        return State.sum(
+            (apply_mode(alg, alg.charge_gen, -n,
+                        creation_layer(alg, lam_N, k - n, mono)), lam_N)
+            for n in range(1, k + 1))
+
+    monkeypatch.setattr(fields, "_annihilation_layers", annihilation_layers)
+    monkeypatch.setattr(fields, "_creation_layer", creation_layer)
+    alg = get_preset("lattice:1").algebra
+    assert _vertex_mode_mismatch(alg, charges=(1,), top=2) is not None

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from voa import get_preset, verify_axioms
+from voa import scalars as scalars_module
 from voa.fock import PbwMonomial, State
 from voa.scalars import (
     Scalar, ParamPoint, Poly, PoleAtPoint, DivisionByZero,
@@ -263,3 +265,99 @@ class TestRationalForm:
             assert (s / r).evaluate(point) == sv / q
         if sv:
             assert (r / s).evaluate(point) == q / sv
+
+
+class TestIntegralValues:
+    """Integral plain rationals are held as ints, and no float appears."""
+
+    def test_division_and_readers_give_fractions(self):
+        three = Scalar.from_fraction(3)
+        assert type(three._frac) is int
+        half = three / 2
+        assert half == Fraction(3, 2) and type(half._frac) is Fraction
+        assert type((Scalar.from_fraction(1) / 3)._frac) is Fraction
+        assert type((S("k") / 2).num.terms[(("k", 1),)]) is Fraction
+        for s in (three, half, Scalar.from_fraction(Fraction(6, 2))):
+            assert type(s.as_fraction()) is Fraction
+            assert type(s.evaluate({})) is Fraction
+        assert hash(Scalar.from_fraction(Fraction(4))) == \
+            hash(Scalar.from_fraction(4))
+        assert type(Scalar.from_fraction(Fraction(4))._frac) is int
+        assert type(S("6/2")._frac) is int and type(S("3*k/k")._frac) is int
+
+    @staticmethod
+    def _scalars(value):
+        """Every Scalar in a memo value: States, tuples of them, brackets."""
+        if isinstance(value, Scalar):
+            yield value
+        elif isinstance(value, State):
+            yield from value.terms.values()
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from TestIntegralValues._scalars(v)
+
+    @pytest.mark.parametrize("name", ["weyl:1", "fermion", "lattice:1",
+                                      "affine:sl2"])
+    def test_memo_after_verify_axioms(self, name):
+        alg = get_preset(name).algebra
+        assert verify_axioms(alg, 2).passed
+        seen = 0
+        for memo in (alg._apply_memo, alg._bracket_memo):
+            for value in memo.values():
+                for s in self._scalars(value):
+                    seen += 1
+                    f = s._frac
+                    if f is None:
+                        coeffs = list(s.num.terms.values()) + \
+                            list(s.den.terms.values())
+                        assert all(type(c) is Fraction for c in coeffs)
+                        continue
+                    assert type(f) in (int, Fraction), (name, f)
+                    assert type(f) is int or f.denominator != 1, (name, f)
+        assert seen > 100
+
+
+# parametric operands drawn from the cases above
+PARAMETRIC = ["(k^2-1)/(k^2+2*k+1)", "1/(-k)", "k/(2-2*k)", "3*k/(k+2)",
+              "(k-1)/(k+1)", "-12*lam^2+1", "c/2", "(k+3)-k", "k*3/k",
+              "eps*(k+2)^2", "eps*k + 1", "(k+1)*(c+k)*eps", "k", "c"]
+
+
+def _copying_mul(self, other):
+    """Poly product by the schoolbook loop, constant 1 included."""
+    t = {}
+    for m1, c1 in self.terms.items():
+        for m2, c2 in other.terms.items():
+            m = scalars_module._mono_mul(m1, m2)
+            t[m] = t.get(m, 0) + c1 * c2
+    return Poly({m: c for m, c in t.items() if c})
+
+
+def test_constant_one_shortcuts_keep_results(monkeypatch):
+    # Poly.__mul__ returns the other operand for a constant-1 factor, and
+    # _reduce leaves the numerator alone over the constant denominator 1
+    p = P("eps*k + 1")
+    assert p * Poly.const(1) is p and Poly.const(1) * p is p
+
+    def results():
+        xs = [S(t) for t in PARAMETRIC]
+        out = []
+        for x in xs:
+            for y in xs:
+                out += [x + y, x - y, x * y, x / y, x * 3, x / 3, 2 - x]
+        return out
+
+    fast = results()
+    reduce = scalars_module._reduce
+
+    def copying_reduce(num, den):
+        if den.is_constant and not num.is_zero:
+            return num.scale(1 / den.constant_value()), Poly.const(1)
+        return reduce(num, den)
+
+    monkeypatch.setattr(Poly, "__mul__", _copying_mul)
+    monkeypatch.setattr(scalars_module, "_reduce", copying_reduce)
+    slow = results()
+    assert len(fast) == len(slow) == 7 * len(PARAMETRIC) ** 2
+    for a, b in zip(fast, slow):
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
