@@ -125,7 +125,10 @@ def _load_instance(args):
     return inst, params
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, doc, text: str) -> None:
+    """Write doc as JSON under --json, else text, to --out or stdout."""
+    if args.json:
+        text = json.dumps(doc, indent=2, sort_keys=True)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -141,10 +144,7 @@ def _emit(args, text: str) -> None:
 def cmd_verify(args) -> int:
     inst, _ = _load_instance(args)
     report = verify_axioms(inst.algebra, args.degree)
-    if args.json:
-        _emit(args, json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        _emit(args, report.render())
+    _emit(args, report.to_json(), report.render())
     return 0 if report.passed else 1
 
 
@@ -154,14 +154,10 @@ def cmd_ope(args) -> int:
     A = parse_state(alg, args.a)
     B = parse_state(alg, args.b)
     poles = singular_part(alg, A, B)
-    if args.json:
-        doc = {str(j): render_state(alg, st)
-               for j, st in sorted(poles.items())}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        body = ", ".join(f"{j}: {render_state(alg, poles[j])}"
-                         for j in sorted(poles, reverse=True))
-        _emit(args, "{" + body + "}")
+    doc = {str(j): render_state(alg, st) for j, st in sorted(poles.items())}
+    body = ", ".join(f"{j}: {render_state(alg, poles[j])}"
+                     for j in sorted(poles, reverse=True))
+    _emit(args, doc, "{" + body + "}")
     return 0
 
 
@@ -176,18 +172,12 @@ def cmd_bracket(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise CliError("--m and --n must be rationals")
     terms, mode = commutator_via_formula(alg, A, m, B, n)
-    if args.json:
-        doc = {"mode": str(mode),
-               "terms": [{"coeff": str(c), "state": render_state(alg, st)}
-                         for c, st in terms]}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        if not terms:
-            _emit(args, "0")
-        else:
-            parts = [f"({c}) * ({render_state(alg, st)})_[{mode}]"
-                     for c, st in terms]
-            _emit(args, " + ".join(parts))
+    doc = {"mode": str(mode),
+           "terms": [{"coeff": str(c), "state": render_state(alg, st)}
+                     for c, st in terms]}
+    text = " + ".join(f"({c}) * ({render_state(alg, st)})_[{mode}]"
+                      for c, st in terms)
+    _emit(args, doc, text or "0")
     return 0
 
 
@@ -206,10 +196,7 @@ def cmd_character(args) -> int:
     if inst.central_charge is None:
         raise CliError(f"preset {inst.name!r} has no conformal structure")
     ch = character(inst, sector=args.sector, cutoff=args.cutoff, point=point)
-    if args.json:
-        _emit(args, json.dumps(ch.to_json(), indent=2, sort_keys=True))
-    else:
-        _emit(args, ch.render())
+    _emit(args, ch.to_json(), ch.render())
     return 0
 
 
@@ -219,10 +206,7 @@ def cmd_npoint(args) -> int:
     if args.n < 0:
         raise CliError(f"--n must be >= 0, got {args.n}")
     f = heisenberg_npoint(None, args.n)
-    if args.json:
-        _emit(args, json.dumps(f.to_json(), indent=2, sort_keys=True))
-    else:
-        _emit(args, f.render())
+    _emit(args, f.to_json(), f.render())
     return 0
 
 
@@ -251,14 +235,11 @@ def cmd_coset(args) -> int:
 
 
 def _render_subspace(args, alg, basis, label):
-    if args.json:
-        doc = {"dimension": len(basis),
-               "basis": [render_state(alg, v) for v in basis]}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        lines = [f"{label}: dimension {len(basis)}"]
-        lines.extend(f"  {render_state(alg, v)}" for v in basis)
-        _emit(args, "\n".join(lines))
+    rendered = [render_state(alg, v) for v in basis]
+    doc = {"dimension": len(basis), "basis": rendered}
+    lines = [f"{label}: dimension {len(basis)}"]
+    lines.extend(f"  {r}" for r in rendered)
+    _emit(args, doc, "\n".join(lines))
 
 
 def cmd_coord_check(args) -> int:
@@ -283,12 +264,9 @@ def cmd_coord_check(args) -> int:
                        first_order_in=args.first_order)
     except NotPrimary as exc:
         raise CliError(f"state is not primary: {exc}")
-    if args.json:
-        doc = {"description": report.description, "passed": report.passed,
-               "witness": report.witness}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _emit(args, report.render())
+    doc = {"description": report.description, "passed": report.passed,
+           "witness": report.witness}
+    _emit(args, doc, report.render())
     return 0 if report.passed else 1
 
 
@@ -296,14 +274,10 @@ def cmd_bf_check(args) -> int:
     report = boson_fermion_check(args.degree)
     chreport = boson_fermion_character_check(Fraction(args.degree))
     passed = report.passed and chreport.passed
-    if args.json:
-        doc = {"modes": {"passed": report.passed,
-                         "mismatch": report.mismatch},
-               "characters": {"passed": chreport.passed,
-                              "mismatch": chreport.mismatch}}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _emit(args, report.render() + "\n" + chreport.render())
+    doc = {"modes": {"passed": report.passed, "mismatch": report.mismatch},
+           "characters": {"passed": chreport.passed,
+                          "mismatch": chreport.mismatch}}
+    _emit(args, doc, report.render() + "\n" + chreport.render())
     return 0 if passed else 1
 
 

@@ -394,11 +394,5 @@ def coset_graded(alg: ModeAlgebra, Wgens, d):
                     block.setdefault(t, {})[i] = c
             rows.extend(block[t] for t in sorted(block))
             p += 1
-    kernel = kernel_basis(rows, len(monos))
-    out = []
-    for vec in kernel:
-        v = State.zero()
-        for m, c in zip(monos, vec):
-            v = v + State.monomial(m, c)
-        out.append(v)
-    return out
+    return [State({m: c for m, c in zip(monos, vec) if not c.is_zero})
+            for vec in kernel_basis(rows, len(monos))]

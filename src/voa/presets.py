@@ -18,7 +18,8 @@ from fractions import Fraction
 from .scalars import Scalar, Poly, parse_scalar
 from .fock import (ModeAlgebra, GeneratorSpec, BracketRule, BracketTerm,
                    CentralTerm, PbwMonomial, State, normal_order, apply_mode)
-from .fields import field_mode, vertex_mode, translate, state_field_mode
+from .fields import field_mode
+from .linalg import kernel_basis
 
 
 class InvalidLieData(ValueError):
@@ -95,21 +96,11 @@ class LieData:
         return self.bracket.get((i, j), {})
 
     def gram_inverse(self):
-        n = len(self.basis)
-        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-               for j in range(n)] for i, row in enumerate(self.form)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise InvalidLieData("invariant form is degenerate")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col]
-            aug[col] = [x / inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return [row[n:] for row in aug]
+        # the solutions of form^T x_k = e_k are the rows of the inverse
+        inverse = _solve(self.form, _units(len(self.basis)))
+        if inverse is None:
+            raise InvalidLieData("invariant form is degenerate")
+        return inverse
 
     def _dual_coxeter(self) -> Fraction:
         """h_vee from the Casimir acting by 2 h_vee on the adjoint."""
@@ -133,61 +124,61 @@ class LieData:
         return eig / 2
 
 
+def _solve(cols, targets):
+    """The x_k with sum_c x_k[c] cols[c] = targets[k], or None.
+
+    With C the matrix of columns cols and T that of the K targets, the
+    kernel vectors of [C | -T] are the (x, y) with C x = T y.  Their y
+    parts span Q^K iff every target is in the span of cols, and then the
+    kernel has dimension K iff C x = 0 only for x = 0.  In that case no
+    column of C is free, so the kernel basis is the K vectors (x_k, e_k);
+    any other kernel basis gives None.
+    """
+    n, K = len(cols), len(targets)
+    rows = [{} for _ in cols[0]]
+    for c, vec in enumerate(cols + [[-x for x in t] for t in targets]):
+        for r, x in enumerate(vec):
+            if x:
+                rows[r][c] = Scalar.from_fraction(x)
+    kernel = [[x.as_fraction() for x in v] for v in kernel_basis(rows, n + K)]
+    if [v[n:] for v in kernel] != _units(K):
+        return None
+    return [v[:n] for v in kernel]
+
+
+def _units(n):
+    return [[int(i == k) for i in range(n)] for k in range(n)]
+
+
 def _matrix_lie(name, named_mats):
-    """LieData from explicit matrices with the trace form."""
+    """LieData from explicit matrices with the trace form.
+
+    Raises InvalidLieData if a commutator is outside the span of the
+    matrices or the matrices are linearly dependent, since then the
+    structure constants do not exist or are not unique.
+    """
     names = [n for n, _ in named_mats]
     mats = [m for _, m in named_mats]
-    dim = len(mats[0])
-
-    def mul(a, b):
-        return [[sum(a[i][t] * b[t][j] for t in range(dim))
-                 for j in range(dim)] for i in range(dim)]
-
-    def sub(a, b):
-        return [[a[i][j] - b[i][j] for j in range(dim)] for i in range(dim)]
+    dim = range(len(mats[0]))
 
     def flat(a):
-        return [a[i][j] for i in range(dim) for j in range(dim)]
+        return [a[i][j] for i in dim for j in dim]
 
-    cols = [flat(m) for m in mats]
+    def comm(a, b):
+        return [sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in dim)
+                for i in dim for j in dim]
 
-    def decompose(v):
-        n = len(cols)
-        aug = [[cols[c][r] for c in range(n)] + [v[r]]
-               for r in range(len(v))]
-        # Gaussian elimination over Q
-        row = 0
-        pivots = []
-        for col in range(n):
-            piv = next((r for r in range(row, len(aug)) if aug[r][col] != 0),
-                       None)
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = aug[row][col]
-            aug[row] = [x / inv for x in aug[row]]
-            for r in range(len(aug)):
-                if r != row and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-            pivots.append(col)
-            row += 1
-        for r in range(row, len(aug)):
-            if aug[r][-1] != 0:
-                raise InvalidLieData("commutator not in the span of the basis")
-        out = {c: Fraction(0) for c in range(n)}
-        for r, col in enumerate(pivots):
-            out[col] = aug[r][-1]
-        return {c: v for c, v in out.items() if v}
-
+    pairs = [(i, j) for i in range(len(mats)) for j in range(len(mats))]
+    solved = _solve([flat(m) for m in mats],
+                    [comm(mats[i], mats[j]) for i, j in pairs])
+    if solved is None:
+        raise InvalidLieData("commutator not in the span of the basis")
     bracket = {}
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            comm = sub(mul(mats[i], mats[j]), mul(mats[j], mats[i]))
-            dec = decompose(flat(comm))
-            if dec:
-                bracket[(i, j)] = dec
-    form = [[sum(mul(a, b)[i][i] for i in range(dim))
+    for ij, x in zip(pairs, solved):
+        dec = {c: v for c, v in enumerate(x) if v}
+        if dec:
+            bracket[ij] = dec
+    form = [[sum(a[i][t] * b[t][i] for i in dim for t in dim)
              for b in mats] for a in mats]
     return LieData(name, names, bracket, form)
 
@@ -286,20 +277,15 @@ def affine(lie: LieData, level=None) -> AlgebraInstance:
         else Scalar.from_fraction(Fraction(level)))
     gens = [GeneratorSpec(nm, Fraction(1)) for nm in lie.basis]
     rules = {}
-    for (i, j), targets in lie.bracket.items():
-        if i > j:
-            continue
-        terms = tuple(BracketTerm(t, Poly.const(c)) for t, c in
-                      sorted(targets.items()))
-        central = None
-        if lie.form[i][j]:
-            central = CentralTerm(k, _poly("m").scale(lie.form[i][j]))
-        rules[(i, j)] = BracketRule(terms, central)
     for i in range(len(lie.basis)):
         for j in range(i, len(lie.basis)):
-            if (i, j) not in rules and lie.form[i][j]:
-                rules[(i, j)] = BracketRule(
-                    (), CentralTerm(k, _poly("m").scale(lie.form[i][j])))
+            terms = tuple(BracketTerm(t, Poly.const(c)) for t, c in
+                          sorted(lie.pair(i, j).items()))
+            central = None
+            if lie.form[i][j]:
+                central = CentralTerm(k, _poly("m").scale(lie.form[i][j]))
+            if terms or central:
+                rules[(i, j)] = BracketRule(terms, central)
     name = f"affine:{lie.name}"
     alg = ModeAlgebra(name, gens, rules, vacuum_symbol="v_k",
                       central_params=("k",) if level is None else ())
@@ -333,15 +319,11 @@ def sugawara(inst: AlgebraInstance) -> State:
     if denom.is_zero:
         raise ZeroDivisionError("level equals the critical level -h_vee")
     ginv = lie.gram_inverse()
-    omega = State.zero()
-    for a in range(len(lie.basis)):
-        for b in range(len(lie.basis)):
-            g = ginv[a][b]
-            if g == 0:
-                continue
-            v = apply_mode(alg, a, -1,
-                           apply_mode(alg, b, -1, State.vacuum()))
-            omega = omega + v.scale(g)
+    n = len(lie.basis)
+    omega = State.sum(
+        (apply_mode(alg, a, -1, apply_mode(alg, b, -1, State.vacuum())),
+         ginv[a][b])
+        for a in range(n) for b in range(n) if ginv[a][b])
     return omega.scale(Scalar.one() / denom)
 
 
@@ -373,9 +355,9 @@ def weyl(N: int = 1) -> AlgebraInstance:
         rules[(i, N + i)] = BracketRule(
             (), CentralTerm(Scalar.one(), _poly("1")))
     alg = ModeAlgebra(f"weyl:{N}" if N > 1 else "weyl:1", gens, rules)
-    omega = State.zero()
-    for i in range(N):
-        omega = omega + State.monomial(PbwMonomial(0, ((i, -1), (N + i, -1))))
+    omega = State.sum(
+        (State.monomial(PbwMonomial(0, ((i, -1), (N + i, -1)))), 1)
+        for i in range(N))
     return AlgebraInstance(alg.name, alg, omega,
                            Scalar.from_fraction(2 * N))
 
@@ -414,12 +396,11 @@ def commutative_va(num_gens: int = 1) -> AlgebraInstance:
 def lattice_vertex_op(inst: AlgebraInstance, lam: int, window, target: State):
     """Coefficients of Y(1_lam, z) target as {z-exponent: State}."""
     alg = inst.algebra
+    vacuum = PbwMonomial(lam, ())
     w = alg.sector_energy(lam)
     out = {}
     for e in window:
-        acc = State.zero()
-        for mono, c in target.terms.items():
-            acc = acc + vertex_mode(alg, lam, -Fraction(e) - w, mono).scale(c)
+        acc = field_mode(alg, vacuum, -e - w, target)
         if not acc.is_zero:
             out[Fraction(e)] = acc
     return out
@@ -442,21 +423,23 @@ class BosonFermionReport:
         return "\n".join(lines)
 
 
-def _fermion_to_lattice(ferm: AlgebraInstance, lat: AlgebraInstance,
-                        mono: PbwMonomial) -> State:
-    """Image of a fermion PBW monomial under psi -> Y(1_{-1}), psi* -> Y(1_1).
+# psi_n = (Gamma_{-1})_[n + 1/2] and psi*_n = (Gamma_1)_[n - 1/2]: the
+# lattice field of each fermion generator and the shift of its mode index
+_BF_MODES = {"psi": (PbwMonomial(-1, ()), Fraction(1, 2)),
+             "psi*": (PbwMonomial(1, ()), Fraction(-1, 2))}
 
-    Mode matching: psi_n = (Gamma_{-1})_[n + 1/2], psi*_n = (Gamma_1)_[n - 1/2].
-    """
-    lalg = lat.algebra
-    psi = ferm.algebra.gen_index("psi")
+
+def _lattice_mode(falg, g, n):
+    """(lattice field, shifted mode) of the fermion mode g(n)."""
+    vert, shift = _BF_MODES[falg.generators[g].name]
+    return vert, n + shift
+
+
+def _fermion_to_lattice(falg, lalg, mono: PbwMonomial) -> State:
+    """Image of a fermion PBW monomial: psi -> Y(1_{-1}), psi* -> Y(1_1)."""
     out = State.vacuum(0)
     for g, n in reversed(mono.word):
-        if g == psi:
-            vert, p = PbwMonomial(-1, ()), Fraction(2 * n + 1, 2)
-        else:
-            vert, p = PbwMonomial(1, ()), Fraction(2 * n - 1, 2)
-        out = field_mode(lalg, vert, p, out)
+        out = field_mode(lalg, *_lattice_mode(falg, g, n), out)
     return out
 
 
@@ -490,23 +473,16 @@ def boson_fermion_check(D: int = 4) -> BosonFermionReport:
             return report
 
     # intertwining of modes on basis states
-    psi = falg.gen_index("psi")
     for d in range(D + 1):
         for mono in basis_monomials(falg, d, 0):
             v = State.monomial(mono)
-            img = _fermion_to_lattice(ferm, lat, mono)
+            img = _fermion_to_lattice(falg, lalg, mono)
             for g in (0, 1):
-                lo = -d - 2
-                hi = d + 1
-                for n in range(lo, hi + 1):
+                for n in range(-d - 2, d + 2):
                     fv = apply_mode(falg, g, n, v)
-                    fimg = State.zero()
-                    for m2, c in fv.terms.items():
-                        fimg = fimg + _fermion_to_lattice(ferm, lat, m2).scale(c)
-                    p = Fraction(2 * n + 1, 2) if g == psi \
-                        else Fraction(2 * n - 1, 2)
-                    vert = PbwMonomial(-1 if g == psi else 1, ())
-                    limg = field_mode(lalg, vert, p, img)
+                    fimg = State.sum((_fermion_to_lattice(falg, lalg, m2), c)
+                                     for m2, c in fv.terms.items())
+                    limg = field_mode(lalg, *_lattice_mode(falg, g, n), img)
                     if fimg != limg:
                         gen = falg.generators[g].name
                         report.passed = False

@@ -643,10 +643,6 @@ class ParamPoint:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _render_frac(c: Fraction) -> str:
-    return str(c)
-
-
 def _render_mono(m: Mono) -> str:
     parts = []
     for v, e in m:
@@ -664,13 +660,13 @@ def render_poly(p: Poly) -> str:
         c = p.terms[m]
         ms = _render_mono(m)
         if not ms:
-            term = _render_frac(c)
+            term = str(c)
         elif c == 1:
             term = ms
         elif c == -1:
             term = f"-{ms}"
         else:
-            term = f"{_render_frac(c)}*{ms}"
+            term = f"{c}*{ms}"
         if out and not term.startswith("-"):
             out.append("+" + term)
         else:
@@ -811,6 +807,3 @@ class _Parser:
             return Scalar.param(self.text[start:self.pos])
         raise ScalarParseError("expected number, name or '('", self.pos)
 
-
-ZERO = _ZERO
-ONE = _ONE

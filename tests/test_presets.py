@@ -1,6 +1,7 @@
 """Tests for the preset algebra constructors and their structural data."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from voa import (InvalidLieData, LieData, ParamPoint, Scalar, State,
                  boson_fermion_check, get_preset, graded_dim, parse_scalar,
                  singular_part, sl2_data, sl3_data, state_field_mode, sugawara,
                  translate)
+from voa.presets import _BF_MODES, _matrix_lie
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,6 +42,63 @@ def test_lie_data_invariants():
                 assert lie.form[i][j] == lie.form[j][i]
     assert sl2_data().h_vee == 2
     assert sl3_data().h_vee == 3
+
+
+def test_sl2_data_against_hand_table():
+    # basis e, h, f: [e,f] = h, [h,e] = 2e, [h,f] = -2f, (e,f) = 1, (h,h) = 2
+    lie = sl2_data()
+    assert lie.basis == ["e", "h", "f"]
+    assert lie.bracket == {(0, 2): {1: 1}, (2, 0): {1: -1},
+                           (1, 0): {0: 2}, (0, 1): {0: -2},
+                           (1, 2): {2: -2}, (2, 1): {2: 2}}
+    assert lie.form == [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
+    assert lie.gram_inverse() == [[0, 0, 1], [0, Fraction(1, 2), 0],
+                                  [1, 0, 0]]
+
+
+def test_sl3_data_spot_entries():
+    # e1 = E12, e2 = E23, e3 = E13, f_i their transposes,
+    # h1 = E11 - E22, h2 = E22 - E33
+    lie = sl3_data()
+    e1, e2, e3, f1, f2, f3, h1, h2 = range(8)
+    assert lie.pair(e1, e2) == {e3: 1}
+    assert lie.pair(e1, f1) == {h1: 1}
+    assert lie.pair(e3, f3) == {h1: 1, h2: 1}
+    assert lie.pair(f1, f2) == {f3: -1}
+    assert lie.pair(h1, e1) == {e1: 2}
+    assert lie.pair(h2, e1) == {e1: -1}
+    assert lie.pair(h1, h2) == {}
+    assert lie.form[e1][f1] == lie.form[e3][f3] == 1
+    assert lie.form[h1][h1] == 2 and lie.form[h1][h2] == -1
+    assert lie.form[e1][e1] == lie.form[e1][f2] == lie.form[e1][h1] == 0
+    # the inverse of the e-f pairing and of the Cartan block [[2,-1],[-1,2]]
+    expected = [[0] * 8 for _ in range(8)]
+    for e, f in ((e1, f1), (e2, f2), (e3, f3)):
+        expected[e][f] = expected[f][e] = 1
+    expected[h1][h1] = expected[h2][h2] = Fraction(2, 3)
+    expected[h1][h2] = expected[h2][h1] = Fraction(1, 3)
+    assert lie.gram_inverse() == expected
+
+
+_E = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+_H = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
+_F = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
+
+
+def test_matrix_lie_rejects_commutator_outside_span():
+    # [e, f] = h is not a combination of e and f
+    with pytest.raises(InvalidLieData,
+                       match="commutator not in the span of the basis"):
+        _matrix_lie("bad", [("e", _E), ("f", _F)])
+
+
+def test_matrix_lie_rejects_dependent_basis():
+    # e and 2e make the structure constants non-unique
+    double_e = [[2 * x for x in row] for row in _E]
+    with pytest.raises(InvalidLieData,
+                       match="commutator not in the span of the basis"):
+        _matrix_lie("bad", [("e", _E), ("h", _H), ("f", _F),
+                            ("e2", double_e)])
 
 
 def _sl2_with(bracket=None, form=None):
@@ -144,6 +203,15 @@ def test_boson_fermion_check_small():
     report = boson_fermion_check(2)
     assert report.passed
     assert all(nf == nl for _, nf, nl in report.dims)
+
+
+def test_boson_fermion_check_catches_shifted_psi_mode(monkeypatch):
+    # psi_n -> (Gamma_{-1})_[n + 3/2] is the right lattice mode of psi_{n+1}
+    vert, shift = _BF_MODES["psi"]
+    monkeypatch.setitem(_BF_MODES, "psi", (vert, shift + 1))
+    report = boson_fermion_check(2)
+    assert report.passed is False
+    assert re.fullmatch(r"psi\(-?\d+\) on .*", report.mismatch)
 
 
 def test_get_preset_unknown():
