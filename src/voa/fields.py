@@ -33,14 +33,26 @@ by which `vertex_mode` builds each layer from the lower ones.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .fock import ModeAlgebra, PbwMonomial, State, apply_mode
+from .fock import ModeAlgebra, PbwMonomial, State, apply_mode, mode_index
 
 
-def gbinom(a, k: int) -> Fraction:
-    """Binomial coefficient with integer (possibly negative) upper index."""
+def gbinom(a, k: int):
+    """Binomial coefficient a (a-1) ... (a-k+1) / k!, zero for k < 0.
+
+    An int upper index gives an int through `math.comb`, with the upper
+    negation C(a, k) = (-1)^k C(k - a - 1, k) for a < 0.  A non-integral
+    upper index (half-integral in an odd lattice sector) gives a Fraction
+    from the product formula.
+    """
     if k < 0:
-        return Fraction(0)
+        return 0
+    if type(a) is int:
+        if a >= 0:
+            return comb(a, k)
+        c = comb(k - a - 1, k)
+        return -c if k & 1 else c
     num = Fraction(1)
     for i in range(k):
         num *= Fraction(a - i, i + 1)
@@ -50,22 +62,6 @@ def gbinom(a, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Mode action
 # ---------------------------------------------------------------------------
-
-def mode_index(p):
-    """A mode index as an int when it is integral, else as a Fraction.
-
-    Mode indices key the field_mode memo and the axiom checks' caches and
-    are added up in the locality and associativity windows; ints hash,
-    compare and add without a call into Python code, Fractions do not.
-    Equal values of the two types hash and compare equal, so either finds
-    the same cache entry.
-    """
-    if type(p) is int:
-        return p
-    if type(p) is not Fraction:
-        p = Fraction(p)
-    return p.numerator if p.denominator == 1 else p
-
 
 def field_mode(alg: ModeAlgebra, A: PbwMonomial, p, state: State) -> State:
     """Apply the shifted mode A_[p] of the field of the monomial A to a state."""
@@ -99,12 +95,12 @@ def _field_mode_raw(alg, A, p, mono):
         raise ValueError("word contains an annihilation mode")
 
     if len(word) == 1 and sector == 0:
-        if p.denominator != 1:
+        if type(p) is not int:
             return State.zero()
         coeff = gbinom(-p - w, j)
         if coeff == 0:
             return State.zero()
-        return apply_mode(alg, g, int(p), State.monomial(mono)).scale(coeff)
+        return apply_mode(alg, g, p, State.monomial(mono)).scale(coeff)
 
     # :left rest: with left = g(n)|0>, a field of weight -n
     left = PbwMonomial(0, word[:1])
@@ -147,15 +143,15 @@ def vertex_mode(alg: ModeAlgebra, m: int, p, mono: PbwMonomial) -> State:
     lam_N = m * alg.lattice_N
     # E+_k z^k S_m z^(lam b_0) E-_j z^-j on mono has the z-exponent
     # k - j + lam * sector, which the mode p fixes at -p - wt 1_m
-    shift = p + alg.sector_energy(m) + lam_N * mono.sector
+    shift = mode_index(p + alg.sector_energy(m) + lam_N * mono.sector)
     pairs = []
     for j, lower in enumerate(_annihilation_layers(alg, lam_N, mono)):
         k = j - shift
-        if k < 0 or k.denominator != 1:
+        if k < 0 or type(k) is not int:
             continue
         for x, c in lower.terms.items():
             moved = PbwMonomial(x.sector + m, x.word)
-            pairs.append((_creation_layer(alg, lam_N, int(k), moved), c))
+            pairs.append((_creation_layer(alg, lam_N, k, moved), c))
     return State.sum(pairs)
 
 

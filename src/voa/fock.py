@@ -62,14 +62,30 @@ class PbwMonomial(NamedTuple):
 
 VACUUM_WORD: tuple = ()
 
-_NO_ENERGY = Fraction(0)
+
+def mode_index(p):
+    """A mode index, weight or degree as an int when it is integral, else
+    as a Fraction.
+
+    Mode indices key the field_mode memo and the axiom checks' caches and
+    are added up in the locality and associativity windows; ints hash,
+    compare and add without a call into Python code, Fractions do not.
+    Equal values of the two types hash and compare equal, so either finds
+    the same cache entry, and both print the same.
+    """
+    if type(p) is int:
+        return p
+    if type(p) is not Fraction:
+        p = Fraction(p)
+    return p.numerator if p.denominator == 1 else p
 
 
 class ModeAlgebra:
     """Generator table plus bracket structure constants.
 
     The table never changes.  The algebra memoizes pure functions of it for
-    its whole life: `bracket` in `_bracket_memo` under (i, m, j, n), and the
+    its whole life: `sector_energy` in `_energies` under the sector,
+    `bracket` in `_bracket_memo` under (i, m, j, n), and the
     mode actions on PBW monomials in `_apply_memo`, under one key kind each:
 
     - (g, n, mono), untagged: the generator mode g_n (`apply_mode`);
@@ -83,6 +99,11 @@ class ModeAlgebra:
 
     Caches over states, such as the axiom checks' A_[p] v, belong to the
     call that fills them.
+
+    Weights, sector energies and monomial degrees come back through
+    `mode_index`: an int when integral, a Fraction only when half-integral
+    (a generator of half-integral weight, an odd sector of an odd lattice).
+    `GeneratorSpec.weight` itself stays the Fraction it was given.
     """
 
     def __init__(self, name, generators, rules, *, lattice_N=None,
@@ -99,8 +120,10 @@ class ModeAlgebra:
         self._by_name = {g.name: i for i, g in enumerate(self.generators)}
         if len(self._by_name) != len(self.generators):
             raise ValueError("generator names must be unique")
+        self._weights = tuple(mode_index(g.weight) for g in self.generators)
         self._apply_memo = {}
         self._bracket_memo = {}
+        self._energies = {0: 0}
 
     # -- basic queries --------------------------------------------------
 
@@ -121,20 +144,25 @@ class ModeAlgebra:
             raise UnknownGenerator(name) from None
 
     def weight(self, g):
-        return self.generators[g].weight
+        """Conformal weight of generator g: an int when integral."""
+        return self._weights[g]
 
     def odd(self, g):
         return self.generators[g].odd
 
     def is_creation(self, g, n):
-        return n <= -self.generators[g].weight
+        return n <= -self._weights[g]
 
     def sector_energy(self, sector):
-        if sector == 0:
-            return _NO_ENERGY
-        if not self.has_sectors:
-            raise SectorMismatch(f"algebra {self.name!r} has no sectors")
-        return Fraction(sector * sector * self.lattice_N, 2)
+        """Energy sector^2 N / 2 of the sector vacuum: an int when
+        integral, a Fraction (odd N, odd sector) otherwise."""
+        e = self._energies.get(sector)
+        if e is None:
+            if not self.has_sectors:
+                raise SectorMismatch(f"algebra {self.name!r} has no sectors")
+            e = mode_index(Fraction(sector * sector * self.lattice_N, 2))
+            self._energies[sector] = e
+        return e
 
     def sector_parity(self, sector):
         if sector == 0 or not self.has_sectors or self.lattice_N % 2 == 0:
@@ -147,7 +175,7 @@ class ModeAlgebra:
         return Fraction(0)
 
     def mono_degree(self, mono: PbwMonomial):
-        """Degree of a monomial: an int in sector 0, else a Fraction."""
+        """Degree of a monomial: an int when integral, else a Fraction."""
         n = 0
         for _, m in mono.word:
             n += m
@@ -183,7 +211,7 @@ class ModeAlgebra:
             result = ((), Scalar.zero())
             self._bracket_memo[key] = result
             return result
-        point = {"m": Fraction(mm), "n": Fraction(nn)}
+        point = {"m": mm, "n": nn}
         terms = []
         for t in rule.terms:
             c = t.coeff.evaluate(point)
@@ -191,7 +219,7 @@ class ModeAlgebra:
                 terms.append((t.target, t.scalar * (sign * c)))
         central = Scalar.zero()
         if rule.central is not None and m + n == 0:
-            c = rule.central.coeff.evaluate({"m": Fraction(mm)})
+            c = rule.central.coeff.evaluate({"m": mm})
             if c:
                 central = rule.central.scalar * (sign * c)
         result = (tuple(terms), central)

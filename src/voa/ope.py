@@ -26,8 +26,9 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb
 
-from .fock import ModeAlgebra, State, all_sector_monomials, render_state
-from .fields import gbinom, mode_index, state_field_mode, translate
+from .fock import (ModeAlgebra, State, all_sector_monomials, mode_index,
+                   render_state)
+from .fields import gbinom, state_field_mode, translate
 from .linalg import kernel_basis
 
 
@@ -73,17 +74,18 @@ def singular_part(alg: ModeAlgebra, A: State, B: State) -> dict:
 def commutator_via_formula(alg: ModeAlgebra, A: State, m, B: State, kk):
     """[A_[m], B_[kk]] as a finite combination sum_n C(..) (A_[n]B)_[m+kk].
 
-    Returns (terms, mode) where terms is a list of (Fraction, State) and the
-    combination acts as sum coeff * state_field_mode(state, mode, .).
+    Returns (terms, mode) where terms is a list of (coefficient, State) and
+    the combination acts as sum coeff * state_field_mode(state, mode, .);
+    the mode and the coefficients are ints when integral (`mode_index`).
     """
     dA = A.degree(alg)
-    m = Fraction(m)
+    m = mode_index(m)
     terms = []
     for j, AB in singular_part(alg, A, B).items():
         c = gbinom(m + dA - 1, j - 1)
         if c:
             terms.append((c, AB))
-    return terms, m + Fraction(kk)
+    return terms, mode_index(m + Fraction(kk))
 
 
 def apply_combination(alg: ModeAlgebra, combination, C: State) -> State:
@@ -253,14 +255,18 @@ class AxiomReport:
 
 
 def _grouped_basis(alg, D):
-    """Basis states grouped by degree, for all sectors, degrees <= D."""
+    """Basis states grouped by degree, for all sectors, degrees <= D.
+
+    Each degree is an int when integral (`mode_index`), so the window
+    loops of the axiom checks run on ints outside the odd-lattice sectors.
+    """
     groups = []
     d = Fraction(0)
     step = Fraction(1, alg.grading_denominator)
     while d <= D:
         monos = all_sector_monomials(alg, d)
         if monos:
-            groups.append((d, [State.monomial(m) for m in monos]))
+            groups.append((mode_index(d), [State.monomial(m) for m in monos]))
         d += step
     return groups
 
@@ -385,7 +391,7 @@ def coset_graded(alg: ModeAlgebra, Wgens, d):
     for A in Wgens:
         dA = A.degree(alg)
         p = 1 - dA
-        while p <= Fraction(d):
+        while p <= d:
             # sparse rows {column: coefficient} of A_[p] restricted to V_d
             block = {}
             for i, m in enumerate(monos):

@@ -48,6 +48,7 @@ class LieData:
     bracket: dict
     form: list
     h_vee: Fraction = None
+    _ginv: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.basis)
@@ -96,11 +97,14 @@ class LieData:
         return self.bracket.get((i, j), {})
 
     def gram_inverse(self):
-        # the solutions of form^T x_k = e_k are the rows of the inverse
-        inverse = _solve(self.form, _units(len(self.basis)))
-        if inverse is None:
-            raise InvalidLieData("invariant form is degenerate")
-        return inverse
+        """The inverse of the form, solved once per LieData; each call
+        returns a fresh copy of the rows."""
+        if self._ginv is None:
+            # the solutions of form^T x_k = e_k are the rows of the inverse
+            degenerate = "invariant form is degenerate"
+            self._ginv = _solve(self.form, _units(len(self.basis)),
+                                degenerate, degenerate)
+        return [list(row) for row in self._ginv]
 
     def _dual_coxeter(self) -> Fraction:
         """h_vee from the Casimir acting by 2 h_vee on the adjoint."""
@@ -124,15 +128,19 @@ class LieData:
         return eig / 2
 
 
-def _solve(cols, targets):
-    """The x_k with sum_c x_k[c] cols[c] = targets[k], or None.
+def _solve(cols, targets, dependent, outside):
+    """The x_k with sum_c x_k[c] cols[c] = targets[k].
 
     With C the matrix of columns cols and T that of the K targets, the
     kernel vectors of [C | -T] are the (x, y) with C x = T y.  Their y
     parts span Q^K iff every target is in the span of cols, and then the
     kernel has dimension K iff C x = 0 only for x = 0.  In that case no
-    column of C is free, so the kernel basis is the K vectors (x_k, e_k);
-    any other kernel basis gives None.
+    column of C is free, so the kernel basis is the K vectors (x_k, e_k).
+    Otherwise this raises InvalidLieData with the message `dependent` if
+    the cols are linearly dependent, else with `outside`.  The cols are
+    dependent iff some column of C is free, and a free column's basis
+    vector is zero after that column (`kernel_basis`), so iff some basis
+    vector has a zero y part.
     """
     n, K = len(cols), len(targets)
     rows = [{} for _ in cols[0]]
@@ -141,8 +149,9 @@ def _solve(cols, targets):
             if x:
                 rows[r][c] = Scalar.from_fraction(x)
     kernel = [[x.as_fraction() for x in v] for v in kernel_basis(rows, n + K)]
-    if [v[n:] for v in kernel] != _units(K):
-        return None
+    ys = [v[n:] for v in kernel]
+    if ys != _units(K):
+        raise InvalidLieData(dependent if not all(map(any, ys)) else outside)
     return [v[:n] for v in kernel]
 
 
@@ -170,9 +179,9 @@ def _matrix_lie(name, named_mats):
 
     pairs = [(i, j) for i in range(len(mats)) for j in range(len(mats))]
     solved = _solve([flat(m) for m in mats],
-                    [comm(mats[i], mats[j]) for i, j in pairs])
-    if solved is None:
-        raise InvalidLieData("commutator not in the span of the basis")
+                    [comm(mats[i], mats[j]) for i, j in pairs],
+                    "basis matrices are linearly dependent",
+                    "commutator not in the span of the basis")
     bracket = {}
     for ij, x in zip(pairs, solved):
         dec = {c: v for c, v in enumerate(x) if v}

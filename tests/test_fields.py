@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -28,6 +28,60 @@ def _basis_states(alg, D, sectors=(0,)):
         for s in sectors:
             out.extend(State.monomial(m) for m in basis_monomials(alg, d, s))
     return out
+
+
+# -- gbinom -----------------------------------------------------------------
+
+def _falling_over_factorial(a, k):
+    """C(a, k) as a (a-1) ... (a-k+1) / k!, all in Fractions."""
+    num = Fraction(1)
+    for i in range(k):
+        num *= Fraction(a) - i
+    return num / factorial(k)
+
+
+# (a, k, C(a, k)) worked out by hand, the negative ones included
+GBINOM_HAND = [(0, 0, 1), (5, 2, 10), (3, 5, 0), (6, 6, 1), (-1, 3, -1),
+               (-1, 4, 1), (-2, 3, -4), (-3, 2, 6), (-6, 3, -56),
+               (-4, 0, 1), (Fraction(1, 2), 2, Fraction(-1, 8)),
+               (Fraction(-1, 2), 3, Fraction(-5, 16))]
+
+
+def _gbinom_mismatch(binom):
+    """First (a, k) where binom disagrees with the oracles, else None."""
+    for a, k, want in GBINOM_HAND:
+        if binom(a, k) != want:
+            return a, k
+    for a in range(-6, 7):
+        for k in range(7):
+            got = binom(a, k)
+            if type(got) is not int or got != _falling_over_factorial(a, k):
+                return a, k
+            if a >= 0 and got != comb(a, k):
+                return a, k
+    for twice in range(-13, 13, 2):
+        a = Fraction(twice, 2)
+        for k in range(7):
+            if binom(a, k) != _falling_over_factorial(a, k):
+                return a, k
+    return None
+
+
+def test_gbinom_against_hand_values_and_product():
+    assert _gbinom_mismatch(fields.gbinom) is None
+    for a in (0, 3, -2, Fraction(5, 2), Fraction(-3, 2)):
+        assert fields.gbinom(a, -1) == 0
+    assert type(fields.gbinom(Fraction(1, 2), 3)) is Fraction
+
+
+def test_gbinom_oracle_negative_control():
+    # the upper negation with its sign (-1)^k dropped must be caught
+    def unsigned(a, k):
+        if type(a) is int and a < 0 and k >= 0:
+            return comb(k - a - 1, k)
+        return fields.gbinom(a, k)
+
+    assert _gbinom_mismatch(unsigned) == (-1, 3)
 
 
 # (preset, generator, mode n, coefficient of g_m in Y(g(n)|0>)_[m]): the

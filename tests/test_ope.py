@@ -11,7 +11,8 @@ from voa import (BracketRule, CentralTerm, GeneratorSpec, ModeAlgebra, Poly,
                  Scalar, State, apply_mode, basis_monomials, coset_graded,
                  get_preset, graded_dim, locality_order, parse_scalar,
                  singular_part, translate, verify_axioms)
-from voa.ope import apply_combination, commutator_direct, commutator_via_formula
+from voa.ope import (_grouped_basis, apply_combination, commutator_direct,
+                     commutator_via_formula)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,47 @@ def test_axiom_checks_free_their_caches():
     assert _memo_kinds(alg) <= pure
     assert locality_order(alg, b, b, 3) == 2
     assert _memo_kinds(alg) <= pure
+
+
+def _numbers(key):
+    """Every number in a memo key: mode indices, generator indices, sectors
+    and the modes inside the monomials' words."""
+    for x in key:
+        if isinstance(x, tuple):
+            yield from _numbers(x)
+        elif not isinstance(x, str):
+            yield x
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "affine:sl2", "weyl:1",
+                                  "lattice:2"])
+def test_integral_indices_are_ints(name):
+    alg = get_preset(name).algebra
+    assert verify_axioms(alg, 2).passed
+    assert "fm" in _memo_kinds(alg)
+    numbers = [x for key in alg._apply_memo for x in _numbers(key)]
+    assert {type(x) for x in numbers} == {int}
+    for g, spec in enumerate(alg.generators):
+        assert type(alg.weight(g)) is int
+        assert type(spec.weight) is Fraction
+    assert {type(d) for d, _ in _grouped_basis(alg, 3)} == {int}
+
+
+def test_odd_lattice_indices_int_or_half_integral():
+    alg = get_preset("lattice:1").algebra
+    assert verify_axioms(alg, 2).passed
+    numbers = [x for key in alg._apply_memo for x in _numbers(key)]
+    halves = [x for x in numbers if type(x) is not int]
+    assert halves and {type(x) for x in halves} == {Fraction}
+    assert {x.denominator for x in halves} == {2}
+    degrees = [d for d, _ in _grouped_basis(alg, 3)]
+    assert degrees == [0, Fraction(1, 2), 1, Fraction(3, 2), 2,
+                       Fraction(5, 2), 3]
+    assert [type(d) for d in degrees[::2]] == [int] * 4
+    assert type(alg.weight(0)) is int
+    assert type(alg.generators[0].weight) is Fraction
+    assert alg.sector_energy(1) == Fraction(1, 2)
+    assert type(alg.sector_energy(2)) is int
 
 
 def test_coset_commutative_is_everything():

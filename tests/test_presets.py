@@ -80,6 +80,28 @@ def test_sl3_data_spot_entries():
     assert lie.gram_inverse() == expected
 
 
+def test_gram_inverse_solved_once_and_copied(monkeypatch):
+    import voa.presets as presets
+    calls = []
+    real = presets.kernel_basis
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(presets, "kernel_basis", counting)
+    lie = sl2_data()
+    assert len(calls) == 2          # the bracket, then the form in h_vee
+    first = lie.gram_inverse()
+    first[1][1] = Fraction(7)
+    assert lie.gram_inverse() == [[0, 0, 1], [0, Fraction(1, 2), 0],
+                                  [1, 0, 0]]
+    assert len(calls) == 2
+    del calls[:]
+    get_preset("affine:sl2")
+    assert len(calls) == 2          # sugawara reuses the solved inverse
+
+
 _E = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
 _H = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
 _F = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
@@ -96,7 +118,7 @@ def test_matrix_lie_rejects_dependent_basis():
     # e and 2e make the structure constants non-unique
     double_e = [[2 * x for x in row] for row in _E]
     with pytest.raises(InvalidLieData,
-                       match="commutator not in the span of the basis"):
+                       match="basis matrices are linearly dependent"):
         _matrix_lie("bad", [("e", _E), ("h", _H), ("f", _F),
                             ("e2", double_e)])
 
