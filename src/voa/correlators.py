@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import comb, factorial
 
 from .scalars import Poly, poly_derivative as _poly_deriv
@@ -211,25 +212,33 @@ def _merge(terms):
 
 
 def _reduce_term(t: Term) -> Term:
-    """Cancel diagonal and z_i factors dividing the numerator."""
+    """Cancel diagonal and z_i factors dividing the numerator.
+
+    A nonzero multiple of (z_i - z_j) contains both z_i and z_j, and one of
+    z_i contains z_i, so a division is tried only when the numerator holds
+    the variables it needs.  Callers drop zero numerators first.
+    """
     from .scalars import _poly_divexact
     num = t.num
+    vs = set(num.variables())
     poles = {(i, j): m for i, j, m in t.poles}
     for (i, j) in list(poles):
-        while poles[(i, j)] > 0:
+        while poles[(i, j)] > 0 and zvar(i) in vs and zvar(j) in vs:
             try:
                 num = _poly_divexact(num, _diag(i, j))
             except ValueError:
                 break
             poles[(i, j)] -= 1
+            vs = set(num.variables())
     zp = dict(t.zpows)
     for i in list(zp):
-        while zp[i] > 0:
+        while zp[i] > 0 and zvar(i) in vs:
             try:
                 num = _poly_divexact(num, Poly.var(zvar(i)))
             except ValueError:
                 break
             zp[i] -= 1
+            vs = set(num.variables())
     return Term(t.coeff, num,
                 tuple(sorted((i, j, m) for (i, j), m in poles.items() if m)),
                 tuple(sorted((i, k) for i, k in zp.items() if k)))
@@ -278,41 +287,54 @@ def heisenberg_npoint(phi, n: int, insertions=None) -> RationalCorrelator:
     (None entries are vacuum insertions); default is n copies of b itself.
     Variables are z1..zn in insertion order, which is also the expansion
     ordering |z1| > ... > |zn|; the rational answer is order-independent.
+
+    Only partial pairings whose unpaired fields phi can read are visited:
+    the number of unpaired fields must be the length of a sector-0 word of
+    phi, and the creation part must be nonzero.  The pairs are disjoint,
+    so the kernel of a pairing is one term, the product of the pair
+    kernels over the union of their poles.
     """
     if insertions is None:
         insertions = [0] * n
     if len(insertions) != n:
         raise ValueError("insertion count must match n")
     phi = _phi_terms(phi)
-    active = [(i + 1, j) for i, j in enumerate(insertions) if j is not None]
+    dv = {i + 1: j for i, j in enumerate(insertions) if j is not None}
+    sizes = {len(mono.word) for mono in phi if mono.sector == 0}
     out = []
-    for pairing, free in _partial_pairings([idx for idx, _ in active]):
-        kernel = RationalCorrelator.constant(1)
-        dv = dict(active)
-        for i, j in pairing:
-            kernel = kernel * RationalCorrelator(
-                [_pair_kernel(dv[i], dv[j], i, j)])
+    for pairing, free in _partial_pairings(list(dv), sizes):
         rest = _creation_polynomial(phi, [(i, dv[i]) for i in free])
         if rest.is_zero:
             continue
-        out.extend((kernel * RationalCorrelator(
-            [Term(Fraction(1), rest, (), ())])).terms)
+        coeff, poles = Fraction(1), []
+        for i, j in pairing:
+            kernel = _pair_kernel(dv[i], dv[j], i, j)
+            coeff *= kernel.coeff
+            poles.extend(kernel.poles)
+        out.append(Term(coeff, rest, tuple(sorted(poles)), ()))
     return RationalCorrelator(out)
 
 
-def _partial_pairings(indices):
-    """All (pairing, unpaired) splittings of an index list; pairs ordered."""
+def _partial_pairings(indices, sizes):
+    """(pairing, unpaired) splittings of an index list; pairs ordered.
+
+    Only splittings with len(unpaired) in `sizes` are yielded, in the order
+    of the full enumeration; a branch that cannot reach one is cut.
+    """
+    if not any(s <= len(indices) and (len(indices) - s) % 2 == 0
+               for s in sizes):
+        return
     if not indices:
         yield [], []
         return
     first, rest = indices[0], indices[1:]
     # first unpaired
-    for pairing, free in _partial_pairings(rest):
+    for pairing, free in _partial_pairings(rest, {s - 1 for s in sizes if s}):
         yield pairing, [first] + free
     # first paired with a later insertion
     for pos, j in enumerate(rest):
         remaining = rest[:pos] + rest[pos + 1:]
-        for pairing, free in _partial_pairings(remaining):
+        for pairing, free in _partial_pairings(remaining, sizes):
             yield [(first, j)] + pairing, free
 
 
@@ -464,9 +486,13 @@ def consistency_check(alg, states, phi, regions, order: int,
     from the Laurent expansion of the exact correlator, and directly from
     phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) mode by mode.  The direct side is one
     depth-first walk per region over shared partial products (see
-    `_region_walk`).  A failure names the first failing region and, in it,
+    `_region_walk`); the mode actions behind them go through one cache that
+    lives for this call, so a partial product is computed once and shared
+    by every region.  A failure names the first failing region and, in it,
     the lexicographically first mismatching exponent tuple (e_1..e_n).
     """
+    from .fields import state_field_mode
+    mode = cache(partial(state_field_mode, alg))
     insertions = [state_insertion(alg, s) for s in states]
     n = len(states)
     f = heisenberg_npoint(phi, n, insertions)
@@ -482,7 +508,7 @@ def consistency_check(alg, states, phi, regions, order: int,
                 for pos, x in zip(positions, key):
                     e[pos] = x
                 expanded[tuple(e)] = c
-        direct = _region_walk(alg, states, degrees, phi_terms, positions,
+        direct = _region_walk(mode, states, degrees, phi_terms, positions,
                               span)
         bad = [e for e in direct.keys() | expanded.keys()
                if direct.get(e, 0) != expanded.get(e, 0)]
@@ -505,17 +531,19 @@ def consistency_check(alg, states, phi, regions, order: int,
     return ConsistencyReport(True)
 
 
-def _region_walk(alg, states, degrees, phi, positions, span):
+def _region_walk(mode, states, degrees, phi, positions, span):
     """Nonzero phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) coefficients of one region.
 
     `positions` lists the insertion indices from the outermost field to the
     innermost.  The walk applies the innermost field first, once for each
     exponent in `span`, and descends only into nonzero states, so each
     partial product Y(A_k,z_k)...|0> is computed once and shared by every
-    exponent tuple that extends it.  Returns {(e_1..e_n): Fraction}; the
-    same coefficients as `matrix_element_coefficient`, tuple by tuple.
+    exponent tuple that extends it.  `mode(A, n, v)` is the state-level
+    mode action A_(n) v; `consistency_check` passes one cache for all its
+    regions, so regions that share an inner ordering share its products.
+    Returns {(e_1..e_n): Fraction}; the same coefficients as
+    `matrix_element_coefficient`, tuple by tuple.
     """
-    from .fields import state_field_mode
     out = {}
     e = [0] * len(states)
 
@@ -533,7 +561,7 @@ def _region_walk(alg, states, degrees, phi, positions, span):
         pos = positions[k - 1]
         A, dA = states[pos], degrees[pos]
         for x in span:
-            w = state_field_mode(alg, A, -x - dA, v)
+            w = mode(A, -x - dA, v)
             if not w.is_zero:
                 e[pos] = x
                 descend(k - 1, w)

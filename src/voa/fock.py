@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .scalars import Scalar, Poly, parse_scalar
+from .scalars import _SMALL_INTS, Scalar, Poly, parse_scalar
 
 
 class UnknownGenerator(KeyError):
@@ -282,15 +282,22 @@ class State:
         """sum c * state over (state, c) pairs, accumulated in one dict.
 
         Equal to adding the scaled states one after the other, term order
-        included, without copying the partial sum at each step.
+        included, without copying the partial sum at each step.  Plain int
+        coefficients are tested for 0 and 1 as ints.
         """
         t = {}
         for state, c in pairs:
-            if not isinstance(c, Scalar):
-                c = Scalar.from_fraction(c)
-            if c.is_zero:
-                continue
-            one = c._frac == 1
+            if type(c) is int:
+                if not c:
+                    continue
+                one = c == 1
+                c = _SMALL_INTS.get(c) or Scalar.from_fraction(c)
+            else:
+                if not isinstance(c, Scalar):
+                    c = Scalar.from_fraction(c)
+                if c.is_zero:
+                    continue
+                one = c._frac == 1
             for m, v in state.terms.items():
                 if not one:
                     v = v * c
@@ -307,12 +314,19 @@ class State:
         return self + other.scale(-1)
 
     def scale(self, c) -> "State":
-        if not isinstance(c, Scalar):
-            c = Scalar.from_fraction(c)
-        if c.is_zero or self.is_zero:
-            return State()
-        if c._frac == 1:
-            return self
+        if type(c) is int:
+            if not c or self.is_zero:
+                return State()
+            if c == 1:
+                return self
+            c = _SMALL_INTS.get(c) or Scalar.from_fraction(c)
+        else:
+            if not isinstance(c, Scalar):
+                c = Scalar.from_fraction(c)
+            if c.is_zero or self.is_zero:
+                return State()
+            if c._frac == 1:
+                return self
         return State({m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):

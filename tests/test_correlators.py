@@ -9,10 +9,11 @@ from voa import (BracketRule, CentralTerm, ExpansionRegion, GeneratorSpec,
                  ModeAlgebra, PbwMonomial, RationalCorrelator, Scalar, State,
                  bootstrap_verify, consistency_check, expand, get_preset,
                  heisenberg_npoint)
-from voa import correlators
+from voa import correlators, fields
 from voa.correlators import (Term, VACUUM_PHI, _diagonal_coefficients,
-                             _rename, matrix_element_coefficient,
-                             state_insertion, zvar)
+                             _reduce_term, _rename,
+                             matrix_element_coefficient, state_insertion,
+                             zvar)
 from voa.scalars import Poly
 
 
@@ -49,7 +50,7 @@ def test_two_point():
     assert f.render() == "1/(z1-z2)^2"
 
 
-@pytest.mark.parametrize("n,count", [(2, 1), (4, 3), (6, 15)])
+@pytest.mark.parametrize("n,count", [(2, 1), (4, 3), (6, 15), (8, 105)])
 def test_npoint_equals_pairing_formula(n, count):
     matchings = list(_perfect_matchings(list(range(1, n + 1))))
     assert len(matchings) == count  # (2m-1)!!
@@ -234,6 +235,87 @@ def test_creation_polynomial_negative_control(monkeypatch, phi, n):
 
     monkeypatch.setattr(correlators, "_creation_polynomial", scaled)
     assert not _boson_consistency(phi, n).passed
+
+
+def _all_partial_pairings(indices):
+    if not indices:
+        yield [], []
+        return
+    first, rest = indices[0], indices[1:]
+    for pairing, free in _all_partial_pairings(rest):
+        yield pairing, [first] + free
+    for pos, j in enumerate(rest):
+        remaining = rest[:pos] + rest[pos + 1:]
+        for pairing, free in _all_partial_pairings(remaining):
+            yield [(first, j)] + pairing, free
+
+
+def _brute_npoint(phi, insertions):
+    """Every partial pairing, kernels multiplied out as correlators."""
+    dv = {i + 1: j for i, j in enumerate(insertions) if j is not None}
+    out = RationalCorrelator.zero()
+    for pairing, free in _all_partial_pairings(list(dv)):
+        kernel = RationalCorrelator.constant(1)
+        for i, j in pairing:
+            kernel = kernel * RationalCorrelator(
+                [correlators._pair_kernel(dv[i], dv[j], i, j)])
+        rest = correlators._creation_polynomial(
+            dict(phi), [(i, dv[i]) for i in free])
+        out = out + kernel * RationalCorrelator(
+            [Term(Fraction(1), rest, (), ())])
+    return out
+
+
+@pytest.mark.parametrize("phi", [phi for phi, _ in CREATION_CASES],
+                         ids=NON_VACUUM_IDS + ["b(-1)^2-int"])
+@pytest.mark.parametrize("n", range(7))
+def test_npoint_equals_all_partial_pairings(phi, n):
+    # heisenberg_npoint visits only the pairings phi can read; the sum over
+    # all of them gives the same correlator
+    for insertions in ([0] * n, [None if k == 2 else k % 3
+                                 for k in range(n)]):
+        brute = _brute_npoint(phi, insertions)
+        f = heisenberg_npoint(phi, n, insertions)
+        assert f == brute
+        assert f.render() == brute.render()
+
+
+def test_reduce_term_cancels_only_dividing_factors():
+    z = {i: Poly.var(zvar(i)) for i in (1, 2, 3)}
+    # (z1 - z2) z3 / ((z1 - z2)^2 z3) = 1 / (z1 - z2)
+    t = _reduce_term(Term(Fraction(1), (z[1] - z[2]) * z[3], ((1, 2, 2),),
+                          ((3, 1),)))
+    assert t == Term(Fraction(1), Poly.const(1), ((1, 2, 1),), ())
+    # a numerator without z2, or not a multiple of z1 - z2, keeps its pole
+    for num in (z[1] * z[3], z[3], Poly.const(5), z[1] * z[2]):
+        t = Term(Fraction(2), num, ((1, 2, 2),), ())
+        assert _reduce_term(t) == t
+
+
+def test_consistency_shares_mode_products_across_regions(monkeypatch):
+    # the four insertions are equal, so every region walks the same partial
+    # products: 24 regions cost the mode actions of one, and the shared
+    # cache stays out of the algebra's memo of monomial-level actions
+    inst = get_preset("heisenberg", lam=0)
+    b = inst.gen_state("b")
+    calls = []
+    state_field_mode = fields.state_field_mode
+
+    def counted(*args):
+        calls.append(args)
+        return state_field_mode(*args)
+
+    monkeypatch.setattr(fields, "state_field_mode", counted)
+    counts = []
+    for regions in (_all_regions(4)[:1], _all_regions(4)):
+        calls.clear()
+        report = consistency_check(inst.algebra, [b] * 4, VACUUM_PHI,
+                                   regions, 8)
+        assert report.passed, report.render()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert not any(isinstance(x, State) for key in inst.algebra._apply_memo
+                   for x in key)
 
 
 def test_bootstrap_negative_control(monkeypatch):
