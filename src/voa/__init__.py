@@ -10,7 +10,7 @@ from .fock import (BracketRule, BracketTerm, CentralTerm, GeneratorSpec,
 from .fields import field_mode, state_field_mode, translate
 from .ope import (AxiomReport, NotLocalUpTo, commutator_direct,
                   commutator_via_formula, coset_graded, locality_order,
-                  singular_part, verify_axioms)
+                  morphism_check, singular_part, verify_axioms)
 from .presets import (AlgebraInstance, InvalidLieData, LieData,
                       PRESET_NAMES, affine, boson_fermion_check,
                       commutative_va, free_fermion, get_preset, heisenberg,
@@ -42,8 +42,9 @@ __all__ = [
     "field_mode", "free_fermion", "get_preset", "graded_dim",
     "heisenberg", "heisenberg_npoint", "huang_check", "lattice",
     "lattice_theta_character", "lattice_vertex_op", "locality_order",
-    "normal_order", "parse_scalar", "primary_differential_check",
-    "reconstruct", "render_monomial", "render_state", "singular_part",
-    "sl2_data", "sl3_data", "state_field_mode", "sugawara", "translate",
-    "verify_axioms", "virasoro", "weyl",
+    "morphism_check", "normal_order", "parse_scalar",
+    "primary_differential_check", "reconstruct", "render_monomial",
+    "render_state", "singular_part", "sl2_data", "sl3_data",
+    "state_field_mode", "sugawara", "translate", "verify_axioms", "virasoro",
+    "weyl",
 ]

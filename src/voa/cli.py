@@ -131,8 +131,11 @@ def _emit(args, doc, text: str) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"--out {out}: {exc.strerror or exc}")
     else:
         print(text)
 

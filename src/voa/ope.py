@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb
 
-from .fock import (ModeAlgebra, State, all_sector_monomials, mode_index,
-                   render_state)
+from .fock import (ModeAlgebra, State, all_sector_monomials, apply_mode,
+                   basis_monomials, mode_index, render_monomial, render_state)
 from .fields import gbinom, state_field_mode, translate
 from .linalg import kernel_basis
 
@@ -377,13 +377,42 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
     return report
 
 
+def morphism_check(src: ModeAlgebra, tgt: ModeAlgebra, images, D):
+    """First witness "g(n) on v" that g -> images[g] does not define a vertex
+    algebra map from sector 0 of src, else None.
+
+    phi(g1(n1)...gk(nk)|0>) = phi(g1)_[n1+s1] ... phi(gk)_[nk+sk] |0> with
+    s = wt g - deg phi(g); the check compares phi(g_n v) with
+    phi(g)_[n+s] phi(v) in the order (d = deg v <= D, v, g, -d-2 <= n <= d+1).
+    """
+    shifts = [mode_index(src.weight(g) - A.degree(tgt)) for g, A in
+              zip(range(len(src.generators)), images, strict=True)]
+
+    def image(mono):
+        out = State.vacuum()
+        for g, n in reversed(mono.word):
+            out = state_field_mode(tgt, images[g], n + shifts[g], out)
+        return out
+
+    for d in range(D + 1):
+        for mono in basis_monomials(src, d, 0):
+            img = image(mono)
+            for g, A in enumerate(images):
+                for n in range(-d - 2, d + 2):
+                    gv = apply_mode(src, g, n, State.monomial(mono))
+                    lhs = State.sum((image(x), c) for x, c in gv.terms.items())
+                    if lhs != state_field_mode(tgt, A, n + shifts[g], img):
+                        return (f"{src.generators[g].name}({n}) on "
+                                f"{render_monomial(src, mono)}")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Coset and center
 # ---------------------------------------------------------------------------
 
 def coset_graded(alg: ModeAlgebra, Wgens, d):
     """Basis of {v in V_d : Y(A,z)v regular for all A in Wgens} as States."""
-    from .fock import basis_monomials
     monos = basis_monomials(alg, d, 0)
     if not monos:
         return []

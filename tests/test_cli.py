@@ -243,6 +243,19 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == heisenberg_npoint(None, 2).render() + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algebra", "heisenberg", "--degree", "1"],
+    ["bf-check", "--degree", "1"],
+])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
+    # exit code 1 means a failed verification, not an unwritable file
+    target = tmp_path / "missing" / "x"
+    code, out, err = _run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out {target}: No such file or directory\n"
+
+
 def _subprocess_bytes(argv):
     return subprocess.run(
         [sys.executable, "-m", "voa.cli"] + argv,

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voa import (BracketRule, CentralTerm, GeneratorSpec, ModeAlgebra, Poly,
-                 Scalar, State, apply_mode, basis_monomials, coset_graded,
-                 get_preset, graded_dim, locality_order, parse_scalar,
-                 singular_part, translate, verify_axioms)
+                 Scalar, State, affine, algebra_from_json, apply_mode,
+                 basis_monomials, coset_graded, get_preset, graded_dim,
+                 locality_order, morphism_check, normal_order, parse_scalar,
+                 singular_part, sl2_data, translate, verify_axioms)
 from voa.ope import (_grouped_basis, apply_combination, commutator_direct,
                      commutator_via_formula)
 
@@ -160,6 +161,49 @@ def test_verify_axioms_negative_control_witnesses():
             assert witness["locality"] == \
                 f"A=b(-1) |0>, B=b(-1) |0>, N=2, {locality}, C=|0>"
             assert witness["associativity"] == associativity
+
+
+def test_morphism_check_frenkel_kac():
+    # level-1 sl2 in the lattice algebra of sqrt(2) Z: e -> 1_1, f -> 1_-1
+    # and h -> 2 b(-1)|0> in the boson normalization [b_m, b_n] = m/2
+    src = affine(sl2_data(), 1).algebra
+    lat = get_preset("lattice:2").algebra
+    b = normal_order(lat, [("b", -1)])
+    e, f = State.vacuum(1), State.vacuum(-1)
+    assert morphism_check(src, lat, [e, b.scale(2), f], 3) is None
+    assert morphism_check(src, lat, [e, b, f], 3) == "h(-1) on e(-1) v_k"
+
+
+def _wakimoto_target():
+    """A beta-gamma pair a, a* and a boson b with [b_m, b_n] = (2k+4) m."""
+    return algebra_from_json({
+        "name": "wakimoto",
+        "generators": [{"name": "a", "weight2": 2},
+                       {"name": "a*", "weight2": 0},
+                       {"name": "b", "weight2": 2}],
+        "bracket": [
+            {"lhs": "a", "rhs": "a*",
+             "central": {"param": "1", "coeff": "1"}},
+            {"lhs": "b", "rhs": "b",
+             "central": {"param": "2*k+4", "coeff": "m"}}],
+        "central_params": ["k"]})
+
+
+def test_morphism_check_wakimoto_symbolic_level():
+    src = affine(sl2_data()).algebra
+    tgt = _wakimoto_target()
+
+    def state(*word):
+        return normal_order(tgt, word)
+
+    e = state(("a", -1))
+    h = state(("a", -1), ("a*", 0)).scale(-2) + state(("b", -1))
+    f = (state(("a", -1), ("a*", 0), ("a*", 0)).scale(-1)
+         + state(("a*", -1)).scale(parse_scalar("k"))
+         + state(("a*", 0), ("b", -1)))
+    assert morphism_check(src, tgt, [e, h, f], 2) is None
+    assert morphism_check(src, tgt, [e, h, f.scale(2)], 2) == \
+        "f(-1) on e(-1) v_k"
 
 
 def _memo_kinds(alg):

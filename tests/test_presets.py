@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from voa import (InvalidLieData, LieData, ParamPoint, Scalar, State,
-                 boson_fermion_check, get_preset, graded_dim, parse_scalar,
-                 singular_part, sl2_data, sl3_data, state_field_mode, sugawara,
-                 translate)
-from voa.presets import _BF_MODES, _matrix_lie
+                 boson_fermion_check, get_preset, graded_dim, morphism_check,
+                 parse_scalar, singular_part, sl2_data, sl3_data,
+                 state_field_mode, sugawara, translate)
+from voa.presets import _matrix_lie
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -227,13 +227,15 @@ def test_boson_fermion_check_small():
     assert all(nf == nl for _, nf, nl in report.dims)
 
 
-def test_boson_fermion_check_catches_shifted_psi_mode(monkeypatch):
-    # psi_n -> (Gamma_{-1})_[n + 3/2] is the right lattice mode of psi_{n+1}
-    vert, shift = _BF_MODES["psi"]
-    monkeypatch.setitem(_BF_MODES, "psi", (vert, shift + 1))
-    report = boson_fermion_check(2)
-    assert report.passed is False
-    assert re.fullmatch(r"psi\(-?\d+\) on .*", report.mismatch)
+def test_morphism_check_catches_wrong_psi_image():
+    # swapping the two images is no control: 1_m -> 1_{-m} is an automorphism
+    falg = get_preset("fermion").algebra
+    lalg = get_preset("lattice:1").algebra
+    images = [State.vacuum(-1).scale(2), State.vacuum(1)]
+    witness = morphism_check(falg, lalg, images, 2)
+    assert re.fullmatch(r"(psi|psi\*)\(-?\d+\) on .*", witness)
+    with pytest.raises(ValueError):
+        morphism_check(falg, lalg, images[:1], 2)
 
 
 def test_get_preset_unknown():
