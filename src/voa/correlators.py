@@ -384,55 +384,54 @@ class ExpansionRegion:
     """Total order on variables: order[0] has the largest modulus."""
     order: tuple
 
-    def rank(self):
-        return {v: i for i, v in enumerate(self.order)}
 
+def expand(f: RationalCorrelator, region: ExpansionRegion,
+           window: int) -> dict:
+    """Exact Laurent coefficients of f in `region` on the window's box.
 
-def expand(f: RationalCorrelator, region: ExpansionRegion, order: int) -> dict:
-    """Truncated multi-Laurent coefficients {exponent tuple: Fraction}.
-
-    Each diagonal factor is expanded to `order` geometric-series terms in
-    the region; coefficients at exponents within the guaranteed-complete
-    window (bounded positive exponents) are exact.
+    Returns {exponent tuple in region order: Fraction} for the nonzero
+    coefficients with every exponent in -window-2..window; the region must
+    order every variable of f.  A pole (z_b - z_s)^-m, z_b outer, is
+    sum_t C(m-1+t, t) z_b^(-m-t) z_s^t.  Each numerator monomial of a term
+    walks the poles depth first, innermost first by their inner variable:
+    an exponent falls only while its variable is the outer side, then only
+    grows, so t stops at window - e[s] and nothing in the box is cut.
     """
-    rank = region.rank()
-    vars_ = list(region.order)
+    pos = {v: k for k, v in enumerate(region.order)}
+
+    def at(v):
+        if v not in pos:
+            raise ValueError(f"region {region.order} does not order {v}")
+        return pos[v]
+
     out = {}
-    for t in f.terms:
-        series = {tuple([0] * len(vars_)): t.coeff}
-        for i, j, m in t.poles:
-            big, small = (i, j) if rank[zvar(i)] < rank[zvar(j)] else (j, i)
-            sign = Fraction(1) if big == i else Fraction((-1) ** m)
-            factor = {}
-            for tt in range(order):
-                exps = [0] * len(vars_)
-                exps[vars_.index(zvar(big))] = -m - tt
-                exps[vars_.index(zvar(small))] = tt
-                factor[tuple(exps)] = sign * comb(m - 1 + tt, tt)
-            series = _series_mul(series, factor)
-        for i, k in t.zpows:
-            shift = [0] * len(vars_)
-            shift[vars_.index(zvar(i))] = -k
-            series = _series_mul(series, {tuple(shift): Fraction(1)})
-        numfac = {}
-        for mono, c in t.num.terms.items():
-            exps = [0] * len(vars_)
-            for v, e in mono:
-                exps[vars_.index(v)] = e
-            numfac[tuple(exps)] = numfac.get(tuple(exps), Fraction(0)) + c
-        series = _series_mul(series, numfac)
-        for e, c in series.items():
-            out[e] = out.get(e, Fraction(0)) + c
+
+    def walk(poles, e, coeff):
+        if not poles:
+            if all(-window - 2 <= x <= window for x in e):
+                out[tuple(e)] = out.get(tuple(e), 0) + coeff
+            return
+        (small, big, m, sign), rest = poles[0], poles[1:]
+        for t in range(window - e[small] + 1):
+            nxt = list(e)
+            nxt[small] += t
+            nxt[big] -= m + t
+            walk(rest, nxt, coeff * sign * comb(m - 1 + t, t))
+
+    for term in f.terms:
+        poles = []
+        for i, j, m in term.poles:
+            a, b = at(zvar(i)), at(zvar(j))
+            poles.append((b, a, m, 1) if a < b else (a, b, m, (-1) ** m))
+        poles.sort(reverse=True)
+        for mono, c in term.num.terms.items():
+            e = [0] * len(pos)
+            for v, k in mono:
+                e[at(v)] += k
+            for i, k in term.zpows:
+                e[at(zvar(i))] -= k
+            walk(poles, e, term.coeff * c)
     return {e: c for e, c in out.items() if c}
-
-
-def _series_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +482,14 @@ def consistency_check(alg, states, phi, regions, order: int,
 
     In each region (an ordering of all of z1..zn) the coefficient of
     prod z_i^{e_i}, for every e_i in -window-2..window, is read two ways:
-    from the Laurent expansion of the exact correlator, and directly from
-    phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) mode by mode.  The direct side is one
-    depth-first walk per region over shared partial products (see
-    `_region_walk`); the mode actions behind them go through one cache that
-    lives for this call, so a partial product is computed once and shared
-    by every region.  A failure names the first failing region and, in it,
-    the lexicographically first mismatching exponent tuple (e_1..e_n).
+    from the correlator's Laurent expansion, exact on that box, and
+    directly from phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) mode by mode.  `order` is
+    unused: no series is truncated.  The direct side is one depth-first
+    walk per region over shared partial products (see `_region_walk`); the
+    mode actions behind them go through one cache that lives for this call,
+    so a partial product is computed once and shared by every region.  A
+    failure names the first failing region and, in it, the
+    lexicographically first mismatching exponent tuple (e_1..e_n).
     """
     from .fields import state_field_mode
     mode = cache(partial(state_field_mode, alg))
@@ -501,13 +501,9 @@ def consistency_check(alg, states, phi, regions, order: int,
     span = range(-window - 2, window + 1)
     for region in regions:
         positions = [int(v[1:]) - 1 for v in region.order]
-        expanded = {}
-        for key, c in expand(f, region, order).items():
-            if all(x in span for x in key):
-                e = [0] * n
-                for pos, x in zip(positions, key):
-                    e[pos] = x
-                expanded[tuple(e)] = c
+        back = [positions.index(i) for i in range(n)]
+        expanded = {tuple(key[k] for k in back): c
+                    for key, c in expand(f, region, window).items()}
         direct = _region_walk(mode, states, degrees, phi_terms, positions,
                               span)
         bad = [e for e in direct.keys() | expanded.keys()

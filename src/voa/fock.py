@@ -107,15 +107,13 @@ class ModeAlgebra:
     """
 
     def __init__(self, name, generators, rules, *, lattice_N=None,
-                 charge_gen=None, vacuum_symbol="|0>", zero_mode_cap=2,
-                 central_params=()):
+                 charge_gen=None, vacuum_symbol="|0>", central_params=()):
         self.name = name
         self.generators = tuple(generators)
         self.rules = dict(rules)           # (i, j) -> BracketRule
         self.lattice_N = lattice_N
         self.charge_gen = charge_gen
         self.vacuum_symbol = vacuum_symbol
-        self.zero_mode_cap = zero_mode_cap
         self.central_params = tuple(central_params)
         self._by_name = {g.name: i for i, g in enumerate(self.generators)}
         if len(self._by_name) != len(self.generators):
@@ -514,6 +512,11 @@ def _positive_words(alg, total):
     return results
 
 
+# Weight-0 bosons (weyl's a*) have degree-0 powers of every order; basis
+# lists keep their zero modes to this multiplicity.
+ZERO_MODE_CAP = 2
+
+
 def _zero_mode_words(alg):
     """Suffix combinations of degree-0 creation ops (capped multiplicity)."""
     zgens = [g for g, spec in enumerate(alg.generators)
@@ -522,7 +525,7 @@ def _zero_mode_words(alg):
         return [()]
     out = [()]
     for g in sorted(zgens):
-        cap = 1 if alg.odd(g) else alg.zero_mode_cap
+        cap = 1 if alg.odd(g) else ZERO_MODE_CAP
         new = []
         for w in out:
             for count in range(cap + 1):

@@ -244,11 +244,8 @@ class AlgebraInstance:
         return State.monomial(PbwMonomial(0, ((g, int(-w) if w else 0),)))
 
     def generator_states(self):
-        out = []
-        for g, spec in enumerate(self.algebra.generators):
-            n = int(-spec.weight) if spec.weight > 0 else 0
-            out.append((spec.name, State.monomial(PbwMonomial(0, ((g, n),)))))
-        return out
+        return [(spec.name, self.gen_state(spec.name))
+                for spec in self.algebra.generators]
 
 
 def heisenberg(lam=None) -> AlgebraInstance:

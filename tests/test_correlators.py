@@ -77,6 +77,36 @@ def test_expand_geometric_series():
         assert coeffs2.get((-2 - k, k)) == k + 1
 
 
+def test_expand_chain_of_poles_hand_oracle():
+    # 1/((z1-z2)(z2-z3)(z3-z4)^2) in |z1| > |z2| > |z3| > |z4|, from the
+    # inside out: z4^a comes with (a+1) z3^(-2-a), z3^e3 takes b = e3+2+a
+    # geometric terms of 1/(z2-z3), z2^e2 takes c = e2+1+b of 1/(z1-z2),
+    # and e1 = -1-c.  The corner (-5, -5, 3, 3) of the box needs b = 8.
+    f = RationalCorrelator([Term(Fraction(1), Poly.const(1),
+                                 ((1, 2, 1), (2, 3, 1), (3, 4, 2)), ())])
+    oracle = {}
+    for e1, e2, e3, e4 in product(range(-5, 4), repeat=4):
+        a = e4
+        b = e3 + 2 + a
+        c = e2 + 1 + b
+        if min(a, b, c) >= 0 and e1 == -1 - c:
+            oracle[(e1, e2, e3, e4)] = a + 1
+    assert oracle[(-5, -5, 3, 3)] == 4
+    region = ExpansionRegion(tuple(zvar(i) for i in (1, 2, 3, 4)))
+    assert expand(f, region, 3) == oracle
+
+
+@pytest.mark.parametrize("term", [
+    Term(Fraction(1), Poly.const(1), ((1, 3, 2),), ()),
+    Term(Fraction(1), Poly.const(1), ((1, 2, 2),), ((3, 1),)),
+    Term(Fraction(1), Poly.var(zvar(3)), ((1, 2, 2),), ()),
+], ids=["pole", "z-power", "numerator"])
+def test_expand_rejects_region_missing_a_variable(term):
+    region = ExpansionRegion((zvar(1), zvar(2)))
+    with pytest.raises(ValueError, match="does not order z3"):
+        expand(RationalCorrelator([term]), region, 3)
+
+
 def test_matrix_element_matches_expansion():
     inst = get_preset("heisenberg", lam=0)
     alg = inst.algebra
@@ -137,7 +167,7 @@ def test_consistency_walk_against_per_tuple_matrix_elements(phi,
     regions = _all_regions(3)
     nonzero = 0
     for region in regions:
-        coeffs = expand(f, region, 8)
+        coeffs = expand(f, region, 3)
         for e in product(range(-5, 4), repeat=3):
             direct = matrix_element_coefficient(alg, states, phi, e, region)
             key = tuple(e[int(v[1:]) - 1] for v in region.order)
@@ -147,13 +177,17 @@ def test_consistency_walk_against_per_tuple_matrix_elements(phi,
     assert consistency_check(alg, states, phi, regions, 8).passed
 
 
-def test_consistency_negative_control_witnesses():
+def _doubled_heisenberg():
     # Heisenberg corrupted to [b_m, b_n] = 2m delta_{m+n}: every direct
     # coefficient doubles per contraction while the expansion does not
-    alg = ModeAlgebra(
+    return ModeAlgebra(
         "heisenberg", [GeneratorSpec("b", Fraction(1))],
         {(0, 0): BracketRule((), CentralTerm(Scalar.from_fraction(2),
                                              Poly.var("m")))})
+
+
+def test_consistency_negative_control_witnesses():
+    alg = _doubled_heisenberg()
     b = get_preset("heisenberg", lam=0).state([("b", -1)])
     report = consistency_check(alg, [b] * 2, VACUUM_PHI, _all_regions(2), 8)
     assert report.render() == (
@@ -169,6 +203,34 @@ def test_consistency_negative_control_witnesses():
     assert report.render() == (
         "consistency: FAIL (region ('z1', 'z2', 'z3', 'z4'), exponents "
         "(-5, -5, 3, 3): direct 128 != expansion 32)")
+
+
+def _order_cases():
+    """Criterion 6's n = 2, 3, 4 inputs, then the three pinned witnesses."""
+    inst = get_preset("heisenberg", lam=0)
+    b1, b2 = inst.state([("b", -1)]), inst.state([("b", -2)])
+    bad = _doubled_heisenberg()
+    return [
+        (inst.algebra, [b1] * 2, _all_regions(2), 3),
+        (inst.algebra, [b1, b2, b1], _all_regions(3), 3),
+        (inst.algebra, [b1] * 4, _all_regions(4), 3),
+        (bad, [b1] * 2, _all_regions(2), 3),
+        (bad, [b1] * 2, _all_regions(2)[::-1], 2),
+        (bad, [b1] * 4, _all_regions(4), 3),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "n2", "n3", "n4", "witness-n2", "witness-n2-window2", "witness-n4"])
+def test_consistency_report_does_not_depend_on_order(case):
+    # the expansion is exact on the compared window, so a truncation order
+    # of 1 reports what 8 does: a pass stays a pass, a witness its text
+    alg, states, regions, window = _order_cases()[case]
+    reports = [consistency_check(alg, states, VACUUM_PHI, regions, order,
+                                 window=window).render()
+               for order in (1, 8)]
+    assert reports[0] == reports[1]
+    assert (reports[0] == "consistency: pass") == (case < 3)
 
 
 def test_derivative_insertions():
