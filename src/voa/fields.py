@@ -20,22 +20,26 @@ The vertex operator of the charge-m vacuum is
     E+(z) = exp(lam sum_{n>=1} b_{-n} z^n / n) = sum_k E+_k z^k,
     E-(z) = exp(-lam sum_{n>=1} b_n z^-n / n) = sum_k E-_k z^-k,
 
-with lam = m N in the rescaled boson normalization.  The positive modes
-commute among themselves, and so do the negative ones, so differentiating
-the exponentials gives the recursions
+with lam = m N in the rescaled boson normalization.  While b has only
+central brackets, both have product formulas.  E- fixes the sector vacuum,
+and E- g_{-n} E-^-1 = g_{-n} + c z^-n with c = -lam kappa / n, kappa the
+central term of [b_n, g_{-n}] (c = -m for b in the lattice presets), so
+E-_j of a word sums over its sub-multisets of letters of mode sum -j, each
+the remaining word times prod C(a, r) c^r.  And with z_l = prod_i i^m_i m_i!,
 
-    k E-_k = -lam sum_{n=1..k} b_n E-_{k-n},
-    k E+_k =  lam sum_{n=1..k} b_{-n} E+_{k-n},
+    E+_k = sum_{partitions l of k} lam^len(l) / z_l  b_{-l},
 
-by which `vertex_mode` builds each layer from the lower ones.
+whose letters commute with every creation letter and merge into the word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
+from operator import itemgetter
 
 from .fock import ModeAlgebra, PbwMonomial, State, apply_mode, mode_index
+from .scalars import Scalar
 
 
 def gbinom(a, k: int):
@@ -140,54 +144,68 @@ def vertex_mode(alg: ModeAlgebra, m: int, p, mono: PbwMonomial) -> State:
     """Shifted mode of the vertex operator of the charge-m sector vacuum."""
     if not alg.has_sectors:
         raise ValueError(f"algebra {alg.name!r} has no lattice sectors")
+    for (i, j), rule in alg.rules.items():
+        if rule.terms and alg.charge_gen in (i, j):
+            x, y = alg.generators[i].name, alg.generators[j].name
+            raise ValueError(f"no lattice vertex operator in {alg.name!r}: "
+                             f"[{x}, {y}] is not central")
     lam_N = m * alg.lattice_N
     # E+_k z^k S_m z^(lam b_0) E-_j z^-j on mono has the z-exponent
     # k - j + lam * sector, which the mode p fixes at -p - wt 1_m
     shift = mode_index(p + alg.sector_energy(m) + lam_N * mono.sector)
-    pairs = []
-    for j, lower in enumerate(_annihilation_layers(alg, lam_N, mono)):
-        k = j - shift
-        if k < 0 or type(k) is not int:
-            continue
-        for x, c in lower.terms.items():
-            moved = PbwMonomial(x.sector + m, x.word)
-            pairs.append((_creation_layer(alg, lam_N, k, moved), c))
-    return State.sum(pairs)
+    if type(shift) is not int:
+        return State.zero()
+    lower = _annihilation_terms(alg, lam_N, mono.word)
+    top = max(max(j for _, j, _ in lower) - shift, 0)
+    acc = {}  # numerators over top!, as each E+_k is over k!
+    for rest, j, c in lower:
+        if j >= shift:
+            c *= factorial(top) // factorial(j - shift)
+            for letters, num in _creation_terms(alg, lam_N, j - shift):
+                word = tuple(sorted(rest + letters, key=itemgetter(1, 0)))
+                acc[word] = acc.get(word, 0) + c * num
+    den, out = factorial(top), {}
+    for word, num in acc.items():
+        c = (num / den if isinstance(num, Scalar) else
+             Scalar.from_fraction(Fraction(num, den)))
+        if not c.is_zero:
+            out[PbwMonomial(mono.sector + m, word)] = c
+    return State(out)
 
 
-def _annihilation_layers(alg, lam_N: int, mono: PbwMonomial) -> tuple:
-    """(E-_0 mono, ..., E-_d mono): every layer that keeps a degree >= 0."""
-    key = ("E-", lam_N, mono)
-    hit = alg._apply_memo.get(key)
-    if hit is not None:
-        return hit
-    b = alg.charge_gen
-    d = int(alg.mono_degree(mono) - alg.sector_energy(mono.sector))
-    layers = [State.monomial(mono)]
-    for k in range(1, d + 1):
-        c = Fraction(-lam_N, k)
-        layers.append(State.sum((apply_mode(alg, b, n, layers[k - n]), c)
-                                for n in range(1, k + 1)))
-    layers = tuple(layers)
-    alg._apply_memo[key] = layers
-    return layers
+def _annihilation_terms(alg, lam_N: int, word: tuple) -> list:
+    """E-_j on the word as (remaining word, j, coefficient) triples."""
+    key = ("E-", lam_N, word)
+    terms = alg._apply_memo.get(key)
+    if terms is None:
+        terms = [((), 0, 1)]
+        for g, n in dict.fromkeys(word):
+            a = word.count((g, n))
+            c = (alg.bracket(alg.charge_gen, -n, g, n)[1] * Fraction(lam_N, n)
+                 if n else Scalar.zero())
+            c = mode_index(c.as_fraction()) if c.is_rational else c
+            terms = [(kept + ((g, n),) * (a - r), j - r * n,
+                      coeff * comb(a, r) * c ** r) for kept, j, coeff in terms
+                     for r in range(a + 1 if c else 1)]
+        alg._apply_memo[key] = terms
+    return terms
 
 
-def _creation_layer(alg, lam_N: int, k: int, mono: PbwMonomial) -> State:
-    """E+_k mono."""
-    if k == 0:
-        return State.monomial(mono)
-    key = ("E+", lam_N, k, mono)
-    hit = alg._apply_memo.get(key)
-    if hit is not None:
-        return hit
-    b = alg.charge_gen
-    c = Fraction(lam_N, k)
-    result = State.sum(
-        (apply_mode(alg, b, -n, _creation_layer(alg, lam_N, k - n, mono)), c)
-        for n in range(1, k + 1))
-    alg._apply_memo[key] = result
-    return result
+def _creation_terms(alg, lam_N: int, k: int) -> list:
+    """E+_k as (b_{-lambda}, lam_N^len(lambda) k! / z_lambda) pairs."""
+    key = ("E+", lam_N, k)
+    terms = alg._apply_memo.get(key)
+    if terms is None:
+        # the factors exp(lam b_{-n} z^n / n), n = k..1, with their degree
+        terms = [((), 0, factorial(k))]
+        for n in range(k, 0, -1):
+            terms = [(letters + ((alg.charge_gen, -n),) * c, d + n * c,
+                      num * lam_N ** c // (n ** c * factorial(c)))
+                     for letters, d, num in terms
+                     for c in range((k - d) // n + 1)]
+        alg._apply_memo[key] = terms = [(w, num) for w, d, num in terms
+                                        if d == k]
+    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,9 @@ class ModeAlgebra:
     - ("fm", A, p, mono): the mode A_[p] of the field of the monomial A
       (`fields.field_mode`);
     - ("T", mono): the translation operator (`fields.translate`);
-    - ("E-", lam_N, mono): the annihilation layers of a lattice vertex
-      operator, the tuple (E-_0 mono, ..., E-_d mono) down to degree 0;
-    - ("E+", lam_N, k, mono): its creation layer E+_k mono, k >= 1
+    - ("E-", lam_N, word): the (remaining word, j, coefficient) terms of
+      E-_j on a word for a lattice vertex operator, any j and sector;
+    - ("E+", lam_N, k): its E+_k, as (letters, numerator over k!) pairs
       (both in `fields.vertex_mode`).
 
     Caches over states, such as the axiom checks' A_[p] v, belong to the

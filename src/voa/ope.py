@@ -387,21 +387,23 @@ def morphism_check(src: ModeAlgebra, tgt: ModeAlgebra, images, D):
     """
     shifts = [mode_index(src.weight(g) - A.degree(tgt)) for g, A in
               zip(range(len(src.generators)), images, strict=True)]
+    step = {(): State.vacuum()}  # word -> phi(word|0>), for this call only
 
-    def image(mono):
-        out = State.vacuum()
-        for g, n in reversed(mono.word):
-            out = state_field_mode(tgt, images[g], n + shifts[g], out)
-        return out
+    def image(word):
+        if word not in step:
+            (g, n), rest = word[0], word[1:]
+            step[word] = state_field_mode(tgt, images[g], n + shifts[g],
+                                          image(rest))
+        return step[word]
 
     for d in range(D + 1):
         for mono in basis_monomials(src, d, 0):
-            img = image(mono)
-            for g, A in enumerate(images):
+            for g in range(len(images)):
                 for n in range(-d - 2, d + 2):
                     gv = apply_mode(src, g, n, State.monomial(mono))
-                    lhs = State.sum((image(x), c) for x, c in gv.terms.items())
-                    if lhs != state_field_mode(tgt, A, n + shifts[g], img):
+                    lhs = State.sum((image(x.word), c)
+                                    for x, c in gv.terms.items())
+                    if lhs != image(((g, n),) + mono.word):
                         return (f"{src.generators[g].name}({n}) on "
                                 f"{render_monomial(src, mono)}")
     return None

@@ -206,31 +206,34 @@ def test_consistency_negative_control_witnesses():
 
 
 def _order_cases():
-    """Criterion 6's n = 2, 3, 4 inputs, then the three pinned witnesses."""
+    """Criterion 6's n = 2, 3, 4 inputs, three b(-1) under ONE_BOSON_PHI (a
+    nonzero odd-point correlator), then the three pinned witnesses."""
     inst = get_preset("heisenberg", lam=0)
     b1, b2 = inst.state([("b", -1)]), inst.state([("b", -2)])
     bad = _doubled_heisenberg()
     return [
-        (inst.algebra, [b1] * 2, _all_regions(2), 3),
-        (inst.algebra, [b1, b2, b1], _all_regions(3), 3),
-        (inst.algebra, [b1] * 4, _all_regions(4), 3),
-        (bad, [b1] * 2, _all_regions(2), 3),
-        (bad, [b1] * 2, _all_regions(2)[::-1], 2),
-        (bad, [b1] * 4, _all_regions(4), 3),
+        (inst.algebra, [b1] * 2, VACUUM_PHI, _all_regions(2), 3),
+        (inst.algebra, [b1, b2, b1], VACUUM_PHI, _all_regions(3), 3),
+        (inst.algebra, [b1] * 4, VACUUM_PHI, _all_regions(4), 3),
+        (inst.algebra, [b1] * 3, ONE_BOSON_PHI, _all_regions(3), 3),
+        (bad, [b1] * 2, VACUUM_PHI, _all_regions(2), 3),
+        (bad, [b1] * 2, VACUUM_PHI, _all_regions(2)[::-1], 2),
+        (bad, [b1] * 4, VACUUM_PHI, _all_regions(4), 3),
     ]
 
 
-@pytest.mark.parametrize("case", range(6), ids=[
-    "n2", "n3", "n4", "witness-n2", "witness-n2-window2", "witness-n4"])
+@pytest.mark.parametrize("case", range(7), ids=[
+    "n2", "n3", "n4", "n3-one-boson", "witness-n2", "witness-n2-window2",
+    "witness-n4"])
 def test_consistency_report_does_not_depend_on_order(case):
     # the expansion is exact on the compared window, so a truncation order
     # of 1 reports what 8 does: a pass stays a pass, a witness its text
-    alg, states, regions, window = _order_cases()[case]
-    reports = [consistency_check(alg, states, VACUUM_PHI, regions, order,
+    alg, states, phi, regions, window = _order_cases()[case]
+    reports = [consistency_check(alg, states, phi, regions, order,
                                  window=window).render()
                for order in (1, 8)]
     assert reports[0] == reports[1]
-    assert (reports[0] == "consistency: pass") == (case < 3)
+    assert (reports[0] == "consistency: pass") == (case < 4)
 
 
 def test_derivative_insertions():

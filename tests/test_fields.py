@@ -6,8 +6,9 @@ from math import comb, factorial
 
 import pytest
 
-from voa import (PbwMonomial, State, apply_mode, basis_monomials,
-                 get_preset, lattice_vertex_op, state_field_mode, translate)
+from voa import (PbwMonomial, State, algebra_from_json, apply_mode,
+                 basis_monomials, get_preset, lattice_vertex_op,
+                 state_field_mode, translate)
 from voa import fields
 from voa.fock import shift_sector
 
@@ -292,16 +293,17 @@ def _vertex_mode_oracle(alg, m, p, mono):
     return out
 
 
-def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2), top=4):
+def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2, 3), top=5,
+                          sectors=range(-2, 3)):
     """First (m, p, mono) where vertex_mode differs from the oracle.
 
-    Monomials run over degrees <= top in sectors -1, 0 and 1, and p over
-    every mode in the right coset from the largest that can give a
-    nonzero result (one above it as well) down through 5 creation layers.
+    Monomials run over degrees <= top in the given sectors, and p over
+    every mode in the right coset from the largest that can give a nonzero
+    result (one above it as well) down through 5 creation layers.
     """
     step = Fraction(1, alg.grading_denominator)
     monos = [mono for i in range(int(top / step) + 1)
-             for s in (-1, 0, 1) for mono in basis_monomials(alg, i * step, s)]
+             for s in sectors for mono in basis_monomials(alg, i * step, s)]
     for m in charges:
         for mono in monos:
             d = alg.mono_degree(mono) - alg.sector_energy(mono.sector)
@@ -316,31 +318,62 @@ def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2), top=4):
     return None
 
 
+def _sector_algebra(kappa="1", extra=None):
+    """A boson b with [b_m, b_n] = kappa m delta (not the lattice presets'
+    m/N) in the sectors of N = 2; with `extra`, a second generator a of
+    weight 1 whose bracket with b is that rule."""
+    rules = [{"lhs": "b", "rhs": "b", "central": {"param": kappa,
+                                                  "coeff": "m"}}]
+    gens = [{"name": "b", "weight2": 2}]
+    if extra is not None:
+        rules.append(dict(extra, lhs="b", rhs="a"))
+        gens.append({"name": "a", "weight2": 2})
+    return algebra_from_json({"name": "sectors", "generators": gens,
+                              "bracket": rules, "central_params": ["k"],
+                              "lattice_N": 2, "charge_gen": "b"})
+
+
 @pytest.mark.parametrize("name", ["lattice:1", "lattice:2", "lattice:3"])
 def test_vertex_mode_matches_partition_expansion(name):
     assert _vertex_mode_mismatch(get_preset(name).algebra) is None
 
 
+def test_vertex_mode_custom_sector_algebra():
+    # kappa(n) = n gives c_n = -2m; a central [b_m, a_n] shifts the letters
+    # of a second generator as well, with parametric c_n at symbolic k
+    assert _vertex_mode_mismatch(_sector_algebra()) is None
+    central = {"central": {"param": "1/k", "coeff": "m"}}
+    assert _vertex_mode_mismatch(_sector_algebra("k", central),
+                                 charges=(1, -1, 2), top=3,
+                                 sectors=(-1, 0, 1)) is None
+
+
+def test_vertex_mode_rejects_non_central_bracket():
+    alg = _sector_algebra(extra={"terms": [{"gen": "a", "coeff": "1"}]})
+    with pytest.raises(ValueError, match=r"^no lattice vertex operator in "
+                       r"'sectors': \[b, a\] is not central$"):
+        fields.vertex_mode(alg, 1, 0, PbwMonomial(0, ()))
+    with pytest.raises(ValueError, match="is not central"):
+        state_field_mode(alg, State.vacuum(1), 0, State.vacuum())
+
+
 def test_vertex_mode_oracle_negative_control(monkeypatch):
-    # the recursions without their 1/k: the comparison above must see it
-    def annihilation_layers(alg, lam_N, mono):
-        d = int(alg.mono_degree(mono) - alg.sector_energy(mono.sector))
-        layers = [State.monomial(mono)]
-        for k in range(1, d + 1):
-            layers.append(State.sum(
-                (apply_mode(alg, alg.charge_gen, n, layers[k - n]), -lam_N)
-                for n in range(1, k + 1)))
-        return tuple(layers)
+    # two mutations of the product formulas, each of which the comparison
+    # above must see: the sign of c_n flipped, and E+ without its 1/z_lambda
+    annihilation, creation = fields._annihilation_terms, fields._creation_terms
 
-    def creation_layer(alg, lam_N, k, mono):
-        if k == 0:
-            return State.monomial(mono)
-        return State.sum(
-            (apply_mode(alg, alg.charge_gen, -n,
-                        creation_layer(alg, lam_N, k - n, mono)), lam_N)
-            for n in range(1, k + 1))
+    def flipped(alg, lam_N, word):
+        return [(kept, j, c * (-1) ** (len(word) - len(kept)))
+                for kept, j, c in annihilation(alg, lam_N, word)]
 
-    monkeypatch.setattr(fields, "_annihilation_layers", annihilation_layers)
-    monkeypatch.setattr(fields, "_creation_layer", creation_layer)
-    alg = get_preset("lattice:1").algebra
-    assert _vertex_mode_mismatch(alg, charges=(1,), top=2) is not None
+    def without_z(alg, lam_N, k):
+        return [(letters, lam_N ** len(letters) * factorial(k))
+                for letters, _ in creation(alg, lam_N, k)]
+
+    for name, mutant in (("_annihilation_terms", flipped),
+                         ("_creation_terms", without_z)):
+        with monkeypatch.context() as patch:
+            patch.setattr(fields, name, mutant)
+            alg = get_preset("lattice:1").algebra
+            assert _vertex_mode_mismatch(alg, charges=(1,), top=2,
+                                         sectors=(0,)) is not None

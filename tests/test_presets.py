@@ -1,16 +1,15 @@
 """Tests for the preset algebra constructors and their structural data."""
 
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from voa import (InvalidLieData, LieData, ParamPoint, Scalar, State,
-                 boson_fermion_check, get_preset, graded_dim, morphism_check,
-                 parse_scalar, singular_part, sl2_data, sl3_data,
-                 state_field_mode, sugawara, translate)
+from voa import (BracketRule, InvalidLieData, LieData, ModeAlgebra,
+                 ParamPoint, Scalar, State, boson_fermion_check, get_preset,
+                 graded_dim, morphism_check, parse_scalar, singular_part,
+                 sl2_data, sl3_data, state_field_mode, sugawara, translate)
 from voa.presets import _matrix_lie
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -227,15 +226,35 @@ def test_boson_fermion_check_small():
     assert all(nf == nl for _, nf, nl in report.dims)
 
 
+def test_boson_fermion_check_degree_4():
+    report = boson_fermion_check(4)
+    assert report.dims == [(0, 2, 2), (1, 4, 4), (2, 6, 6), (3, 12, 12),
+                           (4, 18, 18)]
+    assert report.mismatch is None and report.passed
+
+
 def test_morphism_check_catches_wrong_psi_image():
     # swapping the two images is no control: 1_m -> 1_{-m} is an automorphism
     falg = get_preset("fermion").algebra
     lalg = get_preset("lattice:1").algebra
     images = [State.vacuum(-1).scale(2), State.vacuum(1)]
-    witness = morphism_check(falg, lalg, images, 2)
-    assert re.fullmatch(r"(psi|psi\*)\(-?\d+\) on .*", witness)
+    assert morphism_check(falg, lalg, images, 2) == "psi(0) on psi*(0) |0>"
     with pytest.raises(ValueError):
         morphism_check(falg, lalg, images[:1], 2)
+
+
+def test_morphism_check_catches_wrong_sign_and_wrong_source():
+    falg = get_preset("fermion").algebra
+    lalg = get_preset("lattice:1").algebra
+    images = [State.vacuum(-1), State.vacuum(1).scale(-1)]
+    assert morphism_check(falg, lalg, images, 3) == "psi(0) on psi*(0) |0>"
+    # the fermion corrupted to [psi_m, psi*_n] = 2 delta_{m+n}
+    rule = falg.rules[0, 1]
+    doubled = BracketRule((), rule.central._replace(
+        scalar=Scalar.from_fraction(2)))
+    bad = ModeAlgebra("fermion", falg.generators, {(0, 1): doubled})
+    images = [State.vacuum(-1), State.vacuum(1)]
+    assert morphism_check(bad, lalg, images, 3) == "psi(0) on psi*(0) |0>"
 
 
 def test_get_preset_unknown():
