@@ -484,12 +484,14 @@ def consistency_check(alg, states, phi, regions, order: int,
     prod z_i^{e_i}, for every e_i in -window-2..window, is read two ways:
     from the correlator's Laurent expansion, exact on that box, and
     directly from phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) mode by mode.  `order` is
-    unused: no series is truncated.  The direct side is one depth-first
-    walk per region over shared partial products (see `_region_walk`); the
-    mode actions behind them go through one cache that lives for this call,
-    so a partial product is computed once and shared by every region.  A
-    failure names the first failing region and, in it, the
-    lexicographically first mismatching exponent tuple (e_1..e_n).
+    unused: no series is truncated.  The direct side depends only on the
+    insertion states in region order, so there is one walk per distinct
+    insertion sequence (see `_region_walk`), relabeled to z1..zn order for
+    each region that has it.  The mode actions behind the walks go through
+    one cache that lives for this call, so a partial product is computed
+    once and shared by every walk.  A failure names the first failing
+    region and, in it, the lexicographically first mismatching exponent
+    tuple (e_1..e_n).
     """
     from .fields import state_field_mode
     mode = cache(partial(state_field_mode, alg))
@@ -497,15 +499,20 @@ def consistency_check(alg, states, phi, regions, order: int,
     n = len(states)
     f = heisenberg_npoint(phi, n, insertions)
     phi_terms = _phi_terms(phi)
-    degrees = [A.degree(alg) for A in states]
+    degrees = {A: A.degree(alg) for A in states}
     span = range(-window - 2, window + 1)
+    walks = {}
     for region in regions:
         positions = [int(v[1:]) - 1 for v in region.order]
         back = [positions.index(i) for i in range(n)]
         expanded = {tuple(key[k] for k in back): c
                     for key, c in expand(f, region, window).items()}
-        direct = _region_walk(mode, states, degrees, phi_terms, positions,
-                              span)
+        sequence = tuple(states[p] for p in positions)
+        walk = walks.get(sequence)
+        if walk is None:
+            walk = walks[sequence] = _region_walk(mode, sequence, degrees,
+                                                  phi_terms, span)
+        direct = {tuple(key[k] for k in back): c for key, c in walk.items()}
         bad = [e for e in direct.keys() | expanded.keys()
                if direct.get(e, 0) != expanded.get(e, 0)]
         if bad:
@@ -527,24 +534,26 @@ def consistency_check(alg, states, phi, regions, order: int,
     return ConsistencyReport(True)
 
 
-def _region_walk(mode, states, degrees, phi, positions, span):
-    """Nonzero phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) coefficients of one region.
+def _region_walk(mode, sequence, degrees, phi, span):
+    """Nonzero phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) coefficients of one sequence.
 
-    `positions` lists the insertion indices from the outermost field to the
-    innermost.  The walk applies the innermost field first, once for each
-    exponent in `span`, and descends only into nonzero states, so each
-    partial product Y(A_k,z_k)...|0> is computed once and shared by every
-    exponent tuple that extends it.  `mode(A, n, v)` is the state-level
-    mode action A_(n) v; `consistency_check` passes one cache for all its
-    regions, so regions that share an inner ordering share its products.
-    Returns {(e_1..e_n): Fraction}; the same coefficients as
-    `matrix_element_coefficient`, tuple by tuple.
+    `sequence` lists the insertion states from the outermost field to the
+    innermost; `degrees` maps each to its degree.  The walk applies the
+    innermost field first, once for each exponent in `span`, and descends
+    only into nonzero states, so each partial product Y(A_k,z_k)...|0> is
+    computed once and shared by every exponent tuple that extends it.
+    `mode(A, n, v)` is the state-level mode action A_(n) v;
+    `consistency_check` makes one walk per distinct insertion sequence and
+    passes one cache for all of them, so sequences that share an inner
+    part share its products.  Returns {(e_1..e_n): Fraction} with the
+    exponents in the order of `sequence`; relabeled to z1..zn order they
+    are the coefficients of `matrix_element_coefficient`, tuple by tuple.
     """
     out = {}
-    e = [0] * len(states)
+    e = [0] * len(sequence)
 
     def descend(k, v):
-        if k == 0:
+        if k < 0:
             total = Fraction(0)
             for mono, c in v.terms.items():
                 if mono in phi:
@@ -554,15 +563,15 @@ def _region_walk(mode, states, degrees, phi, positions, span):
             if total:
                 out[tuple(e)] = total
             return
-        pos = positions[k - 1]
-        A, dA = states[pos], degrees[pos]
+        A = sequence[k]
+        dA = degrees[A]
         for x in span:
             w = mode(A, -x - dA, v)
             if not w.is_zero:
-                e[pos] = x
+                e[k] = x
                 descend(k - 1, w)
 
-    descend(len(positions), State.vacuum())
+    descend(len(sequence) - 1, State.vacuum())
     return out
 
 

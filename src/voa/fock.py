@@ -20,9 +20,11 @@ mode acts on charge-m sectors by m.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import NamedTuple, Optional
 
-from .scalars import _SMALL_INTS, Scalar, Poly, parse_scalar
+from .scalars import _SMALL_INTS, _rational, Scalar, Poly, parse_scalar
 
 
 class UnknownGenerator(KeyError):
@@ -280,33 +282,17 @@ class State:
         """sum c * state over (state, c) pairs, accumulated in one dict.
 
         Equal to adding the scaled states one after the other, term order
-        included, without copying the partial sum at each step.  Plain int
-        coefficients are tested for 0 and 1 as ints.
+        included, without copying the partial sum at each step.  Two loops
+        share the work.  The Scalar loop (`_sum_scalars`) takes int and
+        parametric sums, and tests plain int coefficients for 0 and 1 as
+        ints.  A pair whose coefficient, or the first term of whose state, is
+        a non-integral plain rational moves the partial sum and the remaining
+        pairs to the integer loop (`_sum_over_den`), which keeps int
+        numerators over one running denominator and builds the Scalars once
+        at the end.  A parametric coefficient or term met there moves the
+        sum back to the Scalar loop for good.
         """
-        t = {}
-        for state, c in pairs:
-            if type(c) is int:
-                if not c:
-                    continue
-                one = c == 1
-                c = _SMALL_INTS.get(c) or Scalar.from_fraction(c)
-            else:
-                if not isinstance(c, Scalar):
-                    c = Scalar.from_fraction(c)
-                if c.is_zero:
-                    continue
-                one = c._frac == 1
-            for m, v in state.terms.items():
-                if not one:
-                    v = v * c
-                s = t.get(m)
-                if s is not None:
-                    v = s + v
-                    if v.is_zero:
-                        del t[m]
-                        continue
-                t[m] = v
-        return State(t)
+        return State(_sum_scalars({}, iter(pairs), True))
 
     def __sub__(self, other: "State") -> "State":
         return self + other.scale(-1)
@@ -366,6 +352,97 @@ class State:
         if self.is_zero:
             return "State(0)"
         return f"State({len(self.terms)} terms)"
+
+
+def _sum_scalars(t, pairs, switch):
+    """The Scalar loop of `State.sum`: add the pairs into the dict t.
+
+    With `switch` set, the first pair that meets a non-integral plain
+    rational hands t and the rest of the pairs to `_sum_over_den`.
+    """
+    for state, c in pairs:
+        if type(c) is int:
+            if not c:
+                continue
+            f = c
+            c = _SMALL_INTS.get(c) or Scalar.from_fraction(c)
+        else:
+            if not isinstance(c, Scalar):
+                c = Scalar.from_fraction(c)
+            if c.is_zero:
+                continue
+            f = c._frac
+        terms = state.terms
+        if switch and f is not None and terms and (
+                type(f) is Fraction
+                or type(next(iter(terms.values()))._frac) is Fraction):
+            return _sum_over_den({}, 1,
+                                 chain(((State(t), 1), (state, c)), pairs))
+        one = f == 1
+        for m, v in terms.items():
+            if not one:
+                v = v * c
+            s = t.get(m)
+            if s is not None:
+                v = s + v
+                if v.is_zero:
+                    del t[m]
+                    continue
+            t[m] = v
+    return t
+
+
+def _sum_over_den(acc, den, pairs):
+    """The integer loop of `State.sum`: acc holds numerators over den.
+
+    A term n/d with d not dividing den multiplies den and every numerator
+    by d // gcd(den, d).  A numerator that reaches 0 is deleted, as in the
+    Scalar loop, so both give the same term order.  A parametric
+    coefficient or term returns the sum so far, as Scalars, and the
+    unprocessed terms to `_sum_scalars` for good.
+    """
+    for state, c in pairs:
+        f = c._frac if isinstance(c, Scalar) else c
+        if f is None:
+            return _sum_scalars(_over_den(acc, den),
+                                chain(((state, c),), pairs), False)
+        if not f:
+            continue
+        cn, cd = f.numerator, f.denominator
+        items = iter(state.terms.items())
+        for m, v in items:
+            f = v._frac
+            if f is None:
+                rest = State(dict(chain(((m, v),), items)))
+                return _sum_scalars(_over_den(acc, den),
+                                    chain(((rest, c),), pairs), False)
+            d = cd * f.denominator
+            if den % d:
+                r = d // gcd(den, d)
+                den *= r
+                for k in acc:
+                    acc[k] *= r
+            n = cn * f.numerator * (den // d)
+            s = acc.get(m)
+            if s is not None:
+                n += s
+                if not n:
+                    del acc[m]
+                    continue
+            acc[m] = n
+    return _over_den(acc, den)
+
+
+def _over_den(acc, den):
+    """{m: Scalar(n / den)} for the numerators n of acc, one gcd each."""
+    out = {}
+    for m, n in acc.items():
+        if n % den:
+            out[m] = _rational(Fraction(n, den))
+        else:
+            n //= den
+            out[m] = _SMALL_INTS.get(n) or _rational(n)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,8 @@ class Scalar:
             return other._shifted(a)
         if b is not None:
             return self._shifted(b)
+        if self._den == other._den:
+            return Scalar(self._num + other._num, self._den)
         return Scalar(self._num * other._den + other._num * self._den,
                       self._den * other._den)
 

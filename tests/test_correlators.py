@@ -383,6 +383,29 @@ def test_consistency_shares_mode_products_across_regions(monkeypatch):
                    for x in key)
 
 
+def test_consistency_walks_each_insertion_sequence_once(monkeypatch):
+    # the direct side depends only on the insertion states in region order:
+    # four equal insertions walk once for 24 regions, criterion 6's
+    # b(-1), b(-2), b(-1) three times for 6, three distinct states 6 times
+    inst = get_preset("heisenberg", lam=0)
+    b1, b2, b3 = (inst.state([("b", -n)]) for n in (1, 2, 3))
+    sequences = []
+    region_walk = correlators._region_walk
+
+    def counted(mode, sequence, *rest):
+        sequences.append(sequence)
+        return region_walk(mode, sequence, *rest)
+
+    monkeypatch.setattr(correlators, "_region_walk", counted)
+    for states, walks in (([b1] * 4, 1), ([b1, b2, b1], 3),
+                          ([b1, b2, b3], 6)):
+        sequences.clear()
+        report = consistency_check(inst.algebra, states, VACUUM_PHI,
+                                   _all_regions(len(states)), 8)
+        assert report.passed, report.render()
+        assert len(sequences) == len(set(sequences)) == walks
+
+
 def test_bootstrap_negative_control(monkeypatch):
     # every contraction doubled: the (z1-z2)^{-2} coefficient of omega_2 is
     # 2, against omega_0 = 1

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from voa import fock
 from voa import PRESET_NAMES, get_preset, verify_axioms
 from voa.scalars import Scalar, parse_scalar
 from voa.fock import (
@@ -227,3 +229,94 @@ class TestJson:
         doc = algebra_to_json(lat)
         alg2 = algebra_from_json(doc)
         assert alg2.lattice_N == 1 and alg2.charge_gen == 0
+
+
+# ---------------------------------------------------------------------------
+# State.sum against the left fold of State.__add__ and State.scale
+# ---------------------------------------------------------------------------
+
+_MONOS = [PbwMonomial(0, ((0, -n),)) for n in range(1, 5)]
+_TERM_VALUES = [1, -1, 2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4),
+                Fraction(5, 6), "k", "1/(k+1)", "k/2"]
+_COEFFS = [0, 1, -1, 2, Fraction(0), Fraction(1, 2), Fraction(1, 3),
+           Fraction(-1, 4), Fraction(1, 6), Fraction(4, 2), "k", "k/3"]
+
+
+def _scalar(v):
+    return parse_scalar(v) if isinstance(v, str) else Scalar.from_fraction(v)
+
+
+def _fold(pairs):
+    """The oracle: add the scaled states one after the other."""
+    out = State()
+    for state, c in pairs:
+        out = out + state.scale(c)
+    return out
+
+
+def _state(items):
+    """State of (monomial index, value) items; repeated indices add up."""
+    return _fold([(State.monomial(_MONOS[i], _scalar(v)), 1)
+                  for i, v in items])
+
+
+def _assert_sum_is_fold(pairs):
+    got, want = State.sum(pairs), _fold(pairs)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(v._frac) for v in got.terms.values()] == \
+        [type(v._frac) for v in want.terms.values()]
+
+
+_states = st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_TERM_VALUES)),
+                   max_size=4).map(_state)
+_coeffs = st.sampled_from(_COEFFS).flatmap(
+    lambda c: st.sampled_from([c, _scalar(c)] if not isinstance(c, str)
+                              else [_scalar(c)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_states, _coeffs), max_size=8))
+def test_state_sum_is_left_fold(pairs):
+    _assert_sum_is_fold(pairs)
+
+
+def _mono_state(*values):
+    """State with values[i] on monomial i, skipping None entries."""
+    return State({_MONOS[i]: _scalar(v) for i, v in enumerate(values)
+                  if v is not None})
+
+
+@pytest.mark.parametrize("pairs", [
+    # rescales mid-sum: 1/2, 1/3, 1/4, 1/6 of an int state
+    [(_mono_state(1, 2), Fraction(1, 2)), (_mono_state(1, 2), Fraction(1, 3)),
+     (_mono_state(1, 2), Fraction(1, 4)), (_mono_state(3, 1), Fraction(1, 6))],
+    # a term cancels to 0 and comes back at the end; the sum is integral
+    [(_mono_state(1), Fraction(1, 2)), (_mono_state(1), Fraction(-1, 2)),
+     (_mono_state(None, 1), 1), (_mono_state(1), Fraction(1, 3)),
+     (_mono_state(1), Fraction(2, 3))],
+    # a parametric coefficient after the switch
+    [(_mono_state(1), Fraction(1, 2)), (_mono_state(None, 1), Scalar.param("k")),
+     (_mono_state(1, 1), Fraction(1, 3))],
+    # a parametric term inside a state after the switch
+    [(_mono_state(Fraction(1, 3)), 1),
+     (_mono_state(Fraction(2, 3), "k", 1, Fraction(1, 5)), 1),
+     (_mono_state(1), Fraction(1, 2))],
+    # a parametric partial sum meets a non-integral coefficient
+    [(_mono_state("k"), 1), (_mono_state(1, 1), Fraction(1, 2))],
+    # a Fraction coefficient on an int state, and zero coefficients
+    [(_mono_state(1, 2), 0), (_mono_state(2), Fraction(3, 4)),
+     (_mono_state(1, 2), Fraction(0)), (_mono_state(1), Scalar.zero()),
+     (_mono_state(2, 1), Scalar.from_fraction(Fraction(5, 4)))],
+])
+def test_state_sum_integer_loop_cases(monkeypatch, pairs):
+    # each case reaches the integer loop, and the sum equals the fold
+    over_den = fock._sum_over_den
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return over_den(*args)
+
+    monkeypatch.setattr(fock, "_sum_over_den", counted)
+    _assert_sum_is_fold(pairs)
+    assert calls

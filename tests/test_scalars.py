@@ -333,6 +333,27 @@ def _copying_mul(self, other):
     return Poly({m: c for m, c in t.items() if c})
 
 
+def test_shared_denominator_add_matches_generic_formula():
+    # two parametric Scalars over one denominator add their numerators;
+    # the result equals the cross-multiplied sum reduced in full
+    nums = [S(t).num for t in PARAMETRIC + ["2", "-k", "1-k", "k+1", "-c"]]
+    dens = {S(t).den.key(): S(t).den for t in PARAMETRIC}
+    checked = 0
+    for den in dens.values():
+        if den.is_constant:
+            continue
+        xs = [x for x in (Scalar(p, den) for p in nums)
+              if not x.is_rational and x.den == den]
+        for x in xs:
+            for y in xs:
+                generic = Scalar(x.num * y.den + y.num * x.den, x.den * y.den)
+                got = x + y
+                assert got == generic and hash(got) == hash(generic)
+                assert str(got) == str(generic)
+                checked += 1
+    assert checked > 100
+
+
 def test_constant_one_shortcuts_keep_results(monkeypatch):
     # Poly.__mul__ returns the other operand for a constant-1 factor, and
     # _reduce leaves the numerator alone over the constant denominator 1
