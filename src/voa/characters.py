@@ -50,7 +50,8 @@ class QSeries:
                    for k in keys)
 
     def __hash__(self):
-        return hash(self.offset)
+        # equal series have offsets that differ by an integer
+        return hash(self.offset % 1)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         """Sum on a common grid; the result offset is the smaller one."""

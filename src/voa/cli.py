@@ -362,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--first-order", dest="first_order", default=None,
                    metavar="PARAM",
-                   help="discard differences of second order in PARAM")
+                   help="name the infinitesimal parameter, which must "
+                        "occur in --rho (the comparison is exact)")
     p.set_defaults(func=cmd_coord_check)
 
     p = sub.add_parser("bf-check", help="boson-fermion correspondence checks")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .scalars import Poly, Scalar, _poly_divexact, poly_derivative, poly_gcd
+from .scalars import Poly, Scalar, _poly_divexact, poly_gcd
 from .fields import state_field_mode
 from .fock import State, basis_monomials, render_monomial
 
@@ -398,18 +398,6 @@ def _extend_inverse(unit, inv, inv0, upto):
         inv[k] = -(inv0 * acc)
 
 
-def _first_order_vanishes(s: Scalar, name: str) -> bool:
-    """True when s = O(name^2) as a rational function regular at name=0."""
-    if s.is_zero:
-        return True
-    num, den = s.num, s.den
-    n0 = num.substitute({name: 0})
-    if not n0.is_zero:
-        return False
-    n1 = poly_derivative(num, name).substitute({name: 0})
-    return n1.is_zero
-
-
 # ---------------------------------------------------------------------------
 # Huang's transformation formula
 # ---------------------------------------------------------------------------
@@ -522,9 +510,8 @@ def _field_element(inst, A: State, v: State, cap: int) -> dict:
     return out
 
 
-def _compare_series(alg, lhs: dict, rhs: dict, window: int,
-                    first_order_in: str | None, cap: int):
-    """Compare two {exponent: State} series up to t^window.
+def _compare_series(alg, lhs: dict, rhs: dict, window: int, cap: int):
+    """Compare two {exponent: State} series exactly up to t^window.
 
     Only matrix elements against basis functionals of degree <= cap are
     compared; higher components of the conjugated side are incomplete.
@@ -541,11 +528,7 @@ def _compare_series(alg, lhs: dict, rhs: dict, window: int,
                 break
             want = lhs.get(e, State.zero()).coeff(mono)
             got = rhs.get(e, State.zero()).coeff(mono)
-            diff = want - got
-            if diff.is_zero:
-                continue
-            if first_order_in is not None and \
-                    _first_order_vanishes(diff, first_order_in):
+            if want == got:
                 continue
             return (f"coefficient of t^{e} {render_monomial(alg, mono)}: "
                     f"direct {want} vs conjugated {got}")
@@ -560,8 +543,7 @@ def _check_first_order(rho: CoordChange, name: str | None):
 
 
 def _transformation_check(inst, A: State, B: State, rho: CoordChange,
-                          window: int, D: int, first_order_in: str | None,
-                          desc: str) -> CoordReport:
+                          window: int, D: int, desc: str) -> CoordReport:
     """Y(A,t) = R(rho) Y(B, rho(t)) R(rho)^{-1} on basis states of degree <= D.
 
     B is expanded in t once, up to t^(window + D + max deg B): the mode
@@ -580,8 +562,7 @@ def _transformation_check(inst, A: State, B: State, rho: CoordChange,
             lhs = _field_element(inst, A, v, D)
             rhs = _conjugated_field_element(alg, Bt, rho_power, R, v, D,
                                             window)
-            witness = _compare_series(alg, lhs, rhs, window, first_order_in,
-                                      D)
+            witness = _compare_series(alg, lhs, rhs, window, D)
             if witness is not None:
                 return CoordReport(
                     desc, False,
@@ -594,17 +575,16 @@ def huang_check(inst, A: State, rho: CoordChange, window: int, D: int,
     """Y(A,t) = R(rho) Y(R(rho_t)^{-1} A, rho(t)) R(rho)^{-1} on elements.
 
     Matrix elements against every basis state and functional of degree <= D
-    are compared as Laurent series in t up to t^window.  When
-    `first_order_in` names a parameter, differences of second order in it
-    are discarded (for infinitesimal changes whose truncated charge
-    decomposition is exact only to first order).
+    are compared exactly as Laurent series in t up to t^window.
+    `first_order_in` only names the small parameter of an infinitesimal
+    change and must occur in rho; it does not change the verdict, so a
+    defect of second order in it fails like any other.
     """
     _check_first_order(rho, first_order_in)
     desc = f"huang_check({rho.render()})"
     rho = rho.padded(D + window + int(A.degree(inst.algebra)) + 2)
     B = R_inverse_apply(inst, rho.shifted(_T), A)
-    return _transformation_check(inst, A, B, rho, window, D, first_order_in,
-                                 desc)
+    return _transformation_check(inst, A, B, rho, window, D, desc)
 
 
 def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
@@ -615,7 +595,8 @@ def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
         Y(A,t) = R(rho) Y(rho'(t)^{Delta} A, rho(t)) R(rho)^{-1},
 
     the specialization of the transformation formula, since R(rho_t)^{-1}
-    acts on a primary by rho_t,1^{L_0} = rho'(t)^{Delta}.
+    acts on a primary by rho_t,1^{L_0} = rho'(t)^{Delta}.  Compared exactly,
+    as in `huang_check`.
     """
     _check_first_order(rho, first_order_in)
     alg = inst.algebra
@@ -628,5 +609,4 @@ def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
     desc = f"primary_differential_check({rho.render()})"
     rho = rho.padded(D + window + int(dA) + 2)
     B = A.scale(rho.derivative_at(Scalar.param(_T)) ** int(dA))
-    return _transformation_check(inst, A, B, rho, window, D, first_order_in,
-                                 desc)
+    return _transformation_check(inst, A, B, rho, window, D, desc)

@@ -96,9 +96,6 @@ class RationalCorrelator:
             return True
         return (self - other)._is_zero_expanded()
 
-    def __hash__(self):
-        return hash(tuple(t.key() for t in self.terms))
-
     def _is_zero_expanded(self) -> bool:
         """Exact zero test by clearing all denominators."""
         if not self.terms:

@@ -340,14 +340,6 @@ class State:
         return State({m: c for m, c in self.terms.items()
                       if alg.mono_degree(m) == degree})
 
-    def evaluate(self, point) -> "State":
-        out = {}
-        for m, c in self.terms.items():
-            v = c.evaluate(point)
-            if v:
-                out[m] = Scalar.from_fraction(v)
-        return State(out)
-
     def __repr__(self):
         if self.is_zero:
             return "State(0)"

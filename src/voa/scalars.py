@@ -176,20 +176,6 @@ class Poly:
             total += v
         return total
 
-    def substitute(self, point: dict) -> "Poly":
-        """Partial substitution of some variables by rationals."""
-        out = Poly()
-        for m, c in self.terms.items():
-            coef = c
-            rest = []
-            for name, e in m:
-                if name in point:
-                    coef *= Fraction(point[name]) ** e
-                else:
-                    rest.append((name, e))
-            out = out + Poly({tuple(rest): coef}) if coef else out
-        return out
-
     # --- univariate view (for gcd) -------------------------------------
 
     def _as_univariate(self, x: str) -> dict:

@@ -26,6 +26,14 @@ def test_heisenberg_character_is_partition_series():
         assert ch.coefficient(d) == oracle[d]
 
 
+def test_equal_series_hash_equal():
+    # offsets that differ by an integer describe the same absolute series
+    a = QSeries(Fraction(-1, 24), {1: 2}, 1)
+    b = QSeries(Fraction(23, 24), {0: 2}, 0)
+    assert a == b
+    assert hash(a) == hash(b)
+
+
 def test_heisenberg_character_render():
     ch = character(get_preset("heisenberg", lam=0), cutoff=6)
     assert ch.render() == \

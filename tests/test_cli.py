@@ -5,8 +5,10 @@ library calls, and identical invocations must produce identical bytes.
 """
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +209,42 @@ def test_unknown_algebra_exits_2(capsys):
     (["coord-check", "--algebra", "heisenberg", "--lambda", "0", "--state",
       "b(-1) |0>", "--rho", "1, eps", "--first-order", "zz"],
      "error: first-order parameter 'zz' does not occur in rho"),
+    (["ope", "--algebra", "heisenberg", "--a", "|0> b(-1)", "--b",
+      "b(-1) |0>"],
+     "state syntax: trailing input after vacuum at position 4"),
+    (["ope", "--algebra", "heisenberg", "--a", "1_{1,2}", "--b",
+      "b(-1) |0>"],
+     "algebra 'heisenberg' has no lattice sectors (position 0)"),
+    (["ope", "--algebra", "lattice:2", "--a", "1_{1,3}", "--b",
+      "b(-1) |0>"],
+     "sector vacuum 1_{m,N} needs N=2 (position 0)"),
+    (["ope", "--algebra", "heisenberg", "--a", "b(-1) ?? |0>", "--b",
+      "b(-1) |0>"],
+     "state syntax: unrecognized token '??' at position 6"),
+    (["center", "--algebra", "affine:sl2", "--param", "k", "--degree", "1"],
+     "--param expects name=value, got 'k'"),
+    (["center", "--algebra", "affine:sl2", "--param", "k=x", "--degree",
+      "1"], "--param k: 'x' is not a rational"),
+    (["verify", "--algebra", "heisenberg", "--lambda", "x", "--degree", "1"],
+     "--lambda: 'x' is not a rational"),
+    (["bracket", "--algebra", "heisenberg", "--a", "b(-1) |0>", "--b",
+      "b(-1) |0>", "--m", "x", "--n", "1"], "--m and --n must be rationals"),
+    (["npoint", "--algebra", "virasoro", "--n", "2"],
+     "npoint supports --algebra heisenberg"),
+    (["center", "--algebra", "virasoro", "--degree", "1"],
+     "center requires an affine preset (affine:sl2, ...)"),
+    (["coset", "--algebra", "heisenberg", "--states", ";", "--degree", "1"],
+     "--states needs at least one state (semicolon-separated)"),
+    (["coord-check", "--algebra", "commutative", "--state", "x(-1) |0>",
+      "--rho", "1"], "preset 'commutative' has no conformal vector"),
+    (["coord-check", "--algebra", "heisenberg", "--state", "b(-1) |0>",
+      "--rho", "0, 1"],
+     "--rho: coordinate change needs a nonzero linear coefficient"),
+    (["coord-check", "--algebra", "heisenberg", "--state", "b(-1) |0>",
+      "--rho", "1, $"], "--rho: expected number, name or '(' at position 0"),
+    (["coord-check", "--algebra", "virasoro", "--state", "L(-2) |0>",
+      "--rho", "1, 1/4", "--check", "primary"],
+     "state is not primary: L_2 does not annihilate the state"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
@@ -214,6 +252,35 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+_OPE_TABLE = "{4: (c/2) |0>, 2: 2 L(-2) |0>, 1: L(-3) |0>}"
+
+
+def _readme_commands():
+    """(argv, next line) for each command of README's "Command line" block,
+    with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    lines.append("")
+    return [(shlex.split(line)[1:], lines[i + 1].strip())
+            for i, line in enumerate(lines) if line.startswith("voa ")]
+
+
+def test_readme_commands_run():
+    commands = _readme_commands()
+    assert [argv[0] for argv, _ in commands] == [
+        "verify", "ope", "bracket", "character", "character", "npoint",
+        "center", "coord-check", "bf-check"]
+    for argv, next_line in commands:
+        result = subprocess.run([sys.executable, "-m", "voa.cli", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, (argv, result.stderr)
+        if argv[0] == "ope":
+            # the comment under the command is its output
+            assert next_line == f"# {_OPE_TABLE}"
+            assert result.stdout == _OPE_TABLE + "\n"
 
 
 @pytest.mark.parametrize("argv", [

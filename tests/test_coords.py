@@ -250,6 +250,19 @@ def test_wrong_conformal_vector_witnesses(check, preset, gen, rho,
     assert report.witness == witness
 
 
+def test_second_order_defect_fails_under_first_order_parameter():
+    # omega + b(-3)|0> is off only at eps^2 for rho = z + eps z^2; naming
+    # eps as the infinitesimal parameter must not hide that
+    inst = get_preset("heisenberg", lam=0)
+    wrong = dataclasses.replace(
+        inst, conformal=inst.conformal + inst.state([("b", -3)]))
+    report = huang_check(wrong, inst.state([("b", -1)]), _cc(1, "eps"),
+                         window=2, D=2, first_order_in="eps")
+    assert not report.passed
+    assert report.witness == ("on |0>: coefficient of t^1 |0>: "
+                              "direct 0 vs conjugated 3*eps^2")
+
+
 @pytest.mark.parametrize("check", [huang_check, primary_differential_check])
 @pytest.mark.parametrize("coeffs", [(1, "{}"), ("{}",), (2, "{}", 1)])
 def test_parameter_named_t(check, coeffs):

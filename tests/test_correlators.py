@@ -420,6 +420,37 @@ def test_bootstrap_negative_control(monkeypatch):
         "bootstrap: FAIL (n=2, pair (1,2): order-2 coefficient)")
 
 
+def test_horizontality_negative_control(monkeypatch):
+    # contractions with a derivative doubled: <b b> uses only the a = b = 0
+    # kernel, so the regions agree, but d/dz1 <b b> no longer equals the
+    # correlator with T b in place of b
+    pair_kernel = correlators._pair_kernel
+
+    def doubled(a, b, i, j):
+        t = pair_kernel(a, b, i, j)
+        return Term(2 * t.coeff, t.num, t.poles, t.zpows) if a + b > 0 else t
+
+    monkeypatch.setattr(correlators, "_pair_kernel", doubled)
+    inst = get_preset("heisenberg", lam=0)
+    report = consistency_check(inst.algebra, [inst.state([("b", -1)])] * 2,
+                               VACUUM_PHI, _all_regions(2), 8)
+    assert report.render() == \
+        "consistency: FAIL (horizontality at insertion 1)"
+
+
+def test_partial_fractions_compare_equal():
+    # 1/((z1-z2)(z1-z3)) = 1/((z1-z2)(z2-z3)) - 1/((z1-z3)(z2-z3)): the term
+    # lists differ, so == clears the poles and compares polynomials
+    lhs = _pole(1, 2, 1) * _pole(1, 3, 1)
+    rhs = _pole(1, 2, 1) * _pole(2, 3, 1) - _pole(1, 3, 1) * _pole(2, 3, 1)
+    assert lhs == rhs
+    assert lhs != _pole(1, 2, 1) * _pole(2, 3, 1) + \
+        _pole(1, 3, 1) * _pole(2, 3, 1)
+    # == is not a comparison of term keys, so correlators are unhashable
+    with pytest.raises(TypeError):
+        hash(lhs)
+
+
 def test_diagonal_coefficients_turn_poles_round():
     # f = 1/((z1-z3)^2 (z1-z2)) at z1 -> z3: 1/(z1-z2) = 1/(z3-z2) + ...
     # so c_{-2} = -1/(z2-z3) and c_{-1} = d/dz1 1/(z1-z2) = -1/(z2-z3)^2

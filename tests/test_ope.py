@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from voa import (BracketRule, CentralTerm, GeneratorSpec, ModeAlgebra, Poly,
                  Scalar, State, affine, algebra_from_json, apply_mode,
                  basis_monomials, coset_graded, get_preset, graded_dim,
-                 locality_order, morphism_check, normal_order, parse_scalar,
-                 singular_part, sl2_data, translate, verify_axioms)
+                 NotLocalUpTo, locality_order, morphism_check, normal_order,
+                 parse_scalar, render_state, singular_part, sl2_data,
+                 translate, verify_axioms)
 from voa.ope import (_grouped_basis, apply_combination, commutator_direct,
                      commutator_via_formula)
 
@@ -140,6 +141,18 @@ def test_verify_axioms_negative_control():
     failed = [c for c in report.checks if not c.passed]
     assert failed
     assert any(c.witness for c in failed)
+
+
+def test_locality_order_negative_control():
+    # no N makes (z-w)^N [Y(b,z), Y(b,w)] vanish when [b_m, b_n] = delta;
+    # the witness is the first window (r, t) and test state C of the last N
+    alg = _corrupted_heisenberg()
+    b = normal_order(alg, [("b", -1)], 0)
+    with pytest.raises(NotLocalUpTo) as info:
+        locality_order(alg, b, b, 2)
+    r, t, C = info.value.witness
+    assert (r, t, render_state(alg, C)) == (-4, 0, "|0>")
+    assert info.value.D == 2
 
 
 def test_verify_axioms_negative_control_witnesses():
