@@ -20,8 +20,8 @@ class QSeries:
     `coeffs` keys are nonnegative Fractions that are multiples of `step`;
     `cutoff` is the largest relative exponent up to which coefficients are
     complete.  Two series are equal when their offsets differ by an
-    integer and the absolute coefficient tables agree up to the smaller
-    cutoff.
+    integer, their absolute tops `offset + cutoff` are equal and their
+    absolute coefficient tables agree.
     """
 
     def __init__(self, offset, coeffs, cutoff, step=Fraction(1)):
@@ -41,13 +41,9 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        if (self.offset - other.offset).denominator != 1:
-            return False
-        top = min(self.offset + self.cutoff, other.offset + other.cutoff)
-        sa, oa = self.absolute(), other.absolute()
-        keys = {k for k in list(sa) + list(oa) if k <= top}
-        return all(sa.get(k, Fraction(0)) == oa.get(k, Fraction(0))
-                   for k in keys)
+        return ((self.offset - other.offset).denominator == 1
+                and self.offset + self.cutoff == other.offset + other.cutoff
+                and self.absolute() == other.absolute())
 
     def __hash__(self):
         # equal series have offsets that differ by an integer
@@ -119,7 +115,16 @@ def character(instance, sector=0, cutoff: int = 8,
 
     A parametric central charge must be evaluated through `point`.
     The offset is sector energy minus c/24; relative exponents step by 1.
+    An even weight-0 generator g makes every graded piece infinite
+    (g(0)^k |0> for all k), so it raises ValueError.
     """
+    alg = instance.algebra
+    zero = [g.name for g in alg.generators if g.weight == 0 and not g.odd]
+    if zero:
+        raise ValueError(
+            f"character of {alg.name} is undefined: every graded piece is "
+            f"infinite-dimensional, from the zero modes of the even weight-0 "
+            f"generator{'s' if len(zero) > 1 else ''} {', '.join(zero)}")
     c = instance.central_charge
     if point is not None:
         c = c.evaluate(point)
@@ -128,7 +133,6 @@ def character(instance, sector=0, cutoff: int = 8,
     else:
         raise ValueError(
             f"central charge {c!r} is parametric; supply a parameter point")
-    alg = instance.algebra
     energy = alg.sector_energy(sector)
     offset = energy - Fraction(c, 24)
     coeffs = {}

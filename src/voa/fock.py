@@ -20,7 +20,6 @@ mode acts on charge-m sectors by m.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -282,17 +281,68 @@ class State:
         """sum c * state over (state, c) pairs, accumulated in one dict.
 
         Equal to adding the scaled states one after the other, term order
-        included, without copying the partial sum at each step.  Two loops
-        share the work.  The Scalar loop (`_sum_scalars`) takes int and
-        parametric sums, and tests plain int coefficients for 0 and 1 as
-        ints.  A pair whose coefficient, or the first term of whose state, is
-        a non-integral plain rational moves the partial sum and the remaining
-        pairs to the integer loop (`_sum_over_den`), which keeps int
-        numerators over one running denominator and builds the Scalars once
-        at the end.  A parametric coefficient or term met there moves the
-        sum back to the Scalar loop for good.
+        included, without copying the partial sum at each step.  A
+        plain-rational entry is an int numerator over one running
+        denominator den: a term n/d with d not dividing den first
+        multiplies den and every numerator by d // gcd(den, d), and the
+        Scalars are built once at the end.  A parametric coefficient or
+        term makes its entry a Scalar, built as the fold builds it (v * c,
+        then s + v) and never rescaled.  An entry that reaches 0 is
+        deleted, as in the fold, so both give the same term order.
         """
-        return State(_sum_scalars({}, iter(pairs), True))
+        acc = {}
+        den = 1
+        for state, c in pairs:
+            terms = state.terms
+            if not terms:
+                continue
+            f = c._frac if isinstance(c, Scalar) else c
+            if f is not None:
+                if not f:
+                    continue
+                cn, cd = f.numerator, f.denominator
+            for m, v in terms.items():
+                g = v._frac
+                if f is not None and g is not None:
+                    d = cd * g.denominator
+                    if den % d:
+                        r = d // gcd(den, d)
+                        den *= r
+                        for k, n in acc.items():
+                            if type(n) is int:
+                                acc[k] = n * r
+                    n = cn * g.numerator * (den // d)
+                    s = acc.get(m)
+                    if s is None:
+                        acc[m] = n
+                        continue
+                    if type(s) is int:
+                        n += s
+                        if n:
+                            acc[m] = n
+                        else:
+                            del acc[m]
+                        continue
+                    v = _over_den(n, den)
+                else:
+                    if f != 1:
+                        v = v * c
+                    s = acc.get(m)
+                    if s is None:
+                        acc[m] = v
+                        continue
+                    if type(s) is int:
+                        s = _over_den(s, den)
+                v = s + v
+                if v.is_zero:
+                    del acc[m]
+                else:
+                    acc[m] = v
+        for m, n in acc.items():
+            if type(n) is int:
+                acc[m] = (_SMALL_INTS.get(n) or _rational(n) if den == 1
+                          else _over_den(n, den))
+        return State(acc)
 
     def __sub__(self, other: "State") -> "State":
         return self + other.scale(-1)
@@ -346,95 +396,12 @@ class State:
         return f"State({len(self.terms)} terms)"
 
 
-def _sum_scalars(t, pairs, switch):
-    """The Scalar loop of `State.sum`: add the pairs into the dict t.
-
-    With `switch` set, the first pair that meets a non-integral plain
-    rational hands t and the rest of the pairs to `_sum_over_den`.
-    """
-    for state, c in pairs:
-        if type(c) is int:
-            if not c:
-                continue
-            f = c
-            c = _SMALL_INTS.get(c) or Scalar.from_fraction(c)
-        else:
-            if not isinstance(c, Scalar):
-                c = Scalar.from_fraction(c)
-            if c.is_zero:
-                continue
-            f = c._frac
-        terms = state.terms
-        if switch and f is not None and terms and (
-                type(f) is Fraction
-                or type(next(iter(terms.values()))._frac) is Fraction):
-            return _sum_over_den({}, 1,
-                                 chain(((State(t), 1), (state, c)), pairs))
-        one = f == 1
-        for m, v in terms.items():
-            if not one:
-                v = v * c
-            s = t.get(m)
-            if s is not None:
-                v = s + v
-                if v.is_zero:
-                    del t[m]
-                    continue
-            t[m] = v
-    return t
-
-
-def _sum_over_den(acc, den, pairs):
-    """The integer loop of `State.sum`: acc holds numerators over den.
-
-    A term n/d with d not dividing den multiplies den and every numerator
-    by d // gcd(den, d).  A numerator that reaches 0 is deleted, as in the
-    Scalar loop, so both give the same term order.  A parametric
-    coefficient or term returns the sum so far, as Scalars, and the
-    unprocessed terms to `_sum_scalars` for good.
-    """
-    for state, c in pairs:
-        f = c._frac if isinstance(c, Scalar) else c
-        if f is None:
-            return _sum_scalars(_over_den(acc, den),
-                                chain(((state, c),), pairs), False)
-        if not f:
-            continue
-        cn, cd = f.numerator, f.denominator
-        items = iter(state.terms.items())
-        for m, v in items:
-            f = v._frac
-            if f is None:
-                rest = State(dict(chain(((m, v),), items)))
-                return _sum_scalars(_over_den(acc, den),
-                                    chain(((rest, c),), pairs), False)
-            d = cd * f.denominator
-            if den % d:
-                r = d // gcd(den, d)
-                den *= r
-                for k in acc:
-                    acc[k] *= r
-            n = cn * f.numerator * (den // d)
-            s = acc.get(m)
-            if s is not None:
-                n += s
-                if not n:
-                    del acc[m]
-                    continue
-            acc[m] = n
-    return _over_den(acc, den)
-
-
-def _over_den(acc, den):
-    """{m: Scalar(n / den)} for the numerators n of acc, one gcd each."""
-    out = {}
-    for m, n in acc.items():
-        if n % den:
-            out[m] = _rational(Fraction(n, den))
-        else:
-            n //= den
-            out[m] = _SMALL_INTS.get(n) or _rational(n)
-    return out
+def _over_den(n, den):
+    """The plain-rational Scalar n / den."""
+    if n % den:
+        return _rational(Fraction(n, den))
+    n //= den
+    return _SMALL_INTS.get(n) or _rational(n)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,18 @@ from .linalg import kernel_basis
 
 
 class NotLocalUpTo(Exception):
-    def __init__(self, D, witness=None):
-        super().__init__(f"no locality order found up to degree bound {D}")
+    """No locality order up to the degree bound D.
+
+    `witness` is the first failing (r, t, C) of the largest order tried,
+    rendered in the message as in the locality witness of `verify_axioms`.
+    """
+
+    def __init__(self, alg, D, witness=None):
+        message = f"no locality order found up to degree bound {D}"
+        if witness is not None:
+            r, t, C = witness
+            message += f": modes ({r},{t}), C={render_state(alg, C)}"
+        super().__init__(message)
         self.D = D
         self.witness = witness
 
@@ -183,7 +193,7 @@ def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
         witness = locality_witness(alg, A, B, N, states, int(D), mode)
         if witness is None:
             return N
-    raise NotLocalUpTo(D, witness)
+    raise NotLocalUpTo(alg, D, witness)
 
 
 # ---------------------------------------------------------------------------

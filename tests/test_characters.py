@@ -1,6 +1,7 @@
 """Tests for graded characters and q-series identities."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -32,6 +33,27 @@ def test_equal_series_hash_equal():
     b = QSeries(Fraction(23, 24), {0: 2}, 0)
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_qseries_equality_is_transitive():
+    # a shorter series equals no longer one, so set size is order-free
+    a = QSeries(0, {0: 1}, 0)
+    b = QSeries(0, {0: 1, 1: 1}, 1)
+    c = QSeries(0, {0: 1, 1: 2}, 1)
+    assert a != b and a != c and b != c
+    for order in permutations((a, b, c)):
+        assert len(set(order)) == 3
+
+
+def test_weyl_character_is_refused():
+    # a*(0)^k |0> sits in degree 0 for every k: no graded piece is finite
+    with pytest.raises(ValueError, match="even weight-0 generator a\\*$"):
+        character(get_preset("weyl:1"), cutoff=2)
+    with pytest.raises(ValueError, match="generators a\\*1, a\\*2$"):
+        character(get_preset("weyl:2"), cutoff=0)
+    # odd weight-0 generators square to zero: the fermion character is finite
+    assert character(get_preset("fermion"), cutoff=2).render() == \
+        "q^{1/12}(2 + 4q + 6q^2)"
 
 
 def test_heisenberg_character_render():

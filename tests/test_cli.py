@@ -245,6 +245,9 @@ def test_unknown_algebra_exits_2(capsys):
     (["coord-check", "--algebra", "virasoro", "--state", "L(-2) |0>",
       "--rho", "1, 1/4", "--check", "primary"],
      "state is not primary: L_2 does not annihilate the state"),
+    (["character", "--algebra", "weyl:1", "--cutoff", "2"],
+     "infinite-dimensional, from the zero modes of the even weight-0 "
+     "generator a*"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

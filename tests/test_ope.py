@@ -153,6 +153,8 @@ def test_locality_order_negative_control():
     r, t, C = info.value.witness
     assert (r, t, render_state(alg, C)) == (-4, 0, "|0>")
     assert info.value.D == 2
+    assert str(info.value) == ("no locality order found up to degree bound 2: "
+                               "modes (-4,0), C=|0>")
 
 
 def test_verify_axioms_negative_control_witnesses():
