@@ -170,7 +170,7 @@ def vertex_mode(alg: ModeAlgebra, m: int, p, mono: PbwMonomial) -> State:
              Scalar.from_fraction(Fraction(num, den)))
         if not c.is_zero:
             out[PbwMonomial(mono.sector + m, word)] = c
-    return State(out)
+    return State(out) if out else State.zero()
 
 
 def _annihilation_terms(alg, lam_N: int, word: tuple) -> list:

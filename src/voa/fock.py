@@ -98,8 +98,10 @@ class ModeAlgebra:
     - ("E+", lam_N, k): its E+_k, as (letters, numerator over k!) pairs
       (both in `fields.vertex_mode`).
 
-    Caches over states, such as the axiom checks' A_[p] v, belong to the
-    call that fills them.
+    Caches over states belong to the call that fills them: the axiom
+    checks read X_[p] on monomials and their two-mode products through an
+    `ope.OperatorCache` made for one `verify_axioms` or `locality_order`
+    call.
 
     Weights, sector energies and monomial degrees come back through
     `mode_index`: an int when integral, a Fraction only when half-integral
@@ -244,13 +246,14 @@ class State:
 
     @staticmethod
     def zero() -> "State":
-        return State()
+        """The one shared empty state; no State is changed in place."""
+        return _ZERO
 
     @staticmethod
     def monomial(mono: PbwMonomial, coeff=1) -> "State":
         c = coeff if isinstance(coeff, Scalar) else Scalar.from_fraction(coeff)
         if c.is_zero:
-            return State()
+            return _ZERO
         return State({mono: c})
 
     @staticmethod
@@ -288,7 +291,8 @@ class State:
         Scalars are built once at the end.  A parametric coefficient or
         term makes its entry a Scalar, built as the fold builds it (v * c,
         then s + v) and never rescaled.  An entry that reaches 0 is
-        deleted, as in the fold, so both give the same term order.
+        deleted, as in the fold, so both give the same term order.  A sum
+        with no term left is the shared `State.zero()`.
         """
         acc = {}
         den = 1
@@ -342,7 +346,7 @@ class State:
             if type(n) is int:
                 acc[m] = (_SMALL_INTS.get(n) or _rational(n) if den == 1
                           else _over_den(n, den))
-        return State(acc)
+        return State(acc) if acc else _ZERO
 
     def __sub__(self, other: "State") -> "State":
         return self + other.scale(-1)
@@ -350,7 +354,7 @@ class State:
     def scale(self, c) -> "State":
         if type(c) is int:
             if not c or self.is_zero:
-                return State()
+                return _ZERO
             if c == 1:
                 return self
             c = _SMALL_INTS.get(c) or Scalar.from_fraction(c)
@@ -358,7 +362,7 @@ class State:
             if not isinstance(c, Scalar):
                 c = Scalar.from_fraction(c)
             if c.is_zero or self.is_zero:
-                return State()
+                return _ZERO
             if c._frac == 1:
                 return self
         return State({m: v * c for m, v in self.terms.items()})
@@ -394,6 +398,9 @@ class State:
         if self.is_zero:
             return "State(0)"
         return f"State({len(self.terms)} terms)"
+
+
+_ZERO = State()
 
 
 def _over_den(n, den):

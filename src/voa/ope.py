@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
 from math import comb
 
-from .fock import (ModeAlgebra, State, all_sector_monomials, apply_mode,
-                   basis_monomials, mode_index, render_monomial, render_state)
-from .fields import gbinom, state_field_mode, translate
+from .fock import (ModeAlgebra, PbwMonomial, State, all_sector_monomials,
+                   apply_mode, basis_monomials, mode_index, render_monomial,
+                   render_state)
+from .fields import _field_mode_mono, gbinom, state_field_mode, translate
 from .linalg import kernel_basis
 
 
@@ -111,19 +111,80 @@ def apply_combination(alg: ModeAlgebra, combination, C: State) -> State:
     return out
 
 
-def _bracket(alg: ModeAlgebra, A: State, B: State, C: State, mode):
-    """(r, t) -> [A_[r], B_[t]] C, the supercommutator, by two orders of
-    mode application; the inner ones go through `mode(X, p, v)`."""
-    eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
-    return lambda r, t: (state_field_mode(alg, A, r, mode(B, t, C))
-                         - state_field_mode(alg, B, t, mode(A, r, C))
-                         .scale(eps))
-
-
 def commutator_direct(alg: ModeAlgebra, A: State, m, B: State, kk,
                       C: State) -> State:
     """[A_[m], B_[kk]] C by two mode-application orders (supercommutator)."""
-    return _bracket(alg, A, B, C, partial(state_field_mode, alg))(m, kk)
+    eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
+    return (state_field_mode(alg, A, m, state_field_mode(alg, B, kk, C))
+            - state_field_mode(alg, B, kk, state_field_mode(alg, A, m, C))
+            .scale(eps))
+
+
+# ---------------------------------------------------------------------------
+# Operator cache of the axiom checks
+# ---------------------------------------------------------------------------
+
+class OperatorCache:
+    """Mode actions of the fields of an axiom check on PBW monomials.
+
+    One cache serves one `verify_axioms` or `locality_order` call, and
+    nothing of it stays on the algebra.  `field(X)` numbers each state used
+    as a field (A, B and each A_(n)B) with a small int.  `col(x, p, m)` is
+    X_[p] on the monomial m, read from the algebra's memo of
+    `_field_mode_mono`; it is kept for the whole call.  `pair(x, p, y, q,
+    m)` is X_[p] Y_[q] m; it is kept until the next `new_scope()`, which
+    the checks call for each locality test state and each associativity
+    (A, B) pair, so that memory stays flat over the call.
+    """
+
+    def __init__(self, alg: ModeAlgebra):
+        self.alg = alg
+        self._index = {}     # State -> field number
+        self._terms = []     # field number -> ((monomial, coefficient), ...)
+        self._cols = {}
+        self._pairs = {}
+
+    def field(self, X: State) -> int:
+        x = self._index.get(X)
+        if x is None:
+            x = self._index[X] = len(self._terms)
+            self._terms.append(tuple(X.terms.items()))
+        return x
+
+    def col(self, x: int, p, m: PbwMonomial) -> State:
+        """X_[p] m.  p must be a `mode_index` value, so a sum of two modes
+        goes through `mode_index` first: a single-letter field acts only
+        through an int mode."""
+        key = (x, p, m)
+        v = self._cols.get(key)
+        if v is None:
+            terms = self._terms[x]
+            if len(terms) == 1 and terms[0][1]._frac == 1:
+                v = _field_mode_mono(self.alg, terms[0][0], p, m)
+            else:
+                v = State.sum((_field_mode_mono(self.alg, a, p, m), c)
+                              for a, c in terms)
+            self._cols[key] = v
+        return v
+
+    def apply(self, x: int, p, v: State) -> State:
+        """X_[p] v for a state v."""
+        terms = v.terms
+        if not terms:
+            return v
+        col = self.col
+        return State.sum((col(x, p, m), c) for m, c in terms.items())
+
+    def pair(self, x: int, p, y: int, q, m: PbwMonomial) -> State:
+        key = (x, p, y, q, m)
+        v = self._pairs.get(key)
+        if v is None:
+            v = self._pairs[key] = self.apply(x, p, self.col(y, q, m))
+        return v
+
+    def new_scope(self):
+        """Drop the cached two-mode products."""
+        self._pairs = {}
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +217,40 @@ def _locality_windows(alg, A, B, C, N, cap):
         S = s_top - L                   # r + t; result degree = e_res + L
         for jt in range(N + 4):
             t = t_top + 1 - jt
-            yield S - t, t
+            yield mode_index(S - t), t
 
 
-def locality_defect(row, N: int, r, t) -> State:
-    """Coefficient of the (z-w)^N-multiplied supercommutator at modes (r,t),
-    with `row(r', t')` = [A_[r'], B_[t']] C for one test state C."""
-    return State.sum((row(r + N - i, t + i), (-1) ** i * comb(N, i))
-                     for i in range(N + 1))
+def locality_defect(ops: OperatorCache, a: int, b: int, eps: int, N: int,
+                    r, t, c: PbwMonomial) -> State:
+    """Coefficient of the (z-w)^N-multiplied supercommutator at modes (r,t)
+    on the monomial c: sum_i (-1)^i C(N,i) [A_[r+N-i], B_[t+i]] c, with
+    a, b the fields of A, B in `ops` and eps the sign of B A in the
+    supercommutator."""
+    pair = ops.pair
+    pairs = []
+    for i in range(N + 1):
+        k = (-1) ** i * comb(N, i)
+        p, q = r + N - i, t + i
+        pairs.append((pair(a, p, b, q, c), k))
+        pairs.append((pair(b, q, a, p, c), -eps * k))
+    return State.sum(pairs)
 
 
-def locality_witness(alg: ModeAlgebra, A: State, B: State, N: int,
-                     test_states, cap, mode):
+def locality_witness(ops: OperatorCache, A: State, B: State, N: int,
+                     test_states, cap):
     """First (r, t, C) where (z-w)^N [Y(A,z),Y(B,w)] C != 0, else None.
 
-    Each C has a row of supercommutators cached by mode pair, since
-    neighbouring windows share N of their N+1 pairs.  `mode(X, p, v)` is
-    the caller's cache of X_[p] v.
+    The test states are basis monomials.  The two-mode products of `ops`
+    live for one C, since neighbouring windows share N of their N+1 pairs.
     """
+    alg = ops.alg
+    a, b = ops.field(A), ops.field(B)
+    eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
     for C in test_states:
-        row = cache(_bracket(alg, A, B, C, mode))
+        c, = C.terms
+        ops.new_scope()
         for r, t in _locality_windows(alg, A, B, C, N, cap):
-            if not locality_defect(row, N, r, t).is_zero:
+            if not locality_defect(ops, a, b, eps, N, r, t, c).is_zero:
                 return (r, t, C)
     return None
 
@@ -187,10 +260,10 @@ def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
     dA, dB = A.degree(alg), B.degree(alg)
     states = [C for _, Cs in _grouped_basis(alg, D) for C in Cs]
     bound = int(D + dA + dB)
-    mode = cache(partial(state_field_mode, alg))
+    ops = OperatorCache(alg)
     witness = None
     for N in range(bound + 1):
-        witness = locality_witness(alg, A, B, N, states, int(D), mode)
+        witness = locality_witness(ops, A, B, N, states, int(D))
         if witness is None:
             return N
     raise NotLocalUpTo(alg, D, witness)
@@ -200,25 +273,23 @@ def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
 # Associativity (finite Borcherds-type coefficient identities)
 # ---------------------------------------------------------------------------
 
-def associativity_defect(alg: ModeAlgebra, A: State, B: State, n: int,
-                         m, C: State, mode) -> State:
-    """LHS - RHS of the singular-product re-expansion identity (n >= 0).
+def associativity_defect(ops: OperatorCache, a: int, b: int, ab: int, n: int,
+                         m, c: PbwMonomial, sA, sB, sign: int) -> State:
+    """LHS - RHS of the singular-product re-expansion identity (n >= 0) on
+    the monomial c.
 
-    `mode(X, p, v)` is the caller's cache of X_[p] v.  The unshifted
-    product X_(j) is X_[j + s] with s = 1 - wt X, so (A_(n)B)_(m) is
+    a, b and ab are the fields of A, B and A_(n)B in `ops`, and sign is
+    (-1)^(n + |A||B|).  The unshifted product X_(j) is X_[j + s] with
+    s = 1 - wt X, here sA and sB, so (A_(n)B)_(m) is
     (A_(n)B)_[m + n + sA + sB].
     """
-    eps = state_parity(alg, A) * state_parity(alg, B)
-    sA, sB = 1 - mode_index(A.degree(alg)), 1 - mode_index(B.degree(alg))
-    m = mode_index(m)
-    AB = mode(A, n + sA, B)
-    lhs = mode(AB, m + n + sA + sB, C) if not AB.is_zero else State.zero()
-    pairs = [(lhs, 1)]
-    sign2 = (-1) ** (n + eps)
+    pair = ops.pair
+    mB = mode_index(m + sB)
+    pairs = [(ops.col(ab, mode_index(mB + n + sA), c), 1)]
     for i in range(n + 1):
-        c = (-1) ** i * comb(n, i)
-        pairs.append((mode(A, n - i + sA, mode(B, m + i + sB, C)), -c))
-        pairs.append((mode(B, n + m - i + sB, mode(A, i + sA, C)), c * sign2))
+        k = (-1) ** i * comb(n, i)
+        pairs.append((pair(a, n - i + sA, b, mB + i, c), -k))
+        pairs.append((pair(b, mB + n - i, a, i + sA, c), k * sign))
     return State.sum(pairs)
 
 
@@ -299,64 +370,79 @@ def _upto(groups, top):
                 yield dC, C
 
 
-def _vacuum_failures(alg, groups, D):
+def _vacuum_failures(ops, groups, D):
     """Y(A,z)|0> is regular with constant term A."""
-    vac = State.vacuum()
+    vac, = State.vacuum().terms
     for dA, As in groups:
         for A in As:
+            a = ops.field(A)
             p = 1 - dA
             while p <= 0:
-                if not state_field_mode(alg, A, p, vac).is_zero:
-                    yield f"A={render_state(alg, A)}, mode {p}"
+                if not ops.col(a, p, vac).is_zero:
+                    yield f"A={render_state(ops.alg, A)}, mode {p}"
                 p += 1
-            if state_field_mode(alg, A, -dA, vac) != A:
-                yield f"A={render_state(alg, A)}, creation mode"
+            if ops.col(a, -dA, vac) != A:
+                yield f"A={render_state(ops.alg, A)}, creation mode"
 
 
-def _translation_failures(alg, groups, D):
+def _translation_failures(ops, groups, D):
     """[T, A_[p]] = (1 - p - wt A) A_[p-1]."""
+    alg = ops.alg
     for dA, A, dB, B in _pairs(groups, D):
+        a = ops.field(A)
+        b, = B.terms
+        TB = translate(alg, B)
         top = _max_target_degree(alg, B)
         p = -dA - 1
         while p <= top + 1:
-            lhs = translate(alg, state_field_mode(alg, A, p, B)) \
-                - state_field_mode(alg, A, p, translate(alg, B))
-            rhs = state_field_mode(alg, A, p - 1, B).scale(1 - p - dA)
+            lhs = translate(alg, ops.col(a, p, b)) - ops.apply(a, p, TB)
+            rhs = ops.col(a, p - 1, b).scale(1 - p - dA)
             if lhs != rhs:
                 yield (f"A={render_state(alg, A)}, "
                        f"B={render_state(alg, B)}, mode {p}")
             p += 1
 
 
-def _locality_failures(alg, groups, D, mode):
+def _locality_failures(ops, groups, D):
     """N from the maximal pole order annihilates the supercommutator."""
+    alg = ops.alg
     for dA, A, dB, B in _pairs(groups, D):
         if dB < dA:
             continue
         N = max(singular_part(alg, A, B), default=0)
         Cs = [C for _, C in _upto(groups, D - dA - dB)]
-        w = locality_witness(alg, A, B, N, Cs, int(D), mode)
+        w = locality_witness(ops, A, B, N, Cs, int(D))
         if w is not None:
             r, t, C = w
             yield (f"A={render_state(alg, A)}, B={render_state(alg, B)}, "
                    f"N={N}, modes ({r},{t}), C={render_state(alg, C)}")
 
 
-def _associativity_failures(alg, groups, D, mode):
+def _associativity_failures(ops, groups, D):
     """Singular products re-expand consistently."""
+    alg = ops.alg
     for dA, A, dB, B in _pairs(groups, D):
+        ops.new_scope()
+        a, b = ops.field(A), ops.field(B)
+        bm, = B.terms
+        eps = state_parity(alg, A) * state_parity(alg, B)
+        sA, sB = 1 - dA, 1 - dB
+        qAB = _charge(alg, A) + _charge(alg, B)
+        Cs = [(dC, C, alg.sector_energy(_charge(alg, C) + qAB))
+              for dC, C in _upto(groups, D - dA - dB)]
         n_max = int(_max_target_degree(alg, B) + dA - 1)
         for n in range(0, n_max + 1):
+            ab = ops.field(ops.col(a, n + sA, bm))     # A_(n)B
+            sign = (-1) ** (n + eps)
             dAB = dB - (n + 1 - dA)      # weight of A_(n)B
-            for dC, C in _upto(groups, D - dA - dB):
-                s_res = _charge(alg, C) + _charge(alg, A) + _charge(alg, B)
-                e_res = alg.sector_energy(s_res)
+            for dC, C, e_res in Cs:
+                c, = C.terms
                 # m values hitting result degrees e_res + L in [0, D]
                 top = mode_index(dC - e_res + dAB - 1)
                 for L in range(int(D) + 1):
                     m = top - L
-                    if not associativity_defect(alg, A, B, n, m, C,
-                                                mode).is_zero:
+                    if not associativity_defect(ops, a, b, ab, n, m, c,
+                                                sA, sB, sign).is_zero:
                         yield (f"A={render_state(alg, A)}, "
                                f"B={render_state(alg, B)}, n={n}, m={m}, "
                                f"C={render_state(alg, C)}")
@@ -370,18 +456,20 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
     finite family while scaling to multi-generator presets.  The checks run
     in the order vacuum, translation, locality, associativity; each reports
     the first failing case in a fixed search order, (deg A, deg B, A, B,
-    ...), where "..." are the check's own modes and test states.  The
-    locality and associativity checks share one cache of state-level mode
-    actions, which lives for this call only.
+    ...), where "..." are the check's own modes and test states.  All four
+    read their mode actions through one `OperatorCache`, which lives for
+    this call only: X_[p] on a monomial is kept for the call, a two-mode
+    product X_[p] Y_[q] C for one locality test state or one associativity
+    pair (A, B).
     """
     report = AxiomReport(alg.name, D)
     groups = _grouped_basis(alg, D)
-    mode = cache(partial(state_field_mode, alg))
+    ops = OperatorCache(alg)
     for name, failures in (
-            ("vacuum", _vacuum_failures(alg, groups, D)),
-            ("translation", _translation_failures(alg, groups, D)),
-            ("locality", _locality_failures(alg, groups, D, mode)),
-            ("associativity", _associativity_failures(alg, groups, D, mode))):
+            ("vacuum", _vacuum_failures(ops, groups, D)),
+            ("translation", _translation_failures(ops, groups, D)),
+            ("locality", _locality_failures(ops, groups, D)),
+            ("associativity", _associativity_failures(ops, groups, D))):
         witness = next(failures, None)
         report.checks.append(CheckResult(name, witness is None, witness))
     return report

@@ -321,3 +321,16 @@ def _mono_state(*values):
 def test_state_sum_integer_loop_cases(pairs):
     # numerators over a running denominator, with parametric entries mixed in
     _assert_sum_is_fold(pairs)
+
+
+def test_empty_state_is_shared():
+    # a sum with no term left, a zero scale and State.zero() are one object,
+    # which nothing changes in place
+    zero = State.zero()
+    assert State.sum([]) is zero
+    assert State.sum([(_mono_state(1), 1), (_mono_state(1), -1)]) is zero
+    assert _mono_state(1, 2).scale(0) is zero
+    assert State.monomial(_MONOS[0], 0) is zero
+    assert (zero + _mono_state(1)) == _mono_state(1)
+    assert State.sum([(zero, 1), (_mono_state(1), 2)]) == _mono_state(2)
+    assert zero.terms == {} and zero is State.zero()

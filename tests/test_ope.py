@@ -178,6 +178,29 @@ def test_verify_axioms_negative_control_witnesses():
             assert witness["associativity"] == associativity
 
 
+
+def test_verify_axioms_odd_lattice_negative_control():
+    # the odd lattice with [b_m, b_n] = 2m in place of m: the sector vacua's
+    # energies and vertex operators no longer fit the boson; every witness
+    # has half-integral or mixed modes
+    alg = ModeAlgebra(
+        "lattice-wrong", [GeneratorSpec("b", Fraction(1))],
+        {(0, 0): BracketRule((), CentralTerm(Scalar.one(),
+                                             Poly.var("m").scale(2)))},
+        lattice_N=1, charge_gen=0)
+    witness = {c.name: c.witness for c in verify_axioms(alg, 2).checks}
+    assert witness == {
+        "vacuum": None,
+        "translation": "A=1_{1,1}, B=1_{1,1}, mode -3/2",
+        "locality": "A=1_{1,1}, B=1_{1,1}, N=0, modes (-5/2,1/2), C=|0>",
+        "associativity": "A=1_{1,1}, B=1_{1,1}, n=0, m=-3, C=|0>"}
+
+
+def test_verify_axioms_odd_lattice_quick():
+    # in lattice:3 the sum of two half-integral modes is an integral mode,
+    # which a single-letter field must receive as an int
+    assert verify_axioms(get_preset("lattice:3").algebra, 3).passed
+
 def test_morphism_check_frenkel_kac():
     # level-1 sl2 in the lattice algebra of sqrt(2) Z: e -> 1_1, f -> 1_-1
     # and h -> 2 b(-1)|0> in the boson normalization [b_m, b_n] = m/2

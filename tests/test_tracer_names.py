@@ -9,9 +9,10 @@ tracer.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
-from voa import get_preset
+from voa import get_preset, ope
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,3 +37,20 @@ def test_every_traced_function_exists():
 
 def test_apply_memo_is_a_dict():
     assert type(get_preset("heisenberg").algebra._apply_memo) is dict
+
+
+def test_axiom_checks_call_the_traced_ope_functions(monkeypatch):
+    # the tracer counts these four and splits verify_axioms into phases at
+    # the first singular_part and associativity_defect; the checks must call
+    # them through the ope module's globals, or every traced count reads 0
+    names = ("singular_part", "locality_witness", "locality_defect",
+             "associativity_defect")
+    counts = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(ope, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ope, name, counted)
+    assert ope.verify_axioms(get_preset("heisenberg").algebra, 2).passed
+    assert {name: counts[name] > 0 for name in names} == dict.fromkeys(
+        names, True)
