@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from fractions import Fraction
 
@@ -390,6 +391,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # a closed pipe (`voa coset ... | head`) ends the process silently
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

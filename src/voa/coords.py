@@ -9,7 +9,8 @@ because each L_j lowers degree.  R(rho) keeps denominators out of its
 inner loop: it acts with S = q omega, where q is the monic lcm of the
 denominators of omega's coefficients (q = k + 2 for the Sugawara vector),
 clears the charges and the state the same way, and divides the sum of the
-powers once.  A check decomposes its rho and clears omega once.
+powers once.  A check decomposes its rho and clears omega once, and its
+fields, S among them, act through one `OperatorCache`.
 
 Huang's identity Y(A,t) = R(rho) Y(R(rho_t)^{-1} A, rho(t)) R(rho)^{-1}
 (rho_t(z) = rho(t+z) - rho(t)) is verified on matrix elements compared as
@@ -28,7 +29,7 @@ from functools import cache
 from math import comb
 
 from .scalars import Poly, Scalar, _poly_divexact, poly_gcd
-from .fields import state_field_mode
+from .fields import OperatorCache, state_field_mode
 from .fock import State, basis_monomials, render_monomial
 
 
@@ -67,13 +68,15 @@ class CoordChange:
 
     @staticmethod
     def identity(M: int) -> "CoordChange":
+        """The identity z; only tests use it, as a group-law oracle."""
         return CoordChange((Scalar.one(),) + (Scalar.zero(),) * (M - 1))
 
     def coefficient(self, k: int) -> Scalar:
         return self.coeffs[k - 1] if 1 <= k <= self.order else Scalar.zero()
 
     def compose(self, other: "CoordChange") -> "CoordChange":
-        """(self * other)(z) = other(self(z)), truncated."""
+        """(self * other)(z) = other(self(z)), truncated; only tests use
+        it, as a group-law oracle."""
         if self.order != other.order:
             raise TruncationMismatch(
                 f"orders {self.order} != {other.order}")
@@ -90,7 +93,8 @@ class CoordChange:
         return CoordChange(tuple(out))
 
     def inverse(self) -> "CoordChange":
-        """mu with mu(self(z)) = z modulo z^{M+1}."""
+        """mu with mu(self(z)) = z modulo z^{M+1}; only tests use it, as a
+        group-law oracle."""
         M = self.order
         mu = [Scalar.zero()] * M
         mu[0] = Scalar.one() / self.coeffs[0]
@@ -115,6 +119,7 @@ class CoordChange:
         return out
 
     def evaluate_at(self, t: Scalar) -> Scalar:
+        """rho(t); only tests use it, as an oracle of `_power_series`."""
         out = Scalar.zero()
         for k in range(1, self.order + 1):
             out = out + self.coeffs[k - 1] * (t ** k)
@@ -245,43 +250,6 @@ def _common_denominator(scalars) -> Scalar:
     return Scalar(lcm, _canonical=True)
 
 
-def _exp_lowering(alg, q: Scalar, S: State, charges, v: State,
-                  sign: int) -> State:
-    """exp(sign * sum_j charges[j-1] L_j) v; exact since L_j lowers degree.
-
-    Denominators are cleared first: omega = S / q, so S_[j] = q L_j, and
-    likewise charges[j-1] = w_j / r and v = V / p, all of S, w_j and V free
-    of denominators.  The powers C_n = (sum_j w_j S_[j])^n V then carry
-    polynomial coefficients, whose adds and products form no gcd, and
-
-        exp(...) v = sum_{n <= N} sign^n (N!/n!) (q r)^(N-n) C_n
-                     / (N! (q r)^N p),
-
-    with N the last nonzero power, is summed as polynomials too and
-    divided once.
-    """
-    r = _common_denominator(charges)
-    w = [vj * r for vj in charges]
-    p = _common_denominator(v.terms.values())
-    qr = q * r
-    cur = acc = v.scale(p)
-    den = p
-    n = 0
-    while True:
-        n += 1
-        nxt = State.zero()
-        for j, wj in enumerate(w, start=1):
-            if not wj.is_zero:
-                term = state_field_mode(alg, S, j, cur)
-                if not term.is_zero:
-                    nxt = nxt + term.scale(wj)
-        cur = nxt
-        if cur.is_zero:
-            return acc.scale(Scalar.one() / den)
-        den = den * qr * n
-        acc = acc.scale(qr * n) + cur.scale(sign ** n)
-
-
 def _scaling_power(scaling: Scalar, state: State, alg, sign: int) -> State:
     """scaling^{sign * L_0}: multiply each graded piece by scaling^(sign*deg)."""
     out = State.zero()
@@ -302,7 +270,9 @@ class _ROperator:
     """R(rho) and its inverse with rho decomposed and omega cleared once.
 
     A transformation check builds one for its rho and applies it to many
-    states; it lives only as long as the check.  Degrees are >= 0 and L_j
+    states; it lives only as long as the check, and so does its
+    `OperatorCache` `ops`, through which the check also reads its field
+    elements.  Degrees are >= 0 and L_j
     lowers degree by j, so on a state of top degree `top` only the charges
     v_1..v_top act: L_j with j > top kills the state and everything the
     lower L_i make of it.  The charges v_1..v_j depend only on
@@ -314,11 +284,41 @@ class _ROperator:
         self.alg = inst.algebra
         self.charge = decompose(rho)
         self.q = _common_denominator(inst.conformal.terms.values())
-        self.S = inst.conformal.scale(self.q)
+        self.ops = OperatorCache(self.alg)
+        self.s = self.ops.field(inst.conformal.scale(self.q))
 
-    def _lower(self, A: State, sign: int) -> State:
-        charges = self.charge.charges[:_top_degree(self.alg, A)]
-        return _exp_lowering(self.alg, self.q, self.S, charges, A, sign)
+    def _lower(self, v: State, sign: int) -> State:
+        """exp(sign * sum_j v_j L_j) v; exact since L_j lowers degree.
+
+        Denominators are cleared first: omega = S / q, with `s` the field
+        of S in `ops`, so S_[j] = q L_j, and likewise v_j = w_j / r and
+        v = V / p, all of S, w_j and V free of denominators.  The powers
+        C_n = (sum_j w_j S_[j])^n V then carry polynomial coefficients,
+        whose adds and products form no gcd, and
+
+            exp(...) v = sum_{n <= N} sign^n (N!/n!) (q r)^(N-n) C_n
+                         / (N! (q r)^N p),
+
+        with N the last nonzero power, is summed as polynomials too and
+        divided once.
+        """
+        charges = self.charge.charges[:_top_degree(self.alg, v)]
+        r = _common_denominator(charges)
+        w = [vj * r for vj in charges]
+        p = _common_denominator(v.terms.values())
+        qr = self.q * r
+        cur = acc = v.scale(p)
+        den = p
+        n = 0
+        while True:
+            n += 1
+            cur = State.sum((self.ops.apply(self.s, j, cur), wj)
+                            for j, wj in enumerate(w, start=1)
+                            if not wj.is_zero)
+            if cur.is_zero:
+                return acc.scale(Scalar.one() / den)
+            den = den * qr * n
+            acc = acc.scale(qr * n) + cur.scale(sign ** n)
 
     def apply(self, A: State) -> State:
         mid = _scaling_power(self.charge.scaling, A, self.alg, -1)
@@ -464,7 +464,8 @@ def _conjugated_field_element(alg, Bt: dict, rho_power, R: _ROperator,
     deg u, including intermediate degrees above `cap` since R(rho) lowers
     degree again.  Pairs (p, j) whose lowest exponent exceeds `window` are
     skipped, and each product is cut at t^window.  R(rho) is t-free and
-    linear, so it acts on each t-coefficient once.
+    linear, so it acts on each t-coefficient once.  B_j acts through
+    `R.ops`.
     """
     u = R.inverse(v)
     total = {}
@@ -472,7 +473,7 @@ def _conjugated_field_element(alg, Bt: dict, rho_power, R: _ROperator,
         for d in sorted(Bj.degrees(alg)):
             if d.denominator != 1:
                 raise ValueError("field insertion needs integral weight")
-            Bd = Bj.component(alg, d)
+            b = R.ops.field(Bj.component(alg, d))
             for mono, c in u.terms.items():
                 du = alg.mono_degree(mono)
                 for r in range(cap + window + int(d) + 1):
@@ -482,32 +483,23 @@ def _conjugated_field_element(alg, Bt: dict, rho_power, R: _ROperator,
                     m = int(-p - d)
                     if j + m > window:
                         break
-                    w = state_field_mode(alg, Bd, p, State.monomial(mono))
+                    w = R.ops.col(b, p, mono)
                     if w.is_zero:
                         continue
                     for e, s in rho_power(m).items():
                         if j + e > window:
                             break
-                        total[j + e] = total.get(j + e, State.zero()) + \
-                            w.scale(c * s)
-    return {e: R.apply(st) for e, st in total.items()}
+                        total.setdefault(j + e, []).append((w, c * s))
+    return {e: R.apply(State.sum(pairs)) for e, pairs in total.items()}
 
 
-def _field_element(inst, A: State, v: State, cap: int) -> dict:
-    """{t-exponent: State} of Y(A,t) v, output degrees capped at `cap`."""
-    alg = inst.algebra
-    dA = A.degree(alg)
-    out = {}
-    dv = v.degree(alg)
-    for r in range(cap + 1):
-        p = dv - r
-        e = -p - dA
-        if e.denominator != 1:
-            continue
-        w = state_field_mode(alg, A, p, v)
-        if not w.is_zero:
-            out[int(e)] = w
-    return out
+def _field_element(ops: OperatorCache, A: State, v, cap: int) -> dict:
+    """{t-exponent: State} of Y(A,t) v on the monomial v, output degrees
+    capped at `cap`."""
+    a, dA, dv = ops.field(A), A.degree(ops.alg), ops.alg.mono_degree(v)
+    modes = [dv - r for r in range(cap + 1) if (dv - r + dA).denominator == 1]
+    out = {int(-p - dA): ops.col(a, p, v) for p in modes}
+    return {e: w for e, w in out.items() if not w.is_zero}
 
 
 def _compare_series(alg, lhs: dict, rhs: dict, window: int, cap: int):
@@ -558,10 +550,9 @@ def _transformation_check(inst, A: State, B: State, rho: CoordChange,
     R = _ROperator(inst, rho)
     for d in range(D + 1):
         for mono in basis_monomials(alg, d, 0):
-            v = State.monomial(mono)
-            lhs = _field_element(inst, A, v, D)
-            rhs = _conjugated_field_element(alg, Bt, rho_power, R, v, D,
-                                            window)
+            lhs = _field_element(R.ops, A, mono, D)
+            rhs = _conjugated_field_element(alg, Bt, rho_power, R,
+                                            State.monomial(mono), D, window)
             witness = _compare_series(alg, lhs, rhs, window, D)
             if witness is not None:
                 return CoordReport(

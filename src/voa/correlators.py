@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from math import comb, factorial
 
 from .scalars import Poly, poly_derivative as _poly_deriv
 from .fock import PbwMonomial, State
+from .fields import OperatorCache
 
 
 def zvar(i: int) -> str:
@@ -484,14 +484,12 @@ def consistency_check(alg, states, phi, regions, order: int,
     unused: no series is truncated.  The direct side depends only on the
     insertion states in region order, so there is one walk per distinct
     insertion sequence (see `_region_walk`), relabeled to z1..zn order for
-    each region that has it.  The mode actions behind the walks go through
-    one cache that lives for this call, so a partial product is computed
-    once and shared by every walk.  A failure names the first failing
+    each region that has it.  All walks read their modes through one
+    `OperatorCache` made for this call.  A failure names the first failing
     region and, in it, the lexicographically first mismatching exponent
     tuple (e_1..e_n).
     """
-    from .fields import state_field_mode
-    mode = cache(partial(state_field_mode, alg))
+    ops = OperatorCache(alg)
     insertions = [state_insertion(alg, s) for s in states]
     n = len(states)
     f = heisenberg_npoint(phi, n, insertions)
@@ -507,7 +505,7 @@ def consistency_check(alg, states, phi, regions, order: int,
         sequence = tuple(states[p] for p in positions)
         walk = walks.get(sequence)
         if walk is None:
-            walk = walks[sequence] = _region_walk(mode, sequence, degrees,
+            walk = walks[sequence] = _region_walk(ops, sequence, degrees,
                                                   phi_terms, span)
         direct = {tuple(key[k] for k in back): c for key, c in walk.items()}
         bad = [e for e in direct.keys() | expanded.keys()
@@ -531,7 +529,7 @@ def consistency_check(alg, states, phi, regions, order: int,
     return ConsistencyReport(True)
 
 
-def _region_walk(mode, sequence, degrees, phi, span):
+def _region_walk(ops, sequence, degrees, phi, span):
     """Nonzero phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) coefficients of one sequence.
 
     `sequence` lists the insertion states from the outermost field to the
@@ -539,10 +537,10 @@ def _region_walk(mode, sequence, degrees, phi, span):
     innermost field first, once for each exponent in `span`, and descends
     only into nonzero states, so each partial product Y(A_k,z_k)...|0> is
     computed once and shared by every exponent tuple that extends it.
-    `mode(A, n, v)` is the state-level mode action A_(n) v;
-    `consistency_check` makes one walk per distinct insertion sequence and
-    passes one cache for all of them, so sequences that share an inner
-    part share its products.  Returns {(e_1..e_n): Fraction} with the
+    The modes act through the `OperatorCache` `ops`; `consistency_check`
+    makes one walk per distinct insertion sequence and passes one cache
+    for all of them, so walks that apply the same mode to the same
+    monomial compute it once.  Returns {(e_1..e_n): Fraction} with the
     exponents in the order of `sequence`; relabeled to z1..zn order they
     are the coefficients of `matrix_element_coefficient`, tuple by tuple.
     """
@@ -561,9 +559,9 @@ def _region_walk(mode, sequence, degrees, phi, span):
                 out[tuple(e)] = total
             return
         A = sequence[k]
-        dA = degrees[A]
+        a, dA = ops.field(A), degrees[A]
         for x in span:
-            w = mode(A, -x - dA, v)
+            w = ops.apply(a, -x - dA, v)
             if not w.is_zero:
                 e[k] = x
                 descend(k - 1, w)

@@ -137,6 +137,72 @@ def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
 
 
 # ---------------------------------------------------------------------------
+# Operator cache
+# ---------------------------------------------------------------------------
+
+class OperatorCache:
+    """Mode actions of fields on PBW monomials, for one call of a loop that
+    applies fields to many states; nothing of it stays on the algebra.
+
+    `field(X)` numbers each state used as a field with a small int.
+    `col(x, p, m)` is X_[p] on the monomial m, read from the algebra's memo
+    of `_field_mode_mono` and kept for the call.  `pair(x, p, y, q, m)` is
+    X_[p] Y_[q] m, kept until the next `new_scope()`, which the axiom
+    checks call for each locality test state and each associativity pair,
+    so that memory stays flat over the call.
+    """
+
+    def __init__(self, alg: ModeAlgebra):
+        self.alg = alg
+        self._index = {}     # State -> field number
+        self._terms = []     # field number -> ((monomial, coefficient), ...)
+        self._cols = {}
+        self._pairs = {}
+
+    def field(self, X: State) -> int:
+        x = self._index.get(X)
+        if x is None:
+            x = self._index[X] = len(self._terms)
+            self._terms.append(tuple(X.terms.items()))
+        return x
+
+    def col(self, x: int, p, m: PbwMonomial) -> State:
+        """X_[p] m.  p must be a `mode_index` value, so a sum of two modes
+        goes through `mode_index` first: a single-letter field acts only
+        through an int mode."""
+        key = (x, p, m)
+        v = self._cols.get(key)
+        if v is None:
+            terms = self._terms[x]
+            if len(terms) == 1 and terms[0][1]._frac == 1:
+                v = _field_mode_mono(self.alg, terms[0][0], p, m)
+            else:
+                v = State.sum((_field_mode_mono(self.alg, a, p, m), c)
+                              for a, c in terms)
+            self._cols[key] = v
+        return v
+
+    def apply(self, x: int, p, v: State) -> State:
+        """X_[p] v for a state v."""
+        terms = v.terms
+        if not terms:
+            return v
+        col = self.col
+        return State.sum((col(x, p, m), c) for m, c in terms.items())
+
+    def pair(self, x: int, p, y: int, q, m: PbwMonomial) -> State:
+        key = (x, p, y, q, m)
+        v = self._pairs.get(key)
+        if v is None:
+            v = self._pairs[key] = self.apply(x, p, self.col(y, q, m))
+        return v
+
+    def new_scope(self):
+        """Drop the cached two-mode products."""
+        self._pairs = {}
+
+
+# ---------------------------------------------------------------------------
 # Lattice vertex operators
 # ---------------------------------------------------------------------------
 

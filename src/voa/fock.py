@@ -98,10 +98,11 @@ class ModeAlgebra:
     - ("E+", lam_N, k): its E+_k, as (letters, numerator over k!) pairs
       (both in `fields.vertex_mode`).
 
-    Caches over states belong to the call that fills them: the axiom
-    checks read X_[p] on monomials and their two-mode products through an
-    `ope.OperatorCache` made for one `verify_axioms` or `locality_order`
-    call.
+    Caches over states belong to the call that fills them: every loop
+    that applies fields to many states (the axiom checks, `coset_graded`,
+    `morphism_check`, the coordinate-change checks, `consistency_check`)
+    reads X_[p] on monomials, and the axiom checks their two-mode
+    products, through a `fields.OperatorCache` made for its call.
 
     Weights, sector energies and monomial degrees come back through
     `mode_index`: an int when integral, a Fraction only when half-integral

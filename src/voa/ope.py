@@ -28,7 +28,7 @@ from math import comb
 from .fock import (ModeAlgebra, PbwMonomial, State, all_sector_monomials,
                    apply_mode, basis_monomials, mode_index, render_monomial,
                    render_state)
-from .fields import _field_mode_mono, gbinom, state_field_mode, translate
+from .fields import OperatorCache, gbinom, state_field_mode, translate
 from .linalg import kernel_basis
 
 
@@ -85,7 +85,7 @@ def commutator_via_formula(alg: ModeAlgebra, A: State, m, B: State, kk):
     """[A_[m], B_[kk]] as a finite combination sum_n C(..) (A_[n]B)_[m+kk].
 
     Returns (terms, mode) where terms is a list of (coefficient, State) and
-    the combination acts as sum coeff * state_field_mode(state, mode, .);
+    the combination acts as sum coeff * state_[mode] (`apply_combination`);
     the mode and the coefficients are ints when integral (`mode_index`).
     """
     dA = A.degree(alg)
@@ -118,73 +118,6 @@ def commutator_direct(alg: ModeAlgebra, A: State, m, B: State, kk,
     return (state_field_mode(alg, A, m, state_field_mode(alg, B, kk, C))
             - state_field_mode(alg, B, kk, state_field_mode(alg, A, m, C))
             .scale(eps))
-
-
-# ---------------------------------------------------------------------------
-# Operator cache of the axiom checks
-# ---------------------------------------------------------------------------
-
-class OperatorCache:
-    """Mode actions of the fields of an axiom check on PBW monomials.
-
-    One cache serves one `verify_axioms` or `locality_order` call, and
-    nothing of it stays on the algebra.  `field(X)` numbers each state used
-    as a field (A, B and each A_(n)B) with a small int.  `col(x, p, m)` is
-    X_[p] on the monomial m, read from the algebra's memo of
-    `_field_mode_mono`; it is kept for the whole call.  `pair(x, p, y, q,
-    m)` is X_[p] Y_[q] m; it is kept until the next `new_scope()`, which
-    the checks call for each locality test state and each associativity
-    (A, B) pair, so that memory stays flat over the call.
-    """
-
-    def __init__(self, alg: ModeAlgebra):
-        self.alg = alg
-        self._index = {}     # State -> field number
-        self._terms = []     # field number -> ((monomial, coefficient), ...)
-        self._cols = {}
-        self._pairs = {}
-
-    def field(self, X: State) -> int:
-        x = self._index.get(X)
-        if x is None:
-            x = self._index[X] = len(self._terms)
-            self._terms.append(tuple(X.terms.items()))
-        return x
-
-    def col(self, x: int, p, m: PbwMonomial) -> State:
-        """X_[p] m.  p must be a `mode_index` value, so a sum of two modes
-        goes through `mode_index` first: a single-letter field acts only
-        through an int mode."""
-        key = (x, p, m)
-        v = self._cols.get(key)
-        if v is None:
-            terms = self._terms[x]
-            if len(terms) == 1 and terms[0][1]._frac == 1:
-                v = _field_mode_mono(self.alg, terms[0][0], p, m)
-            else:
-                v = State.sum((_field_mode_mono(self.alg, a, p, m), c)
-                              for a, c in terms)
-            self._cols[key] = v
-        return v
-
-    def apply(self, x: int, p, v: State) -> State:
-        """X_[p] v for a state v."""
-        terms = v.terms
-        if not terms:
-            return v
-        col = self.col
-        return State.sum((col(x, p, m), c) for m, c in terms.items())
-
-    def pair(self, x: int, p, y: int, q, m: PbwMonomial) -> State:
-        key = (x, p, y, q, m)
-        v = self._pairs.get(key)
-        if v is None:
-            v = self._pairs[key] = self.apply(x, p, self.col(y, q, m))
-        return v
-
-    def new_scope(self):
-        """Drop the cached two-mode products."""
-        self._pairs = {}
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +415,19 @@ def morphism_check(src: ModeAlgebra, tgt: ModeAlgebra, images, D):
     phi(g1(n1)...gk(nk)|0>) = phi(g1)_[n1+s1] ... phi(gk)_[nk+sk] |0> with
     s = wt g - deg phi(g); the check compares phi(g_n v) with
     phi(g)_[n+s] phi(v) in the order (d = deg v <= D, v, g, -d-2 <= n <= d+1).
+    The images act through one `OperatorCache` made for the call.
     """
     shifts = [mode_index(src.weight(g) - A.degree(tgt)) for g, A in
               zip(range(len(src.generators)), images, strict=True)]
+    ops = OperatorCache(tgt)
+    xs = [ops.field(A) for A in images]
     step = {(): State.vacuum()}  # word -> phi(word|0>), for this call only
 
     def image(word):
         if word not in step:
             (g, n), rest = word[0], word[1:]
-            step[word] = state_field_mode(tgt, images[g], n + shifts[g],
-                                          image(rest))
+            step[word] = ops.apply(xs[g], mode_index(n + shifts[g]),
+                                   image(rest))
         return step[word]
 
     for d in range(D + 1):
@@ -512,20 +448,24 @@ def morphism_check(src: ModeAlgebra, tgt: ModeAlgebra, images, D):
 # ---------------------------------------------------------------------------
 
 def coset_graded(alg: ModeAlgebra, Wgens, d):
-    """Basis of {v in V_d : Y(A,z)v regular for all A in Wgens} as States."""
+    """Basis of {v in V_d : Y(A,z)v regular for all A in Wgens} as States.
+
+    The rows are the singular modes A_[p] on the basis monomials of V_d,
+    read through one `OperatorCache` made for the call.
+    """
     monos = basis_monomials(alg, d, 0)
     if not monos:
         return []
+    ops = OperatorCache(alg)
     rows = []
     for A in Wgens:
-        dA = A.degree(alg)
-        p = 1 - dA
+        a = ops.field(A)
+        p = 1 - A.degree(alg)
         while p <= d:
             # sparse rows {column: coefficient} of A_[p] restricted to V_d
             block = {}
             for i, m in enumerate(monos):
-                img = state_field_mode(alg, A, p, State.monomial(m))
-                for t, c in img.terms.items():
+                for t, c in ops.col(a, p, m).terms.items():
                     block.setdefault(t, {})[i] = c
             rows.extend(block[t] for t in sorted(block))
             p += 1

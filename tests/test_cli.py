@@ -5,6 +5,7 @@ library calls, and identical invocations must produce identical bytes.
 """
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -324,6 +325,22 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: --out {target}: No such file or directory\n"
+
+
+def test_closed_stdout_pipe_ends_silently():
+    # the reader of a pipe may go before the output comes (`voa coset ... |
+    # head -3`); exit code 1 means a failed verification, and a traceback
+    # would say the library broke
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "voa.cli", "npoint", "--n", "2"],
+            stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode != 1
 
 
 def _subprocess_bytes(argv):

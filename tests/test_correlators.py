@@ -359,18 +359,19 @@ def test_reduce_term_cancels_only_dividing_factors():
 
 def test_consistency_shares_mode_products_across_regions(monkeypatch):
     # the four insertions are equal, so every region walks the same partial
-    # products: 24 regions cost the mode actions of one, and the shared
-    # cache stays out of the algebra's memo of monomial-level actions
+    # products: 24 regions cost the `OperatorCache.apply` calls of one,
+    # and the shared cache stays out of the algebra's memo of
+    # monomial-level actions
     inst = get_preset("heisenberg", lam=0)
     b = inst.gen_state("b")
     calls = []
-    state_field_mode = fields.state_field_mode
+    apply = fields.OperatorCache.apply
 
     def counted(*args):
         calls.append(args)
-        return state_field_mode(*args)
+        return apply(*args)
 
-    monkeypatch.setattr(fields, "state_field_mode", counted)
+    monkeypatch.setattr(fields.OperatorCache, "apply", counted)
     counts = []
     for regions in (_all_regions(4)[:1], _all_regions(4)):
         calls.clear()

@@ -251,8 +251,9 @@ def _memo_kinds(alg):
 
 
 def test_axiom_checks_free_their_caches():
-    # after verify_axioms and locality_order return, the algebra holds only
-    # its memo of pure mode actions
+    # after verify_axioms, locality_order, coset_graded and morphism_check
+    # return, the algebra holds only its memo of pure mode actions (and the
+    # E-/E+ terms of the vertex operators on a lattice target)
     pure = {"apply_mode", "fm", "T"}
     inst = get_preset("heisenberg")
     alg, b = inst.algebra, inst.gen_state("b")
@@ -260,6 +261,17 @@ def test_axiom_checks_free_their_caches():
     assert _memo_kinds(alg) <= pure
     assert locality_order(alg, b, b, 3) == 2
     assert _memo_kinds(alg) <= pure
+    sl2 = get_preset("affine:sl2")
+    currents = [s for _, s in sl2.generator_states()]
+    assert coset_graded(sl2.algebra, currents, 3) == []
+    assert _memo_kinds(sl2.algebra) <= pure
+    src = affine(sl2_data(), 1).algebra
+    lat = get_preset("lattice:2").algebra
+    images = [State.vacuum(1), normal_order(lat, [("b", -1)]).scale(2),
+              State.vacuum(-1)]
+    assert morphism_check(src, lat, images, 3) is None
+    assert "fm" in _memo_kinds(lat)
+    assert _memo_kinds(lat) <= pure | {"E-", "E+"}
 
 
 def _numbers(key):
@@ -309,6 +321,13 @@ def test_coset_commutative_is_everything():
     gens = [s for _, s in inst.generator_states()]
     for d in range(4):
         assert len(coset_graded(alg, gens, d)) == graded_dim(alg, d)
+    # every field of a commutative vertex algebra is regular, also the
+    # two-term parametric x(-2)|0> + k x(-1)^2|0>
+    A = (normal_order(alg, [("x", -2)])
+         + normal_order(alg, [("x", -1), ("x", -1)]).scale(Scalar.param("k")))
+    assert len(A.terms) == 2
+    dims = [len(coset_graded(alg, [A], d)) for d in range(5)]
+    assert dims == [graded_dim(alg, d) for d in range(5)] == [1, 1, 2, 3, 5]
 
 
 def _partitions_min_part(d, smallest):

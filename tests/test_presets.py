@@ -241,6 +241,10 @@ def test_morphism_check_catches_wrong_psi_image():
     assert morphism_check(falg, lalg, images, 2) == "psi(0) on psi*(0) |0>"
     with pytest.raises(ValueError):
         morphism_check(falg, lalg, images[:1], 2)
+    # psi* doubled: the half-integral shifts of the odd lattice reach the
+    # images through mode_index
+    images = [State.vacuum(-1), State.vacuum(1).scale(2)]
+    assert morphism_check(falg, lalg, images, 2) == "psi(0) on psi*(0) |0>"
 
 
 def test_morphism_check_catches_wrong_sign_and_wrong_source():
