@@ -29,7 +29,7 @@ from functools import cache
 from math import comb
 
 from .scalars import Poly, Scalar, _poly_divexact, poly_gcd
-from .fields import OperatorCache, state_field_mode
+from .fields import OperatorCache
 from .fock import State, basis_monomials, render_monomial
 
 
@@ -252,14 +252,14 @@ def _common_denominator(scalars) -> Scalar:
 
 def _scaling_power(scaling: Scalar, state: State, alg, sign: int) -> State:
     """scaling^{sign * L_0}: multiply each graded piece by scaling^(sign*deg)."""
-    out = State.zero()
+    out = {}
     for mono, c in state.terms.items():
         d = alg.mono_degree(mono)
         if d.denominator != 1:
             raise ValueError(
                 "scaling^{L_0} needs integral degrees; got degree %s" % d)
-        out = out + State.monomial(mono, c * (scaling ** (sign * int(d))))
-    return out
+        out[mono] = c * (scaling ** (sign * int(d)))
+    return State(out) if out else State.zero()
 
 
 def _top_degree(alg, A: State) -> int:
@@ -592,8 +592,9 @@ def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
     _check_first_order(rho, first_order_in)
     alg = inst.algebra
     dA = A.degree(alg)
+    ops = OperatorCache(alg)
     for n in range(1, int(dA) + 2):
-        if not state_field_mode(alg, inst.conformal, Fraction(n), A).is_zero:
+        if not ops.apply(ops.field(inst.conformal), n, A).is_zero:
             raise NotPrimary(f"L_{n} does not annihilate the state")
     if dA.denominator != 1:
         raise ValueError("primary check needs an integral weight")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalars import Poly, poly_derivative as _poly_deriv
-from .fock import PbwMonomial, State
+from .fock import PbwMonomial, State, mode_index
 from .fields import OperatorCache
 
 
@@ -443,15 +443,15 @@ def matrix_element_coefficient(alg, states, phi, exponents, region):
     one coefficient at a time: `consistency_check` reads the same
     coefficients from `_region_walk`, and the tests compare the two.
     """
-    from .fields import state_field_mode
     phi = _phi_terms(phi)
     order = [int(v[1:]) for v in region.order]
+    ops = OperatorCache(alg)
     v = State.vacuum()
     for idx in reversed(order):
         A = states[idx - 1]
         e = exponents[idx - 1]
         dA = A.degree(alg)
-        v = state_field_mode(alg, A, -Fraction(e) - dA, v)
+        v = ops.apply(ops.field(A), mode_index(-Fraction(e) - dA), v)
         if v.is_zero:
             return Fraction(0)
     total = Fraction(0)

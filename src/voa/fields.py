@@ -14,6 +14,9 @@ in sector 0 and the vertex operator of the sector vacuum in a charge sector,
 and a single letter g(n) over the vacuum has the modes
 binom(-p - wt g, j) g_p.
 
+The recursion is memoized only in the `OperatorCache` of one call; the
+algebra keeps the generator-level memos (`apply_mode`, T, E-/E+ below).
+
 The vertex operator of the charge-m vacuum is
 
     Y(1_m, z) = E+(z) S_m z^(lam b_0) E-(z),
@@ -69,23 +72,19 @@ def gbinom(a, k: int):
 
 def field_mode(alg: ModeAlgebra, A: PbwMonomial, p, state: State) -> State:
     """Apply the shifted mode A_[p] of the field of the monomial A to a state."""
-    p = mode_index(p)
-    return State.sum((_field_mode_mono(alg, A, p, mono), c)
+    ops, p = OperatorCache(alg), mode_index(p)
+    return State.sum((ops.mono(A, p, mono), c)
                      for mono, c in state.terms.items())
 
 
-def _field_mode_mono(alg: ModeAlgebra, A: PbwMonomial, p,
-                     mono: PbwMonomial) -> State:
-    key = ("fm", A, p, mono)
-    hit = alg._apply_memo.get(key)
-    if hit is not None:
-        return hit
-    result = _field_mode_raw(alg, A, p, mono)
-    alg._apply_memo[key] = result
-    return result
+def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
+    """A_[p] v for states A, v: the reconstruction-theorem mode action."""
+    ops = OperatorCache(alg)
+    return ops.apply(ops.field(A), mode_index(p), v)
 
 
-def _field_mode_raw(alg, A, p, mono):
+def _field_mode_raw(ops, A, p, mono):
+    alg = ops.alg
     word, sector = A.word, A.sector
     if not word:
         if sector:
@@ -115,25 +114,16 @@ def _field_mode_raw(alg, A, p, mono):
     # creation part of left on the outside
     m = n
     while m >= p - d:
-        for x, c in _field_mode_mono(alg, rest, p - m, mono).terms.items():
-            pairs.append((_field_mode_mono(alg, left, m, x), c))
+        for x, c in ops.mono(rest, p - m, mono).terms.items():
+            pairs.append((ops.mono(left, m, x), c))
         m -= 1
     # annihilation part of left moved inside
     m = n + 1
     while m <= d:
-        for x, c in _field_mode_mono(alg, left, m, mono).terms.items():
-            pairs.append((_field_mode_mono(alg, rest, p - m, x),
-                          -c if odd else c))
+        for x, c in ops.mono(left, m, mono).terms.items():
+            pairs.append((ops.mono(rest, p - m, x), -c if odd else c))
         m += 1
     return State.sum(pairs)
-
-
-def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
-    """A_[p] v for states A, v: the reconstruction-theorem mode action."""
-    p = mode_index(p)
-    return State.sum((_field_mode_mono(alg, a, p, x), ca * cx)
-                     for a, ca in A.terms.items()
-                     for x, cx in v.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +131,35 @@ def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
 # ---------------------------------------------------------------------------
 
 class OperatorCache:
-    """Mode actions of fields on PBW monomials, for one call of a loop that
-    applies fields to many states; nothing of it stays on the algebra.
+    """Mode actions of fields on PBW monomials, for one call; nothing of it
+    stays on the algebra.  A one-shot function (`state_field_mode`,
+    `ope.singular_part`, ...) makes its own, so a loop should hold one.
 
-    `field(X)` numbers each state used as a field with a small int.
-    `col(x, p, m)` is X_[p] on the monomial m, read from the algebra's memo
-    of `_field_mode_mono` and kept for the call.  `pair(x, p, y, q, m)` is
-    X_[p] Y_[q] m, kept until the next `new_scope()`, which the axiom
-    checks call for each locality test state and each associativity pair,
-    so that memory stays flat over the call.
+    `mono(A, p, m)` is A_[p] m for the field of the PBW monomial A, the one
+    memo of the reconstruction recursion.  `field(X)` numbers each state
+    used as a field with a small int.  `col(x, p, m)` is X_[p] m: the
+    `mono` entry itself for a one-term field with coefficient 1, else one
+    sum over the terms of X.  Both are kept for the call.
+    `pair(x, p, y, q, m)` is X_[p] Y_[q] m, kept until the next
+    `new_scope()`, which the axiom checks call for each locality test state
+    and each associativity pair, so that memory stays flat over the call.
     """
 
     def __init__(self, alg: ModeAlgebra):
         self.alg = alg
         self._index = {}     # State -> field number
         self._terms = []     # field number -> ((monomial, coefficient), ...)
-        self._cols = {}
+        self._modes = {}     # (A, p, m) -> A_[p] m, A a PBW monomial
+        self._cols = {}      # (x, p, m) -> X_[p] m, X not one monomial
         self._pairs = {}
+
+    def mono(self, A: PbwMonomial, p, m: PbwMonomial) -> State:
+        """A_[p] m for the field of the monomial A; p a `mode_index` value."""
+        key = (A, p, m)
+        v = self._modes.get(key)
+        if v is None:
+            v = self._modes[key] = _field_mode_raw(self, A, p, m)
+        return v
 
     def field(self, X: State) -> int:
         x = self._index.get(X)
@@ -170,16 +172,14 @@ class OperatorCache:
         """X_[p] m.  p must be a `mode_index` value, so a sum of two modes
         goes through `mode_index` first: a single-letter field acts only
         through an int mode."""
+        terms = self._terms[x]
+        if len(terms) == 1 and terms[0][1]._frac == 1:
+            return self.mono(terms[0][0], p, m)
         key = (x, p, m)
         v = self._cols.get(key)
         if v is None:
-            terms = self._terms[x]
-            if len(terms) == 1 and terms[0][1]._frac == 1:
-                v = _field_mode_mono(self.alg, terms[0][0], p, m)
-            else:
-                v = State.sum((_field_mode_mono(self.alg, a, p, m), c)
-                              for a, c in terms)
-            self._cols[key] = v
+            v = self._cols[key] = State.sum((self.mono(a, p, m), c)
+                                            for a, c in terms)
         return v
 
     def apply(self, x: int, p, v: State) -> State:

@@ -68,8 +68,8 @@ def mode_index(p):
     """A mode index, weight or degree as an int when it is integral, else
     as a Fraction.
 
-    Mode indices key the field_mode memo and the axiom checks' caches and
-    are added up in the locality and associativity windows; ints hash,
+    Mode indices key the memos of `fields.OperatorCache` and are added
+    up in the locality and associativity windows; ints hash,
     compare and add without a call into Python code, Fractions do not.
     Equal values of the two types hash and compare equal, so either finds
     the same cache entry, and both print the same.
@@ -90,19 +90,16 @@ class ModeAlgebra:
     mode actions on PBW monomials in `_apply_memo`, under one key kind each:
 
     - (g, n, mono), untagged: the generator mode g_n (`apply_mode`);
-    - ("fm", A, p, mono): the mode A_[p] of the field of the monomial A
-      (`fields.field_mode`);
     - ("T", mono): the translation operator (`fields.translate`);
     - ("E-", lam_N, word): the (remaining word, j, coefficient) terms of
       E-_j on a word for a lattice vertex operator, any j and sector;
     - ("E+", lam_N, k): its E+_k, as (letters, numerator over k!) pairs
       (both in `fields.vertex_mode`).
 
-    Caches over states belong to the call that fills them: every loop
-    that applies fields to many states (the axiom checks, `coset_graded`,
-    `morphism_check`, the coordinate-change checks, `consistency_check`)
-    reads X_[p] on monomials, and the axiom checks their two-mode
-    products, through a `fields.OperatorCache` made for its call.
+    Modes of composite fields belong to the call that computes them: every
+    function that applies fields to states reads A_[p] on monomials, and
+    the axiom checks their two-mode products, through a
+    `fields.OperatorCache` made for its call.
 
     Weights, sector energies and monomial degrees come back through
     `mode_index`: an int when integral, a Fraction only when half-integral

@@ -28,7 +28,7 @@ from math import comb
 from .fock import (ModeAlgebra, PbwMonomial, State, all_sector_monomials,
                    apply_mode, basis_monomials, mode_index, render_monomial,
                    render_state)
-from .fields import OperatorCache, gbinom, state_field_mode, translate
+from .fields import OperatorCache, gbinom, translate
 from .linalg import kernel_basis
 
 
@@ -68,11 +68,13 @@ def _max_target_degree(alg, B):
 def singular_part(alg: ModeAlgebra, A: State, B: State) -> dict:
     """Poles of Y(A,z)B as {pole order j >= 1: State}."""
     dA = A.degree(alg)
+    ops = OperatorCache(alg)
+    a = ops.field(A)
     poles = {}
     p = 1 - dA
     p_max = _max_target_degree(alg, B)
     while p <= p_max:
-        v = state_field_mode(alg, A, p, B)
+        v = ops.apply(a, p, B)
         if not v.is_zero:
             j = p + dA
             assert j.denominator == 1
@@ -105,19 +107,19 @@ def apply_combination(alg: ModeAlgebra, combination, C: State) -> State:
     check of the library calls it.
     """
     terms, mode = combination
-    out = State.zero()
-    for c, AB in terms:
-        out = out + state_field_mode(alg, AB, mode, C).scale(c)
-    return out
+    ops, mode = OperatorCache(alg), mode_index(mode)
+    return State.sum((ops.apply(ops.field(AB), mode, C), c)
+                     for c, AB in terms)
 
 
 def commutator_direct(alg: ModeAlgebra, A: State, m, B: State, kk,
                       C: State) -> State:
     """[A_[m], B_[kk]] C by two mode-application orders (supercommutator)."""
     eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
-    return (state_field_mode(alg, A, m, state_field_mode(alg, B, kk, C))
-            - state_field_mode(alg, B, kk, state_field_mode(alg, A, m, C))
-            .scale(eps))
+    ops = OperatorCache(alg)
+    a, b, m, kk = ops.field(A), ops.field(B), mode_index(m), mode_index(kk)
+    return (ops.apply(a, m, ops.apply(b, kk, C))
+            - ops.apply(b, kk, ops.apply(a, m, C)).scale(eps))
 
 
 # ---------------------------------------------------------------------------

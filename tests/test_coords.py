@@ -299,7 +299,7 @@ def test_checks_leave_no_state_behind():
     assert report.passed
     assert vars(inst) == fields
     assert {key[0] if isinstance(key[0], str) else "apply_mode"
-            for key in inst.algebra._apply_memo} <= {"apply_mode", "fm", "T"}
+            for key in inst.algebra._apply_memo} <= {"apply_mode", "T"}
     assert vars(coords) == module
 
 

@@ -2,17 +2,22 @@
 
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voa import (BracketRule, CentralTerm, GeneratorSpec, ModeAlgebra, Poly,
-                 Scalar, State, affine, algebra_from_json, apply_mode,
-                 basis_monomials, coset_graded, get_preset, graded_dim,
-                 NotLocalUpTo, locality_order, morphism_check, normal_order,
-                 parse_scalar, render_state, singular_part, sl2_data,
-                 translate, verify_axioms)
+from voa import (BracketRule, CentralTerm, CoordChange, ExpansionRegion,
+                 GeneratorSpec, ModeAlgebra, Poly, Scalar, State, affine,
+                 algebra_from_json, apply_mode, basis_monomials,
+                 consistency_check, coset_graded, get_preset, graded_dim,
+                 huang_check, lattice_vertex_op, NotLocalUpTo, locality_order,
+                 morphism_check, normal_order, parse_scalar, render_state,
+                 singular_part, sl2_data, state_field_mode, translate,
+                 verify_axioms)
+from voa import ope
+from voa.correlators import VACUUM_PHI, zvar
 from voa.ope import (_grouped_basis, apply_combination, commutator_direct,
                      commutator_via_formula)
 
@@ -252,9 +257,10 @@ def _memo_kinds(alg):
 
 def test_axiom_checks_free_their_caches():
     # after verify_axioms, locality_order, coset_graded and morphism_check
-    # return, the algebra holds only its memo of pure mode actions (and the
-    # E-/E+ terms of the vertex operators on a lattice target)
-    pure = {"apply_mode", "fm", "T"}
+    # return, the algebra holds only its memo of generator modes and T (and
+    # the E-/E+ terms of the vertex operators on a lattice target): the
+    # modes of composite fields lived in the call's OperatorCache
+    pure = {"apply_mode", "T"}
     inst = get_preset("heisenberg")
     alg, b = inst.algebra, inst.gen_state("b")
     assert verify_axioms(alg, 3).passed
@@ -270,8 +276,31 @@ def test_axiom_checks_free_their_caches():
     images = [State.vacuum(1), normal_order(lat, [("b", -1)]).scale(2),
               State.vacuum(-1)]
     assert morphism_check(src, lat, images, 3) is None
-    assert "fm" in _memo_kinds(lat)
+    assert "fm" not in _memo_kinds(lat)
     assert _memo_kinds(lat) <= pure | {"E-", "E+"}
+
+
+def test_one_shot_calls_free_their_caches():
+    # each one-shot call makes its own OperatorCache: composite fields,
+    # vertex operators and the coordinate and correlator checks leave only
+    # the generator-level memo kinds on the algebra
+    pure = {"apply_mode", "T", "E-", "E+"}
+    heis = get_preset("heisenberg", lam=0)
+    alg, omega, b = heis.algebra, heis.conformal, heis.gen_state("b")
+    assert set(singular_part(alg, omega, omega)) == {1, 2, 4}
+    assert state_field_mode(alg, omega, 0, omega) == omega.scale(2)
+    terms, _ = commutator_via_formula(alg, omega, 1, omega, -1)
+    assert len(terms) == 2
+    assert huang_check(heis, omega, CoordChange((Scalar.from_fraction(2),)),
+                       window=2, D=2).passed
+    regions = [ExpansionRegion(tuple(zvar(i) for i in perm))
+               for perm in permutations((1, 2, 3))]
+    states = [b, heis.state([("b", -2)]), b]
+    assert consistency_check(alg, states, VACUUM_PHI, regions, 8).passed
+    assert _memo_kinds(alg) <= pure
+    lat = get_preset("lattice:2")
+    coeffs = lattice_vertex_op(lat, 1, range(-3, 3), State.vacuum())
+    assert coeffs and _memo_kinds(lat.algebra) <= pure
 
 
 def _numbers(key):
@@ -284,13 +313,30 @@ def _numbers(key):
             yield x
 
 
+def _verify_numbers(monkeypatch, alg, D):
+    """Every number in the memo keys of verify_axioms(alg, D): those of the
+    algebra and those of each OperatorCache the call made."""
+    caches = []
+
+    class Recorded(ope.OperatorCache):
+        def __init__(self, alg):
+            super().__init__(alg)
+            caches.append(self)
+
+    monkeypatch.setattr(ope, "OperatorCache", Recorded)
+    assert verify_axioms(alg, D).passed
+    assert any(ops._modes for ops in caches)
+    keys = [*alg._apply_memo]
+    for ops in caches:
+        keys += [*ops._modes, *ops._cols, *ops._pairs]
+    return [x for key in keys for x in _numbers(key)]
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "affine:sl2", "weyl:1",
                                   "lattice:2"])
-def test_integral_indices_are_ints(name):
+def test_integral_indices_are_ints(name, monkeypatch):
     alg = get_preset(name).algebra
-    assert verify_axioms(alg, 2).passed
-    assert "fm" in _memo_kinds(alg)
-    numbers = [x for key in alg._apply_memo for x in _numbers(key)]
+    numbers = _verify_numbers(monkeypatch, alg, 2)
     assert {type(x) for x in numbers} == {int}
     for g, spec in enumerate(alg.generators):
         assert type(alg.weight(g)) is int
@@ -298,10 +344,9 @@ def test_integral_indices_are_ints(name):
     assert {type(d) for d, _ in _grouped_basis(alg, 3)} == {int}
 
 
-def test_odd_lattice_indices_int_or_half_integral():
+def test_odd_lattice_indices_int_or_half_integral(monkeypatch):
     alg = get_preset("lattice:1").algebra
-    assert verify_axioms(alg, 2).passed
-    numbers = [x for key in alg._apply_memo for x in _numbers(key)]
+    numbers = _verify_numbers(monkeypatch, alg, 2)
     halves = [x for x in numbers if type(x) is not int]
     assert halves and {type(x) for x in halves} == {Fraction}
     assert {x.denominator for x in halves} == {2}
