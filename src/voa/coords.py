@@ -309,10 +309,11 @@ class _ROperator:
         qr = self.q * r
         cur = acc = v.scale(p)
         den = p
+        u = self.alg.unit
         n = 0
         while True:
             n += 1
-            cur = State.sum((self.ops.apply(self.s, j, cur), wj)
+            cur = State.sum((self.ops.apply(self.s, j * u, cur), wj)
                             for j, wj in enumerate(w, start=1)
                             if not wj.is_zero)
             if cur.is_zero:
@@ -468,6 +469,7 @@ def _conjugated_field_element(alg, Bt: dict, rho_power, R: _ROperator,
     `R.ops`.
     """
     u = R.inverse(v)
+    unit = alg.unit
     total = {}
     for j, Bj in Bt.items():
         for d in sorted(Bj.degrees(alg)):
@@ -475,12 +477,12 @@ def _conjugated_field_element(alg, Bt: dict, rho_power, R: _ROperator,
                 raise ValueError("field insertion needs integral weight")
             b = R.ops.field(Bj.component(alg, d))
             for mono, c in u.terms.items():
-                du = alg.mono_degree(mono)
-                for r in range(cap + window + int(d) + 1):
-                    p = du - r
-                    if (p + d).denominator != 1:
+                du = alg.scaled_degree(mono)
+                for r in range(cap + window + d + 1):
+                    p = du - r * unit          # in units of 1/u
+                    m, off = divmod(-p - d * unit, unit)
+                    if off:
                         continue
-                    m = int(-p - d)
                     if j + m > window:
                         break
                     w = R.ops.col(b, p, mono)
@@ -496,9 +498,14 @@ def _conjugated_field_element(alg, Bt: dict, rho_power, R: _ROperator,
 def _field_element(ops: OperatorCache, A: State, v, cap: int) -> dict:
     """{t-exponent: State} of Y(A,t) v on the monomial v, output degrees
     capped at `cap`."""
-    a, dA, dv = ops.field(A), A.degree(ops.alg), ops.alg.mono_degree(v)
-    modes = [dv - r for r in range(cap + 1) if (dv - r + dA).denominator == 1]
-    out = {int(-p - dA): ops.col(a, p, v) for p in modes}
+    alg = ops.alg
+    a, u = ops.field(A), alg.unit
+    dA, dv = A.scaled_degree(alg), alg.scaled_degree(v)
+    out = {}
+    for p in range(dv, dv - (cap + 1) * u, -u):      # in units of 1/u
+        e, off = divmod(-p - dA, u)
+        if not off:
+            out[e] = ops.col(a, p, v)
     return {e: w for e, w in out.items() if not w.is_zero}
 
 
@@ -594,7 +601,7 @@ def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
     dA = A.degree(alg)
     ops = OperatorCache(alg)
     for n in range(1, int(dA) + 2):
-        if not ops.apply(ops.field(inst.conformal), n, A).is_zero:
+        if not ops.apply(ops.field(inst.conformal), ops.mode(n), A).is_zero:
             raise NotPrimary(f"L_{n} does not annihilate the state")
     if dA.denominator != 1:
         raise ValueError("primary check needs an integral weight")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalars import Poly, poly_derivative as _poly_deriv
-from .fock import PbwMonomial, State, mode_index
+from .fock import PbwMonomial, State
 from .fields import OperatorCache
 
 
@@ -450,8 +450,8 @@ def matrix_element_coefficient(alg, states, phi, exponents, region):
     for idx in reversed(order):
         A = states[idx - 1]
         e = exponents[idx - 1]
-        dA = A.degree(alg)
-        v = ops.apply(ops.field(A), mode_index(-Fraction(e) - dA), v)
+        p = ops.mode(-Fraction(e) - A.degree(alg))
+        v = ops.apply(ops.field(A), p, v)
         if v.is_zero:
             return Fraction(0)
     total = Fraction(0)
@@ -494,7 +494,7 @@ def consistency_check(alg, states, phi, regions, order: int,
     n = len(states)
     f = heisenberg_npoint(phi, n, insertions)
     phi_terms = _phi_terms(phi)
-    degrees = {A: A.degree(alg) for A in states}
+    degrees = {A: A.scaled_degree(alg) for A in states}
     span = range(-window - 2, window + 1)
     walks = {}
     for region in regions:
@@ -533,10 +533,11 @@ def _region_walk(ops, sequence, degrees, phi, span):
     """Nonzero phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) coefficients of one sequence.
 
     `sequence` lists the insertion states from the outermost field to the
-    innermost; `degrees` maps each to its degree.  The walk applies the
-    innermost field first, once for each exponent in `span`, and descends
-    only into nonzero states, so each partial product Y(A_k,z_k)...|0> is
-    computed once and shared by every exponent tuple that extends it.
+    innermost; `degrees` maps each to its degree in units of 1/u.  The
+    walk applies the innermost field first, once for each exponent in
+    `span`, and descends only into nonzero states, so each partial product
+    Y(A_k,z_k)...|0> is computed once and shared by every exponent tuple
+    that extends it.
     The modes act through the `OperatorCache` `ops`; `consistency_check`
     makes one walk per distinct insertion sequence and passes one cache
     for all of them, so walks that apply the same mode to the same
@@ -546,6 +547,7 @@ def _region_walk(ops, sequence, degrees, phi, span):
     """
     out = {}
     e = [0] * len(sequence)
+    u = ops.alg.unit
 
     def descend(k, v):
         if k < 0:
@@ -561,7 +563,7 @@ def _region_walk(ops, sequence, degrees, phi, span):
         A = sequence[k]
         a, dA = ops.field(A), degrees[A]
         for x in span:
-            w = ops.apply(a, -x - dA, v)
+            w = ops.apply(a, -x * u - dA, v)
             if not w.is_zero:
                 e[k] = x
                 descend(k - 1, w)

@@ -16,6 +16,12 @@ binom(-p - wt g, j) g_p.
 
 The recursion is memoized only in the `OperatorCache` of one call; the
 algebra keeps the generator-level memos (`apply_mode`, T, E-/E+ below).
+The cache, the recursion and `vertex_mode` take the mode p as an int in
+units of 1/u (`ModeAlgebra.unit`: 2 on odd lattices, else 1), so no
+Fraction is hashed or added on the way; a real mode goes in through
+`OperatorCache.mode` at a caller's boundary and comes back out only at
+the leaves, for `apply_mode` and `gbinom`.  The one-shot `field_mode` and
+`state_field_mode` take real modes.
 
 The vertex operator of the charge-m vacuum is
 
@@ -41,7 +47,8 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import itemgetter
 
-from .fock import ModeAlgebra, PbwMonomial, State, apply_mode, mode_index
+from .fock import (ModeAlgebra, PbwMonomial, State, _apply_mono, apply_mode,
+                   mode_index)
 from .scalars import Scalar
 
 
@@ -72,7 +79,10 @@ def gbinom(a, k: int):
 
 def field_mode(alg: ModeAlgebra, A: PbwMonomial, p, state: State) -> State:
     """Apply the shifted mode A_[p] of the field of the monomial A to a state."""
-    ops, p = OperatorCache(alg), mode_index(p)
+    ops = OperatorCache(alg)
+    p = ops.mode(p)
+    if p is None:
+        return State.zero()
     return State.sum((ops.mono(A, p, mono), c)
                      for mono, c in state.terms.items())
 
@@ -80,10 +90,12 @@ def field_mode(alg: ModeAlgebra, A: PbwMonomial, p, state: State) -> State:
 def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
     """A_[p] v for states A, v: the reconstruction-theorem mode action."""
     ops = OperatorCache(alg)
-    return ops.apply(ops.field(A), mode_index(p), v)
+    p = ops.mode(p)
+    return State.zero() if p is None else ops.apply(ops.field(A), p, v)
 
 
 def _field_mode_raw(ops, A, p, mono):
+    """A_[p] mono with p in units of 1/u, recursing on the word of A."""
     alg = ops.alg
     word, sector = A.word, A.sector
     if not word:
@@ -97,32 +109,33 @@ def _field_mode_raw(ops, A, p, mono):
     if j < 0:
         raise ValueError("word contains an annihilation mode")
 
+    u = alg.unit
     if len(word) == 1 and sector == 0:
         if type(p) is not int:
+            raise TypeError(f"mode {p!r} is not an int in units of 1/{u}")
+        if p % u:
             return State.zero()
+        p //= u
         coeff = gbinom(-p - w, j)
         if coeff == 0:
             return State.zero()
-        return apply_mode(alg, g, p, State.monomial(mono)).scale(coeff)
+        return _apply_mono(alg, g, p, mono).scale(coeff)
 
-    # :left rest: with left = g(n)|0>, a field of weight -n
+    # :left rest: with left = g(n)|0>, a field of weight -n; the modes m
+    # of left are real ints, here m * u
     left = PbwMonomial(0, word[:1])
     rest = PbwMonomial(sector, word[1:])
-    d = alg.mono_degree(mono)
+    d = alg.scaled_degree(mono)
     odd = alg.odd(g) and alg.mono_parity(rest)
     pairs = []
     # creation part of left on the outside
-    m = n
-    while m >= p - d:
+    for m in range(n * u, p - d - 1, -u):
         for x, c in ops.mono(rest, p - m, mono).terms.items():
             pairs.append((ops.mono(left, m, x), c))
-        m -= 1
     # annihilation part of left moved inside
-    m = n + 1
-    while m <= d:
+    for m in range((n + 1) * u, d + 1, u):
         for x, c in ops.mono(left, m, mono).terms.items():
             pairs.append((ops.mono(rest, p - m, x), -c if odd else c))
-        m += 1
     return State.sum(pairs)
 
 
@@ -135,11 +148,16 @@ class OperatorCache:
     stays on the algebra.  A one-shot function (`state_field_mode`,
     `ope.singular_part`, ...) makes its own, so a loop should hold one.
 
-    `mono(A, p, m)` is A_[p] m for the field of the PBW monomial A, the one
-    memo of the reconstruction recursion.  `field(X)` numbers each state
-    used as a field with a small int.  `col(x, p, m)` is X_[p] m: the
-    `mono` entry itself for a one-term field with coefficient 1, else one
-    sum over the terms of X.  Both are kept for the call.
+    Every mode p it takes, and keys by, is an int in units of 1/u
+    (`ModeAlgebra.unit`); `mode(p)` converts a real mode, once, at the
+    caller's boundary, and a mode that is not an int raises TypeError
+    where the recursion reaches a generator.  `mono(A, p, m)` is A_[p] m
+    for the field of the PBW monomial A, the one memo of the
+    reconstruction recursion.  `field(X)` numbers each state used as a
+    field with a small int.  `col(x, p, m)` is X_[p] m: the `mono` entry
+    itself for a one-term field with coefficient 1, else one sum over the
+    terms of X.  Both are kept for the call.  `apply(x, p, v)` is X_[p] v,
+    the `col` entry itself for a one-term v with coefficient 1.
     `pair(x, p, y, q, m)` is X_[p] Y_[q] m, kept until the next
     `new_scope()`, which the axiom checks call for each locality test state
     and each associativity pair, so that memory stays flat over the call.
@@ -153,8 +171,13 @@ class OperatorCache:
         self._cols = {}      # (x, p, m) -> X_[p] m, X not one monomial
         self._pairs = {}
 
-    def mono(self, A: PbwMonomial, p, m: PbwMonomial) -> State:
-        """A_[p] m for the field of the monomial A; p a `mode_index` value."""
+    def mode(self, p):
+        """The real mode p in units of 1/u, or None off that grid, where
+        every field acts by zero (`ModeAlgebra.to_units`)."""
+        return self.alg.to_units(p)
+
+    def mono(self, A: PbwMonomial, p: int, m: PbwMonomial) -> State:
+        """A_[p] m for the field of the monomial A."""
         key = (A, p, m)
         v = self._modes.get(key)
         if v is None:
@@ -168,10 +191,8 @@ class OperatorCache:
             self._terms.append(tuple(X.terms.items()))
         return x
 
-    def col(self, x: int, p, m: PbwMonomial) -> State:
-        """X_[p] m.  p must be a `mode_index` value, so a sum of two modes
-        goes through `mode_index` first: a single-letter field acts only
-        through an int mode."""
+    def col(self, x: int, p: int, m: PbwMonomial) -> State:
+        """X_[p] m."""
         terms = self._terms[x]
         if len(terms) == 1 and terms[0][1]._frac == 1:
             return self.mono(terms[0][0], p, m)
@@ -182,15 +203,20 @@ class OperatorCache:
                                             for a, c in terms)
         return v
 
-    def apply(self, x: int, p, v: State) -> State:
+    def apply(self, x: int, p: int, v: State) -> State:
         """X_[p] v for a state v."""
         terms = v.terms
-        if not terms:
+        if len(terms) == 1:
+            (m, c), = terms.items()
+            if c._frac == 1:
+                return self.col(x, p, m)
+        elif not terms:
             return v
         col = self.col
         return State.sum((col(x, p, m), c) for m, c in terms.items())
 
-    def pair(self, x: int, p, y: int, q, m: PbwMonomial) -> State:
+    def pair(self, x: int, p: int, y: int, q: int,
+             m: PbwMonomial) -> State:
         key = (x, p, y, q, m)
         v = self._pairs.get(key)
         if v is None:
@@ -206,8 +232,9 @@ class OperatorCache:
 # Lattice vertex operators
 # ---------------------------------------------------------------------------
 
-def vertex_mode(alg: ModeAlgebra, m: int, p, mono: PbwMonomial) -> State:
-    """Shifted mode of the vertex operator of the charge-m sector vacuum."""
+def vertex_mode(alg: ModeAlgebra, m: int, p: int, mono: PbwMonomial) -> State:
+    """Shifted mode of the vertex operator of the charge-m sector vacuum,
+    p in units of 1/u."""
     if not alg.has_sectors:
         raise ValueError(f"algebra {alg.name!r} has no lattice sectors")
     for (i, j), rule in alg.rules.items():
@@ -218,8 +245,11 @@ def vertex_mode(alg: ModeAlgebra, m: int, p, mono: PbwMonomial) -> State:
     lam_N = m * alg.lattice_N
     # E+_k z^k S_m z^(lam b_0) E-_j z^-j on mono has the z-exponent
     # k - j + lam * sector, which the mode p fixes at -p - wt 1_m
-    shift = mode_index(p + alg.sector_energy(m) + lam_N * mono.sector)
-    if type(shift) is not int:
+    if type(p) is not int:
+        raise TypeError(f"mode {p!r} is not an int in units of 1/{alg.unit}")
+    shift, r = divmod(p + alg.scaled_energy(m)
+                      + lam_N * mono.sector * alg.unit, alg.unit)
+    if r:
         return State.zero()
     lower = _annihilation_terms(alg, lam_N, mono.word)
     top = max(max(j for _, j, _ in lower) - shift, 0)

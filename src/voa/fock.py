@@ -20,7 +20,7 @@ mode acts on charge-m sectors by m.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .scalars import _SMALL_INTS, _rational, Scalar, Poly, parse_scalar
@@ -65,14 +65,13 @@ VACUUM_WORD: tuple = ()
 
 
 def mode_index(p):
-    """A mode index, weight or degree as an int when it is integral, else
-    as a Fraction.
+    """A real mode index, weight or degree as an int when it is integral,
+    else as a Fraction: the form in which public functions take and return
+    real values, as `ModeAlgebra.from_units` gives them back.
 
-    Mode indices key the memos of `fields.OperatorCache` and are added
-    up in the locality and associativity windows; ints hash,
+    The loops of the engine carry ints in units of 1/u instead
+    (`ModeAlgebra.unit`), converted once at their boundary: ints hash,
     compare and add without a call into Python code, Fractions do not.
-    Equal values of the two types hash and compare equal, so either finds
-    the same cache entry, and both print the same.
     """
     if type(p) is int:
         return p
@@ -85,7 +84,7 @@ class ModeAlgebra:
     """Generator table plus bracket structure constants.
 
     The table never changes.  The algebra memoizes pure functions of it for
-    its whole life: `sector_energy` in `_energies` under the sector,
+    its whole life: `scaled_energy` in `_energies` under the sector,
     `bracket` in `_bracket_memo` under (i, m, j, n), and the
     mode actions on PBW monomials in `_apply_memo`, under one key kind each:
 
@@ -101,10 +100,16 @@ class ModeAlgebra:
     the axiom checks their two-mode products, through a
     `fields.OperatorCache` made for its call.
 
-    Weights, sector energies and monomial degrees come back through
-    `mode_index`: an int when integral, a Fraction only when half-integral
-    (a generator of half-integral weight, an odd sector of an odd lattice).
-    `GeneratorSpec.weight` itself stays the Fraction it was given.
+    Field modes and degrees are carried as ints in units of 1/u, with
+    `unit` u the least integer that makes every generator weight and
+    every sector energy integral: 2 for an odd lattice or a generator of
+    half-integral weight, else 1, where such an int is the real value.
+    `to_units` takes a real mode in, `from_units` gives one back;
+    `scaled_degree` and `scaled_energy` are the degrees in these units.
+    Weights, sector energies and monomial degrees come back as real
+    values: an int when integral, a Fraction only when half-integral.
+    Generator modes (`apply_mode`, the words of PBW monomials) are real
+    ints.  `GeneratorSpec.weight` itself stays the Fraction it was given.
     """
 
     def __init__(self, name, generators, rules, *, lattice_N=None,
@@ -120,9 +125,12 @@ class ModeAlgebra:
         if len(self._by_name) != len(self.generators):
             raise ValueError("generator names must be unique")
         self._weights = tuple(mode_index(g.weight) for g in self.generators)
+        self.unit = lcm(self.grading_denominator,
+                        *(Fraction(g.weight).denominator
+                          for g in self.generators))
         self._apply_memo = {}
         self._bracket_memo = {}
-        self._energies = {0: 0}
+        self._energies = {0: 0}           # sector -> scaled energy
 
     # -- basic queries --------------------------------------------------
 
@@ -152,16 +160,38 @@ class ModeAlgebra:
     def is_creation(self, g, n):
         return n <= -self._weights[g]
 
-    def sector_energy(self, sector):
-        """Energy sector^2 N / 2 of the sector vacuum: an int when
-        integral, a Fraction (odd N, odd sector) otherwise."""
+    def to_units(self, p):
+        """The real mode or degree p as an int in units of 1/u, or None
+        when p is off that grid: no monomial has such a degree, so every
+        field mode p acts by zero."""
+        if type(p) is int:
+            return p * self.unit
+        p = Fraction(p) * self.unit
+        return p.numerator if p.denominator == 1 else None
+
+    def from_units(self, k: int):
+        """The real value of k units of 1/u: an int when integral, else a
+        Fraction."""
+        u = self.unit
+        if u == 1:
+            return k
+        q, r = divmod(k, u)
+        return Fraction(k, u) if r else q
+
+    def scaled_energy(self, sector) -> int:
+        """Energy sector^2 N / 2 of the sector vacuum in units of 1/u."""
         e = self._energies.get(sector)
         if e is None:
             if not self.has_sectors:
                 raise SectorMismatch(f"algebra {self.name!r} has no sectors")
-            e = mode_index(Fraction(sector * sector * self.lattice_N, 2))
+            e = sector * sector * self.lattice_N * self.unit // 2
             self._energies[sector] = e
         return e
+
+    def sector_energy(self, sector):
+        """Energy sector^2 N / 2 of the sector vacuum: an int when
+        integral, a Fraction (odd N, odd sector) otherwise."""
+        return self.from_units(self.scaled_energy(sector))
 
     def sector_parity(self, sector):
         if sector == 0 or not self.has_sectors or self.lattice_N % 2 == 0:
@@ -173,14 +203,18 @@ class ModeAlgebra:
             return Fraction(sector)
         return Fraction(0)
 
-    def mono_degree(self, mono: PbwMonomial):
-        """Degree of a monomial: an int when integral, else a Fraction."""
+    def scaled_degree(self, mono: PbwMonomial) -> int:
+        """Degree of a monomial in units of 1/u."""
         n = 0
         for _, m in mono.word:
             n += m
         if mono.sector:
-            return self.sector_energy(mono.sector) - n
-        return -n
+            return self.scaled_energy(mono.sector) - n * self.unit
+        return -n * self.unit
+
+    def mono_degree(self, mono: PbwMonomial):
+        """Degree of a monomial: an int when integral, else a Fraction."""
+        return self.from_units(self.scaled_degree(mono))
 
     def mono_parity(self, mono: PbwMonomial) -> int:
         p = self.sector_parity(mono.sector)
@@ -379,13 +413,18 @@ class State:
     def degrees(self, alg) -> set:
         return {alg.mono_degree(m) for m in self.terms}
 
-    def degree(self, alg) -> Fraction:
-        """Degree of a homogeneous state; raises on mixed degrees."""
-        ds = self.degrees(alg)
+    def scaled_degree(self, alg) -> int:
+        """Degree of a homogeneous state in units of 1/u; raises on mixed
+        degrees."""
+        ds = {alg.scaled_degree(m) for m in self.terms}
         if len(ds) != 1:
             raise ValueError("state is not homogeneous: degrees "
-                             f"{sorted(map(Fraction, ds))}")
+                             f"{sorted(Fraction(d, alg.unit) for d in ds)}")
         return ds.pop()
+
+    def degree(self, alg):
+        """Degree of a homogeneous state; raises on mixed degrees."""
+        return alg.from_units(self.scaled_degree(alg))
 
     def component(self, alg, degree) -> "State":
         degree = Fraction(degree)

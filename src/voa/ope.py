@@ -17,6 +17,10 @@ domain swap involves no other finite data).
 Each check of `verify_axioms` is a generator of the witnesses of its failing
 cases; the report keeps the first one, so a witness is the first failing case
 in a fixed search order, (deg A, deg B, A, B, ...).
+
+The loops carry modes and degrees as ints in units of 1/u
+(`ModeAlgebra.unit`), as `fields.OperatorCache` takes them, and step by u;
+a witness and `NotLocalUpTo.witness` give their modes back as real values.
 """
 
 from __future__ import annotations
@@ -56,30 +60,29 @@ def state_parity(alg: ModeAlgebra, state: State) -> int:
     return ps.pop() if ps else 0
 
 
-def _max_target_degree(alg, B):
-    """Largest p with A_[p]B possibly nonzero: result degree must be >= 0."""
-    return max(alg.mono_degree(m) for m in B.terms)
+def _max_target_degree(alg, B) -> int:
+    """Largest p with A_[p]B possibly nonzero, in units of 1/u: the result
+    degree must be >= 0."""
+    return max(alg.scaled_degree(m) for m in B.terms)
 
 
 # ---------------------------------------------------------------------------
 # Singular part and commutator formula
 # ---------------------------------------------------------------------------
 
-def singular_part(alg: ModeAlgebra, A: State, B: State) -> dict:
-    """Poles of Y(A,z)B as {pole order j >= 1: State}."""
-    dA = A.degree(alg)
-    ops = OperatorCache(alg)
+def singular_part(alg: ModeAlgebra, A: State, B: State,
+                  ops: OperatorCache | None = None) -> dict:
+    """Poles of Y(A,z)B as {pole order j >= 1: State}, read through `ops`
+    when a cache is given, else through one made for the call."""
+    if ops is None:
+        ops = OperatorCache(alg)
+    u, dA = alg.unit, A.scaled_degree(alg)
     a = ops.field(A)
     poles = {}
-    p = 1 - dA
-    p_max = _max_target_degree(alg, B)
-    while p <= p_max:
+    for p in range(u - dA, _max_target_degree(alg, B) + 1, u):
         v = ops.apply(a, p, B)
         if not v.is_zero:
-            j = p + dA
-            assert j.denominator == 1
-            poles[int(j)] = v
-        p += 1
+            poles[(p + dA) // u] = v
     return poles
 
 
@@ -107,7 +110,10 @@ def apply_combination(alg: ModeAlgebra, combination, C: State) -> State:
     check of the library calls it.
     """
     terms, mode = combination
-    ops, mode = OperatorCache(alg), mode_index(mode)
+    ops = OperatorCache(alg)
+    mode = ops.mode(mode)
+    if mode is None:
+        return State.zero()
     return State.sum((ops.apply(ops.field(AB), mode, C), c)
                      for c, AB in terms)
 
@@ -117,7 +123,9 @@ def commutator_direct(alg: ModeAlgebra, A: State, m, B: State, kk,
     """[A_[m], B_[kk]] C by two mode-application orders (supercommutator)."""
     eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
     ops = OperatorCache(alg)
-    a, b, m, kk = ops.field(A), ops.field(B), mode_index(m), mode_index(kk)
+    a, b, m, kk = ops.field(A), ops.field(B), ops.mode(m), ops.mode(kk)
+    if m is None or kk is None:
+        return State.zero()
     return (ops.apply(a, m, ops.apply(b, kk, C))
             - ops.apply(b, kk, ops.apply(a, m, C)).scale(eps))
 
@@ -134,7 +142,8 @@ def _charge(alg, state: State) -> int:
 
 
 def _locality_windows(alg, A, B, C, N, cap):
-    """Mode pairs (r, t) to test for the (z-w)^N kernel on C.
+    """Mode pairs (r, t) to test for the (z-w)^N kernel on C, in units of
+    1/u.
 
     Modes are aligned to the charge cosets where the terms are nonzero; the
     window covers every reachable result degree up to `cap` and N+4 values
@@ -142,30 +151,30 @@ def _locality_windows(alg, A, B, C, N, cap):
     difference (the kernel is polynomial of degree < N in the split when
     the bracket table is consistent).
     """
+    u = alg.unit
     qA, qB = _charge(alg, A), _charge(alg, B)
     sC = _charge(alg, C)
-    dC = C.degree(alg)
-    t_top = mode_index(dC - alg.sector_energy(sC + qB))
-    e_res = alg.sector_energy(sC + qA + qB)
-    s_top = mode_index(dC - e_res - N)
+    dC = C.scaled_degree(alg)
+    t_top = dC - alg.scaled_energy(sC + qB)
+    s_top = dC - alg.scaled_energy(sC + qA + qB) - N * u
     for L in range(int(cap) + 1):
-        S = s_top - L                   # r + t; result degree = e_res + L
+        S = s_top - L * u               # r + t; result degree = e_res + L
         for jt in range(N + 4):
-            t = t_top + 1 - jt
-            yield mode_index(S - t), t
+            t = t_top + (1 - jt) * u
+            yield S - t, t
 
 
 def locality_defect(ops: OperatorCache, a: int, b: int, eps: int, N: int,
                     r, t, c: PbwMonomial) -> State:
     """Coefficient of the (z-w)^N-multiplied supercommutator at modes (r,t)
     on the monomial c: sum_i (-1)^i C(N,i) [A_[r+N-i], B_[t+i]] c, with
-    a, b the fields of A, B in `ops` and eps the sign of B A in the
-    supercommutator."""
-    pair = ops.pair
+    a, b the fields of A, B in `ops`, eps the sign of B A in the
+    supercommutator and r, t in units of 1/u."""
+    pair, u = ops.pair, ops.alg.unit
     pairs = []
     for i in range(N + 1):
         k = (-1) ** i * comb(N, i)
-        p, q = r + N - i, t + i
+        p, q = r + (N - i) * u, t + i * u
         pairs.append((pair(a, p, b, q, c), k))
         pairs.append((pair(b, q, a, p, c), -eps * k))
     return State.sum(pairs)
@@ -173,7 +182,8 @@ def locality_defect(ops: OperatorCache, a: int, b: int, eps: int, N: int,
 
 def locality_witness(ops: OperatorCache, A: State, B: State, N: int,
                      test_states, cap):
-    """First (r, t, C) where (z-w)^N [Y(A,z),Y(B,w)] C != 0, else None.
+    """First (r, t, C) where (z-w)^N [Y(A,z),Y(B,w)] C != 0, else None;
+    r and t are real modes.
 
     The test states are basis monomials.  The two-mode products of `ops`
     live for one C, since neighbouring windows share N of their N+1 pairs.
@@ -186,7 +196,7 @@ def locality_witness(ops: OperatorCache, A: State, B: State, N: int,
         ops.new_scope()
         for r, t in _locality_windows(alg, A, B, C, N, cap):
             if not locality_defect(ops, a, b, eps, N, r, t, c).is_zero:
-                return (r, t, C)
+                return alg.from_units(r), alg.from_units(t), C
     return None
 
 
@@ -216,15 +226,15 @@ def associativity_defect(ops: OperatorCache, a: int, b: int, ab: int, n: int,
     a, b and ab are the fields of A, B and A_(n)B in `ops`, and sign is
     (-1)^(n + |A||B|).  The unshifted product X_(j) is X_[j + s] with
     s = 1 - wt X, here sA and sB, so (A_(n)B)_(m) is
-    (A_(n)B)_[m + n + sA + sB].
+    (A_(n)B)_[m + n + sA + sB]; m, sA and sB are in units of 1/u.
     """
-    pair = ops.pair
-    mB = mode_index(m + sB)
-    pairs = [(ops.col(ab, mode_index(mB + n + sA), c), 1)]
+    pair, u = ops.pair, ops.alg.unit
+    mB = m + sB
+    pairs = [(ops.col(ab, mB + n * u + sA, c), 1)]
     for i in range(n + 1):
         k = (-1) ** i * comb(n, i)
-        pairs.append((pair(a, n - i + sA, b, mB + i, c), -k))
-        pairs.append((pair(b, mB + n - i, a, i + sA, c), k * sign))
+        pairs.append((pair(a, (n - i) * u + sA, b, mB + i * u, c), -k))
+        pairs.append((pair(b, mB + (n - i) * u, a, i * u + sA, c), k * sign))
     return State.sum(pairs)
 
 
@@ -271,24 +281,21 @@ class AxiomReport:
 
 
 def _grouped_basis(alg, D):
-    """Basis states grouped by degree, for all sectors, degrees <= D.
-
-    Each degree is an int when integral (`mode_index`), so the window
-    loops of the axiom checks run on ints outside the odd-lattice sectors.
-    """
+    """Basis states grouped by degree, for all sectors, degrees <= D; each
+    degree an int in units of 1/u, so the window loops of the axiom checks
+    run on ints."""
     groups = []
-    d = Fraction(0)
-    step = Fraction(1, alg.grading_denominator)
-    while d <= D:
-        monos = all_sector_monomials(alg, d)
+    for d in range(0, int(D * alg.unit) + 1,
+                   alg.unit // alg.grading_denominator):
+        monos = all_sector_monomials(alg, alg.from_units(d))
         if monos:
-            groups.append((mode_index(d), [State.monomial(m) for m in monos]))
-        d += step
+            groups.append((d, [State.monomial(m) for m in monos]))
     return groups
 
 
 def _pairs(groups, D):
-    """(dA, A, dB, B) with dA + dB <= D, in the order (deg A, deg B, A, B)."""
+    """(dA, A, dB, B) with dA + dB <= D, in the order (deg A, deg B, A, B);
+    D and the degrees in units of 1/u."""
     for dA, As in groups:
         for dB, Bs in groups:
             if dA + dB <= D:
@@ -307,35 +314,32 @@ def _upto(groups, top):
 
 def _vacuum_failures(ops, groups, D):
     """Y(A,z)|0> is regular with constant term A."""
+    alg = ops.alg
     vac, = State.vacuum().terms
     for dA, As in groups:
         for A in As:
             a = ops.field(A)
-            p = 1 - dA
-            while p <= 0:
+            for p in range(alg.unit - dA, 1, alg.unit):
                 if not ops.col(a, p, vac).is_zero:
-                    yield f"A={render_state(ops.alg, A)}, mode {p}"
-                p += 1
+                    yield (f"A={render_state(alg, A)}, "
+                           f"mode {alg.from_units(p)}")
             if ops.col(a, -dA, vac) != A:
-                yield f"A={render_state(ops.alg, A)}, creation mode"
+                yield f"A={render_state(alg, A)}, creation mode"
 
 
 def _translation_failures(ops, groups, D):
     """[T, A_[p]] = (1 - p - wt A) A_[p-1]."""
-    alg = ops.alg
+    alg, u = ops.alg, ops.alg.unit
     for dA, A, dB, B in _pairs(groups, D):
         a = ops.field(A)
         b, = B.terms
         TB = translate(alg, B)
-        top = _max_target_degree(alg, B)
-        p = -dA - 1
-        while p <= top + 1:
+        for p in range(-dA - u, _max_target_degree(alg, B) + u + 1, u):
             lhs = translate(alg, ops.col(a, p, b)) - ops.apply(a, p, TB)
-            rhs = ops.col(a, p - 1, b).scale(1 - p - dA)
+            rhs = ops.col(a, p - u, b).scale(alg.from_units(u - p - dA))
             if lhs != rhs:
                 yield (f"A={render_state(alg, A)}, "
-                       f"B={render_state(alg, B)}, mode {p}")
-            p += 1
+                       f"B={render_state(alg, B)}, mode {alg.from_units(p)}")
 
 
 def _locality_failures(ops, groups, D):
@@ -344,9 +348,9 @@ def _locality_failures(ops, groups, D):
     for dA, A, dB, B in _pairs(groups, D):
         if dB < dA:
             continue
-        N = max(singular_part(alg, A, B), default=0)
+        N = max(singular_part(alg, A, B, ops), default=0)
         Cs = [C for _, C in _upto(groups, D - dA - dB)]
-        w = locality_witness(ops, A, B, N, Cs, int(D))
+        w = locality_witness(ops, A, B, N, Cs, D // alg.unit)
         if w is not None:
             r, t, C = w
             yield (f"A={render_state(alg, A)}, B={render_state(alg, B)}, "
@@ -355,31 +359,32 @@ def _locality_failures(ops, groups, D):
 
 def _associativity_failures(ops, groups, D):
     """Singular products re-expand consistently."""
-    alg = ops.alg
+    alg, u = ops.alg, ops.alg.unit
     for dA, A, dB, B in _pairs(groups, D):
         ops.new_scope()
         a, b = ops.field(A), ops.field(B)
         bm, = B.terms
         eps = state_parity(alg, A) * state_parity(alg, B)
-        sA, sB = 1 - dA, 1 - dB
+        sA, sB = u - dA, u - dB
         qAB = _charge(alg, A) + _charge(alg, B)
-        Cs = [(dC, C, alg.sector_energy(_charge(alg, C) + qAB))
+        Cs = [(dC, C, alg.scaled_energy(_charge(alg, C) + qAB))
               for dC, C in _upto(groups, D - dA - dB)]
-        n_max = int(_max_target_degree(alg, B) + dA - 1)
+        n_max = int(alg.from_units(_max_target_degree(alg, B) + dA - u))
         for n in range(0, n_max + 1):
-            ab = ops.field(ops.col(a, n + sA, bm))     # A_(n)B
+            ab = ops.field(ops.col(a, n * u + sA, bm))     # A_(n)B
             sign = (-1) ** (n + eps)
-            dAB = dB - (n + 1 - dA)      # weight of A_(n)B
+            dAB = dB - (n * u + u - dA)      # weight of A_(n)B
             for dC, C, e_res in Cs:
                 c, = C.terms
                 # m values hitting result degrees e_res + L in [0, D]
-                top = mode_index(dC - e_res + dAB - 1)
-                for L in range(int(D) + 1):
-                    m = top - L
+                top = dC - e_res + dAB - u
+                for L in range(D // u + 1):
+                    m = top - L * u
                     if not associativity_defect(ops, a, b, ab, n, m, c,
                                                 sA, sB, sign).is_zero:
                         yield (f"A={render_state(alg, A)}, "
-                               f"B={render_state(alg, B)}, n={n}, m={m}, "
+                               f"B={render_state(alg, B)}, n={n}, "
+                               f"m={alg.from_units(m)}, "
                                f"C={render_state(alg, C)}")
 
 
@@ -400,11 +405,12 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
     report = AxiomReport(alg.name, D)
     groups = _grouped_basis(alg, D)
     ops = OperatorCache(alg)
+    Du = int(D * alg.unit)
     for name, failures in (
-            ("vacuum", _vacuum_failures(ops, groups, D)),
-            ("translation", _translation_failures(ops, groups, D)),
-            ("locality", _locality_failures(ops, groups, D)),
-            ("associativity", _associativity_failures(ops, groups, D))):
+            ("vacuum", _vacuum_failures(ops, groups, Du)),
+            ("translation", _translation_failures(ops, groups, Du)),
+            ("locality", _locality_failures(ops, groups, Du)),
+            ("associativity", _associativity_failures(ops, groups, Du))):
         witness = next(failures, None)
         report.checks.append(CheckResult(name, witness is None, witness))
     return report
@@ -417,19 +423,22 @@ def morphism_check(src: ModeAlgebra, tgt: ModeAlgebra, images, D):
     phi(g1(n1)...gk(nk)|0>) = phi(g1)_[n1+s1] ... phi(gk)_[nk+sk] |0> with
     s = wt g - deg phi(g); the check compares phi(g_n v) with
     phi(g)_[n+s] phi(v) in the order (d = deg v <= D, v, g, -d-2 <= n <= d+1).
-    The images act through one `OperatorCache` made for the call.
+    The images act through one `OperatorCache` made for the call, with the
+    shifts in units of 1/u of the target; off that grid, every mode of the
+    image acts by zero.
     """
-    shifts = [mode_index(src.weight(g) - A.degree(tgt)) for g, A in
-              zip(range(len(src.generators)), images, strict=True)]
     ops = OperatorCache(tgt)
+    shifts = [ops.mode(src.weight(g) - A.degree(tgt)) for g, A in
+              zip(range(len(src.generators)), images, strict=True)]
     xs = [ops.field(A) for A in images]
+    u = tgt.unit
     step = {(): State.vacuum()}  # word -> phi(word|0>), for this call only
 
     def image(word):
         if word not in step:
             (g, n), rest = word[0], word[1:]
-            step[word] = ops.apply(xs[g], mode_index(n + shifts[g]),
-                                   image(rest))
+            step[word] = (State.zero() if shifts[g] is None else
+                          ops.apply(xs[g], n * u + shifts[g], image(rest)))
         return step[word]
 
     for d in range(D + 1):
@@ -459,17 +468,16 @@ def coset_graded(alg: ModeAlgebra, Wgens, d):
     if not monos:
         return []
     ops = OperatorCache(alg)
+    u = alg.unit
     rows = []
     for A in Wgens:
         a = ops.field(A)
-        p = 1 - A.degree(alg)
-        while p <= d:
+        for p in range(u - A.scaled_degree(alg), ops.mode(d) + 1, u):
             # sparse rows {column: coefficient} of A_[p] restricted to V_d
             block = {}
             for i, m in enumerate(monos):
                 for t, c in ops.col(a, p, m).terms.items():
                     block.setdefault(t, {})[i] = c
             rows.extend(block[t] for t in sorted(block))
-            p += 1
     return [State({m: c for m, c in zip(monos, vec) if not c.is_zero})
             for vec in kernel_basis(rows, len(monos))]

@@ -299,7 +299,8 @@ def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2, 3), top=5,
 
     Monomials run over degrees <= top in the given sectors, and p over
     every mode in the right coset from the largest that can give a nonzero
-    result (one above it as well) down through 5 creation layers.
+    result (one above it as well) down through 5 creation layers;
+    vertex_mode takes p in units of 1/u.
     """
     step = Fraction(1, alg.grading_denominator)
     monos = [mono for i in range(int(top / step) + 1)
@@ -310,7 +311,7 @@ def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2, 3), top=5,
             p_max = d - alg.sector_energy(m) - m * alg.lattice_N * mono.sector
             for i in range(-1, 6):
                 p = p_max - i
-                got = fields.vertex_mode(alg, m, p, mono)
+                got = fields.vertex_mode(alg, m, alg.to_units(p), mono)
                 if got != _vertex_mode_oracle(alg, m, p, mono):
                     return m, p, mono
                 if i < 0:
