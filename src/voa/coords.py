@@ -14,11 +14,13 @@ fields, S among them, act through one `OperatorCache`.
 
 Huang's identity Y(A,t) = R(rho) Y(R(rho_t)^{-1} A, rho(t)) R(rho)^{-1}
 (rho_t(z) = rho(t+z) - rho(t)) is verified on matrix elements compared as
-Laurent series in t up to a window t^window.  Both sides are carried as
-{t-exponent: State} with t-free coefficients in Q(params): the inserted
-state is expanded in t once, and rho(t)^m = t^m U(t)^m is a truncated
-series in t (U = rho_1 + rho_2 t + ... is a unit), so no rational function
-of t, and no gcd in t, is ever formed on the conjugated side.
+Laurent series in t up to a window t^window.  Both sides are one
+function, `_field_series`, of sum_j t^j Y(B_j, rho(t)) v as {t-exponent:
+State} with t-free coefficients in Q(params), its fields read by
+z-exponent (`OperatorCache.coeff`): B is carried as its t-series {j: B_j}
+(the direct side is B = A at rho(t) = t), and rho(t)^m = t^m U(t)^m is a
+truncated series in t (U = rho_1 + rho_2 t + ... is a unit).  Only B of
+`huang_check`, R(rho_t)^{-1} A, is formed over Q(params, t) and expanded.
 """
 
 from __future__ import annotations
@@ -110,13 +112,6 @@ class CoordChange:
                 total = total + mu[j - 1] * powers[j - 1][k]
             mu[k - 1] = -total / powers[k - 1][k]
         return CoordChange(tuple(mu))
-
-    def derivative_at(self, t: Scalar) -> Scalar:
-        """rho'(t) as an exact Scalar."""
-        out = Scalar.zero()
-        for k in range(1, self.order + 1):
-            out = out + self.coeffs[k - 1] * k * (t ** (k - 1))
-        return out
 
     def evaluate_at(self, t: Scalar) -> Scalar:
         """rho(t); only tests use it, as an oracle of `_power_series`."""
@@ -444,6 +439,13 @@ def _power_series(rho: CoordChange, m: int, top: int) -> dict:
     return {m + k: c for k, c in enumerate(acc) if not c.is_zero}
 
 
+def _derivative_power(rho: CoordChange, n: int, top: int) -> dict:
+    """rho'(t)^n up to t^top, n >= 0: t^-n (t rho'(t))^n, t rho'(t) the
+    change with coefficients k rho_k."""
+    slope = CoordChange(tuple(c * k for k, c in enumerate(rho.coeffs, 1)))
+    return {e - n: c for e, c in _power_series(slope, n, top + n).items()}
+
+
 def _t_series(B: State, top: int) -> dict:
     """{t-exponent: State} of a State with t-dependent coefficients."""
     out = {}
@@ -453,82 +455,54 @@ def _t_series(B: State, top: int) -> dict:
     return {j: State(terms) for j, terms in out.items()}
 
 
-def _conjugated_field_element(alg, Bt: dict, rho_power, R: _ROperator,
-                              v: State, cap: int, window: int) -> dict:
-    """{t-exponent: State} of R(rho) Y(B, rho(t)) R(rho)^{-1} v up to t^window.
+def _field_series(ops: OperatorCache, Bt: dict, v: State, power, top: int,
+                  window: int) -> dict:
+    """{t-exponent: State} of sum_j t^j Y(B_j, rho(t)) v up to t^window.
 
-    `Bt` is B expanded in t as {j: B_j}, t-free and possibly
-    non-homogeneous; `rho_power(m)` is the series of rho(t)^m.  The result
-    is complete on degrees <= cap.  With u = R(rho)^{-1} v, the mode p of
-    B_j (weight d) on u contributes t^j rho(t)^{-p-d}, whose exponents are
-    >= j - p - d; the modes p range over deg u - (cap + window + d) ..
-    deg u, including intermediate degrees above `cap` since R(rho) lowers
-    degree again.  Pairs (p, j) whose lowest exponent exceeds `window` are
-    skipped, and each product is cut at t^window.  R(rho) is t-free and
-    linear, so it acts on each t-coefficient once.  B_j acts through
-    `R.ops`.
+    `Bt` is {j: B_j}, t-free and possibly non-homogeneous, and `power(m)`
+    is {exponent: Scalar} of rho(t)^m.  The coefficient of z^m of a piece
+    of B_j of weight d on the degree-dv piece of v has degree dv + d + m;
+    only degrees 0..top are read, and each product is cut at t^window.
     """
-    u = R.inverse(v)
-    unit = alg.unit
+    alg = ops.alg
+    pieces = [(dv, v.component(alg, dv)) for dv in sorted(v.degrees(alg))]
     total = {}
     for j, Bj in Bt.items():
         for d in sorted(Bj.degrees(alg)):
             if d.denominator != 1:
                 raise ValueError("field insertion needs integral weight")
-            b = R.ops.field(Bj.component(alg, d))
-            for mono, c in u.terms.items():
-                du = alg.scaled_degree(mono)
-                for r in range(cap + window + d + 1):
-                    p = du - r * unit          # in units of 1/u
-                    m, off = divmod(-p - d * unit, unit)
-                    if off:
-                        continue
+            b = ops.field(Bj.component(alg, d))
+            for dv, vd in pieces:
+                for m in range(-dv - d, top - dv - d + 1):
                     if j + m > window:
                         break
-                    w = R.ops.col(b, p, mono)
+                    w = ops.coeff(b, m, vd)
                     if w.is_zero:
                         continue
-                    for e, s in rho_power(m).items():
+                    for e, s in power(m).items():
                         if j + e > window:
                             break
-                        total.setdefault(j + e, []).append((w, c * s))
-    return {e: R.apply(State.sum(pairs)) for e, pairs in total.items()}
+                        total.setdefault(j + e, []).append((w, s))
+    return {e: State.sum(pairs) for e, pairs in total.items()}
 
 
-def _field_element(ops: OperatorCache, A: State, v, cap: int) -> dict:
-    """{t-exponent: State} of Y(A,t) v on the monomial v, output degrees
-    capped at `cap`."""
-    alg = ops.alg
-    a, u = ops.field(A), alg.unit
-    dA, dv = A.scaled_degree(alg), alg.scaled_degree(v)
-    out = {}
-    for p in range(dv, dv - (cap + 1) * u, -u):      # in units of 1/u
-        e, off = divmod(-p - dA, u)
-        if not off:
-            out[e] = ops.col(a, p, v)
-    return {e: w for e, w in out.items() if not w.is_zero}
-
-
-def _compare_series(alg, lhs: dict, rhs: dict, window: int, cap: int):
-    """Compare two {exponent: State} series exactly up to t^window.
+def _compare_series(alg, lhs: dict, rhs: dict, cap: int):
+    """Compare two {exponent: State} series exactly.
 
     Only matrix elements against basis functionals of degree <= cap are
-    compared; higher components of the conjugated side are incomplete.
+    compared, in the order (degree, monomial, exponent); higher components
+    of the conjugated side are incomplete.
     """
-    monos = set()
-    for st in (*lhs.values(), *rhs.values()):
-        monos.update(st.terms)
-    monos = {m for m in monos if alg.mono_degree(m) <= cap}
-    for mono in sorted(monos, key=lambda m: (alg.mono_degree(m), str(m))):
-        exps = {e for side in (lhs, rhs) for e, st in side.items()
-                if mono in st.terms}
-        for e in sorted(exps):
-            if e > window:
-                break
-            want = lhs.get(e, State.zero()).coeff(mono)
-            got = rhs.get(e, State.zero()).coeff(mono)
-            if want == got:
-                continue
+    entries = {(alg.mono_degree(m), str(m), e): m
+               for side in (lhs, rhs) for e, st in side.items()
+               for m in st.terms}
+    zero = State.zero()
+    for (d, _, e), mono in sorted(entries.items()):
+        if d > cap:
+            break
+        want = lhs.get(e, zero).coeff(mono)
+        got = rhs.get(e, zero).coeff(mono)
+        if want != got:
             return (f"coefficient of t^{e} {render_monomial(alg, mono)}: "
                     f"direct {want} vs conjugated {got}")
     return None
@@ -541,26 +515,29 @@ def _check_first_order(rho: CoordChange, name: str | None):
                          f"in rho = {rho.render()}")
 
 
-def _transformation_check(inst, A: State, B: State, rho: CoordChange,
+def _transformation_check(inst, A: State, Bt: dict, rho: CoordChange,
                           window: int, D: int, desc: str) -> CoordReport:
     """Y(A,t) = R(rho) Y(B, rho(t)) R(rho)^{-1} on basis states of degree <= D.
 
-    B is expanded in t once, up to t^(window + D + max deg B): the mode
-    exponent -p - d is >= -D - d, so higher t-powers of B reach no
-    exponent <= window.  The first basis state (by degree, then canonical
-    order) whose matrix elements differ gives the witness.
+    B comes as its t-series {j: B_j} up to t^(window + D + deg A), past
+    which no exponent <= window is reached; the conjugated side reads
+    degrees up to D + window + deg A, which R(rho) lowers again.  The first
+    basis state (by degree, then canonical order) whose matrix elements
+    differ gives the witness.
     """
     alg = inst.algebra
-    Bt = _t_series(B, window + D + int(max(B.degrees(alg), default=0)))
     top = window - min(Bt, default=0)
     rho_power = cache(lambda m: _power_series(rho, m, top))
     R = _ROperator(inst, rho)
+    reach = D + window + int(A.degree(alg))
     for d in range(D + 1):
         for mono in basis_monomials(alg, d, 0):
-            lhs = _field_element(R.ops, A, mono, D)
-            rhs = _conjugated_field_element(alg, Bt, rho_power, R,
-                                            State.monomial(mono), D, window)
-            witness = _compare_series(alg, lhs, rhs, window, D)
+            v = State.monomial(mono)
+            lhs = _field_series(R.ops, {0: A}, v, lambda m: {m: Scalar.one()},
+                                D, window)
+            rhs = {e: R.apply(st) for e, st in _field_series(
+                R.ops, Bt, R.inverse(v), rho_power, reach, window).items()}
+            witness = _compare_series(alg, lhs, rhs, D)
             if witness is not None:
                 return CoordReport(
                     desc, False,
@@ -580,9 +557,11 @@ def huang_check(inst, A: State, rho: CoordChange, window: int, D: int,
     """
     _check_first_order(rho, first_order_in)
     desc = f"huang_check({rho.render()})"
-    rho = rho.padded(D + window + int(A.degree(inst.algebra)) + 2)
-    B = R_inverse_apply(inst, rho.shifted(_T), A)
-    return _transformation_check(inst, A, B, rho, window, D, desc)
+    dA = int(A.degree(inst.algebra))
+    rho = rho.padded(D + window + dA + 2)
+    Bt = _t_series(R_inverse_apply(inst, rho.shifted(_T), A),
+                   window + D + dA)
+    return _transformation_check(inst, A, Bt, rho, window, D, desc)
 
 
 def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
@@ -593,19 +572,21 @@ def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
         Y(A,t) = R(rho) Y(rho'(t)^{Delta} A, rho(t)) R(rho)^{-1},
 
     the specialization of the transformation formula, since R(rho_t)^{-1}
-    acts on a primary by rho_t,1^{L_0} = rho'(t)^{Delta}.  Compared exactly,
-    as in `huang_check`.
+    acts on a primary by rho_t,1^{L_0} = rho'(t)^{Delta}.  Compared
+    exactly, as in `huang_check`.
     """
     _check_first_order(rho, first_order_in)
     alg = inst.algebra
     dA = A.degree(alg)
     ops = OperatorCache(alg)
+    omega = ops.field(inst.conformal)
     for n in range(1, int(dA) + 2):
-        if not ops.apply(ops.field(inst.conformal), ops.mode(n), A).is_zero:
+        if not ops.apply(omega, alg.to_units(n), A).is_zero:
             raise NotPrimary(f"L_{n} does not annihilate the state")
     if dA.denominator != 1:
         raise ValueError("primary check needs an integral weight")
     desc = f"primary_differential_check({rho.render()})"
-    rho = rho.padded(D + window + int(dA) + 2)
-    B = A.scale(rho.derivative_at(Scalar.param(_T)) ** int(dA))
-    return _transformation_check(inst, A, B, rho, window, D, desc)
+    rho = rho.padded(D + window + dA + 2)
+    Bt = {e: A.scale(c) for e, c in
+          _derivative_power(rho, dA, window + D + dA).items()}
+    return _transformation_check(inst, A, Bt, rho, window, D, desc)

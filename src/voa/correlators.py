@@ -256,6 +256,17 @@ def _phi_terms(phi):
     return dict(phi)
 
 
+def _pair(phi: dict, v: State) -> Fraction:
+    """phi(v) for a functional {monomial: Fraction} and a rational state."""
+    total = Fraction(0)
+    for mono, c in v.terms.items():
+        if mono in phi:
+            if not c.is_rational:
+                raise ValueError("matrix element is not rational")
+            total += phi[mono] * c.as_fraction()
+    return total
+
+
 def state_insertion(alg, state: State):
     """Insertion descriptor for a state: None for vacuum, j for b(-1-j)|0>."""
     if state == State.vacuum():
@@ -439,28 +450,17 @@ def matrix_element_coefficient(alg, states, phi, exponents, region):
     """Exact coefficient of prod z_i^{e_i} in phi(Y(A_1,z_1)...|0>).
 
     The operator composition follows `region` (leftmost = largest modulus);
-    each field's mode is pinned by its variable's exponent.  A test oracle,
-    one coefficient at a time: `consistency_check` reads the same
-    coefficients from `_region_walk`, and the tests compare the two.
+    each field is read at its variable's exponent (`OperatorCache.coeff`).
+    A test oracle, one coefficient at a time: `consistency_check` reads
+    the same coefficients from `_region_walk`, and the tests compare the
+    two.
     """
-    phi = _phi_terms(phi)
     order = [int(v[1:]) for v in region.order]
     ops = OperatorCache(alg)
     v = State.vacuum()
     for idx in reversed(order):
-        A = states[idx - 1]
-        e = exponents[idx - 1]
-        p = ops.mode(-Fraction(e) - A.degree(alg))
-        v = ops.apply(ops.field(A), p, v)
-        if v.is_zero:
-            return Fraction(0)
-    total = Fraction(0)
-    for mono, c in v.terms.items():
-        if mono in phi:
-            if not c.is_rational:
-                raise ValueError("matrix element is not rational")
-            total += phi[mono] * c.as_fraction()
-    return total
+        v = ops.coeff(ops.field(states[idx - 1]), exponents[idx - 1], v)
+    return _pair(_phi_terms(phi), v)
 
 
 @dataclass
@@ -494,7 +494,6 @@ def consistency_check(alg, states, phi, regions, order: int,
     n = len(states)
     f = heisenberg_npoint(phi, n, insertions)
     phi_terms = _phi_terms(phi)
-    degrees = {A: A.scaled_degree(alg) for A in states}
     span = range(-window - 2, window + 1)
     walks = {}
     for region in regions:
@@ -505,8 +504,8 @@ def consistency_check(alg, states, phi, regions, order: int,
         sequence = tuple(states[p] for p in positions)
         walk = walks.get(sequence)
         if walk is None:
-            walk = walks[sequence] = _region_walk(ops, sequence, degrees,
-                                                  phi_terms, span)
+            walk = walks[sequence] = _region_walk(ops, sequence, phi_terms,
+                                                  span)
         direct = {tuple(key[k] for k in back): c for key, c in walk.items()}
         bad = [e for e in direct.keys() | expanded.keys()
                if direct.get(e, 0) != expanded.get(e, 0)]
@@ -529,41 +528,33 @@ def consistency_check(alg, states, phi, regions, order: int,
     return ConsistencyReport(True)
 
 
-def _region_walk(ops, sequence, degrees, phi, span):
+def _region_walk(ops, sequence, phi, span):
     """Nonzero phi(Y(A_1,z_1)...Y(A_n,z_n)|0>) coefficients of one sequence.
 
     `sequence` lists the insertion states from the outermost field to the
-    innermost; `degrees` maps each to its degree in units of 1/u.  The
-    walk applies the innermost field first, once for each exponent in
-    `span`, and descends only into nonzero states, so each partial product
-    Y(A_k,z_k)...|0> is computed once and shared by every exponent tuple
-    that extends it.
-    The modes act through the `OperatorCache` `ops`; `consistency_check`
-    makes one walk per distinct insertion sequence and passes one cache
-    for all of them, so walks that apply the same mode to the same
-    monomial compute it once.  Returns {(e_1..e_n): Fraction} with the
-    exponents in the order of `sequence`; relabeled to z1..zn order they
-    are the coefficients of `matrix_element_coefficient`, tuple by tuple.
+    innermost.  The walk applies the innermost field first, once for each
+    exponent in `span`, and descends only into nonzero states, so each
+    partial product Y(A_k,z_k)...|0> is computed once and shared by every
+    exponent tuple that extends it.  The fields are read through
+    `ops.coeff` of the `OperatorCache` `ops`; `consistency_check` makes one
+    walk per distinct insertion sequence and passes one cache for all of
+    them, so walks that apply the same mode to the same monomial compute
+    it once.  Returns {(e_1..e_n): Fraction} with the exponents in the
+    order of `sequence`; relabeled to z1..zn order they are the
+    coefficients of `matrix_element_coefficient`, tuple by tuple.
     """
     out = {}
     e = [0] * len(sequence)
-    u = ops.alg.unit
 
     def descend(k, v):
         if k < 0:
-            total = Fraction(0)
-            for mono, c in v.terms.items():
-                if mono in phi:
-                    if not c.is_rational:
-                        raise ValueError("matrix element is not rational")
-                    total += phi[mono] * c.as_fraction()
+            total = _pair(phi, v)
             if total:
                 out[tuple(e)] = total
             return
-        A = sequence[k]
-        a, dA = ops.field(A), degrees[A]
+        a = ops.field(sequence[k])
         for x in span:
-            w = ops.apply(a, -x * u - dA, v)
+            w = ops.coeff(a, x, v)
             if not w.is_zero:
                 e[k] = x
                 descend(k - 1, w)

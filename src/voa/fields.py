@@ -19,9 +19,11 @@ algebra keeps the generator-level memos (`apply_mode`, T, E-/E+ below).
 The cache, the recursion and `vertex_mode` take the mode p as an int in
 units of 1/u (`ModeAlgebra.unit`: 2 on odd lattices, else 1), so no
 Fraction is hashed or added on the way; a real mode goes in through
-`OperatorCache.mode` at a caller's boundary and comes back out only at
+`ModeAlgebra.to_units` at a caller's boundary and comes back out only at
 the leaves, for `apply_mode` and `gbinom`.  The one-shot `field_mode` and
-`state_field_mode` take real modes.
+`state_field_mode` take real modes.  Other callers read Y(X, z) v by
+z-exponent (`OperatorCache.coeff`), which makes the shift p = -e - deg X;
+only the mode loops of `ope` and R(rho) in `coords` see the unit.
 
 The vertex operator of the charge-m vacuum is
 
@@ -47,8 +49,8 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import itemgetter
 
-from .fock import (ModeAlgebra, PbwMonomial, State, _apply_mono, apply_mode,
-                   mode_index)
+from .fock import (ModeAlgebra, PbwMonomial, State, _apply_mono, _over_den,
+                   apply_mode, mode_index)
 from .scalars import Scalar
 
 
@@ -79,18 +81,13 @@ def gbinom(a, k: int):
 
 def field_mode(alg: ModeAlgebra, A: PbwMonomial, p, state: State) -> State:
     """Apply the shifted mode A_[p] of the field of the monomial A to a state."""
-    ops = OperatorCache(alg)
-    p = ops.mode(p)
-    if p is None:
-        return State.zero()
-    return State.sum((ops.mono(A, p, mono), c)
-                     for mono, c in state.terms.items())
+    return state_field_mode(alg, State.monomial(A), p, state)
 
 
 def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
     """A_[p] v for states A, v: the reconstruction-theorem mode action."""
     ops = OperatorCache(alg)
-    p = ops.mode(p)
+    p = alg.to_units(p)
     return State.zero() if p is None else ops.apply(ops.field(A), p, v)
 
 
@@ -149,18 +146,20 @@ class OperatorCache:
     `ope.singular_part`, ...) makes its own, so a loop should hold one.
 
     Every mode p it takes, and keys by, is an int in units of 1/u
-    (`ModeAlgebra.unit`); `mode(p)` converts a real mode, once, at the
-    caller's boundary, and a mode that is not an int raises TypeError
-    where the recursion reaches a generator.  `mono(A, p, m)` is A_[p] m
-    for the field of the PBW monomial A, the one memo of the
-    reconstruction recursion.  `field(X)` numbers each state used as a
-    field with a small int.  `col(x, p, m)` is X_[p] m: the `mono` entry
-    itself for a one-term field with coefficient 1, else one sum over the
-    terms of X.  Both are kept for the call.  `apply(x, p, v)` is X_[p] v,
-    the `col` entry itself for a one-term v with coefficient 1.
-    `pair(x, p, y, q, m)` is X_[p] Y_[q] m, kept until the next
-    `new_scope()`, which the axiom checks call for each locality test state
-    and each associativity pair, so that memory stays flat over the call.
+    (`ModeAlgebra.unit`); `ModeAlgebra.to_units` converts a real mode,
+    once, at the caller's boundary, and a mode that is not an int raises
+    TypeError where the recursion reaches a generator.  `coeff(x, e, v)`,
+    the coefficient of z^e in Y(X, z) v, takes no mode and no unit.
+    `mono(A, p, m)` is A_[p] m for the field of the PBW monomial A, the
+    one memo of the reconstruction recursion.  `field(X)` numbers each
+    state used as a field with a small int.  `col(x, p, m)` is X_[p] m:
+    the `mono` entry itself for a one-term field with coefficient 1, else
+    one sum over the terms of X.  Both are kept for the call.
+    `apply(x, p, v)` is X_[p] v, the `col` entry itself for a one-term v
+    with coefficient 1.  `pair(x, p, y, q, m)` is X_[p] Y_[q] m, kept
+    until the next `new_scope()`, which the axiom checks call for each
+    locality test state and each associativity pair, so that memory stays
+    flat over the call.
     """
 
     def __init__(self, alg: ModeAlgebra):
@@ -170,11 +169,7 @@ class OperatorCache:
         self._modes = {}     # (A, p, m) -> A_[p] m, A a PBW monomial
         self._cols = {}      # (x, p, m) -> X_[p] m, X not one monomial
         self._pairs = {}
-
-    def mode(self, p):
-        """The real mode p in units of 1/u, or None off that grid, where
-        every field acts by zero (`ModeAlgebra.to_units`)."""
-        return self.alg.to_units(p)
+        self._degrees = {}   # field number -> degree in units of 1/u
 
     def mono(self, A: PbwMonomial, p: int, m: PbwMonomial) -> State:
         """A_[p] m for the field of the monomial A."""
@@ -215,6 +210,15 @@ class OperatorCache:
         col = self.col
         return State.sum((col(x, p, m), c) for m, c in terms.items())
 
+    def coeff(self, x: int, e: int, v: State) -> State:
+        """The coefficient of z^e in Y(X, z) v for a homogeneous field X
+        and an int exponent e: X_[p] v with p = -e - deg X."""
+        d = self._degrees.get(x)
+        if d is None:
+            X = State(dict(self._terms[x]))
+            d = self._degrees[x] = X.scaled_degree(self.alg)
+        return self.apply(x, -e * self.alg.unit - d, v)
+
     def pair(self, x: int, p: int, y: int, q: int,
              m: PbwMonomial) -> State:
         key = (x, p, y, q, m)
@@ -237,11 +241,10 @@ def vertex_mode(alg: ModeAlgebra, m: int, p: int, mono: PbwMonomial) -> State:
     p in units of 1/u."""
     if not alg.has_sectors:
         raise ValueError(f"algebra {alg.name!r} has no lattice sectors")
-    for (i, j), rule in alg.rules.items():
-        if rule.terms and alg.charge_gen in (i, j):
-            x, y = alg.generators[i].name, alg.generators[j].name
-            raise ValueError(f"no lattice vertex operator in {alg.name!r}: "
-                             f"[{x}, {y}] is not central")
+    if alg._non_central_charge:
+        x, y = alg._non_central_charge
+        raise ValueError(f"no lattice vertex operator in {alg.name!r}: "
+                         f"[{x}, {y}] is not central")
     lam_N = m * alg.lattice_N
     # E+_k z^k S_m z^(lam b_0) E-_j z^-j on mono has the z-exponent
     # k - j + lam * sector, which the mode p fixes at -p - wt 1_m
@@ -262,8 +265,7 @@ def vertex_mode(alg: ModeAlgebra, m: int, p: int, mono: PbwMonomial) -> State:
                 acc[word] = acc.get(word, 0) + c * num
     den, out = factorial(top), {}
     for word, num in acc.items():
-        c = (num / den if isinstance(num, Scalar) else
-             Scalar.from_fraction(Fraction(num, den)))
+        c = num / den if isinstance(num, Scalar) else _over_den(num, den)
         if not c.is_zero:
             out[PbwMonomial(mono.sector + m, word)] = c
     return State(out) if out else State.zero()

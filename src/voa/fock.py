@@ -84,8 +84,9 @@ class ModeAlgebra:
     """Generator table plus bracket structure constants.
 
     The table never changes.  The algebra memoizes pure functions of it for
-    its whole life: `scaled_energy` in `_energies` under the sector,
-    `bracket` in `_bracket_memo` under (i, m, j, n), and the
+    its whole life: the first non-central bracket of the charge generator
+    in `_non_central_charge`, `scaled_energy` in `_energies` under the
+    sector, `bracket` in `_bracket_memo` under (i, m, j, n), and the
     mode actions on PBW monomials in `_apply_memo`, under one key kind each:
 
     - (g, n, mono), untagged: the generator mode g_n (`apply_mode`);
@@ -128,6 +129,10 @@ class ModeAlgebra:
         self.unit = lcm(self.grading_denominator,
                         *(Fraction(g.weight).denominator
                           for g in self.generators))
+        self._non_central_charge = next(
+            ((self.generators[i].name, self.generators[j].name)
+             for (i, j), rule in self.rules.items()
+             if rule.terms and charge_gen in (i, j)), None)
         self._apply_memo = {}
         self._bracket_memo = {}
         self._energies = {0: 0}           # sector -> scaled energy

@@ -111,7 +111,7 @@ def apply_combination(alg: ModeAlgebra, combination, C: State) -> State:
     """
     terms, mode = combination
     ops = OperatorCache(alg)
-    mode = ops.mode(mode)
+    mode = alg.to_units(mode)
     if mode is None:
         return State.zero()
     return State.sum((ops.apply(ops.field(AB), mode, C), c)
@@ -123,7 +123,8 @@ def commutator_direct(alg: ModeAlgebra, A: State, m, B: State, kk,
     """[A_[m], B_[kk]] C by two mode-application orders (supercommutator)."""
     eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
     ops = OperatorCache(alg)
-    a, b, m, kk = ops.field(A), ops.field(B), ops.mode(m), ops.mode(kk)
+    a, b = ops.field(A), ops.field(B)
+    m, kk = alg.to_units(m), alg.to_units(kk)
     if m is None or kk is None:
         return State.zero()
     return (ops.apply(a, m, ops.apply(b, kk, C))
@@ -428,7 +429,7 @@ def morphism_check(src: ModeAlgebra, tgt: ModeAlgebra, images, D):
     image acts by zero.
     """
     ops = OperatorCache(tgt)
-    shifts = [ops.mode(src.weight(g) - A.degree(tgt)) for g, A in
+    shifts = [tgt.to_units(src.weight(g) - A.degree(tgt)) for g, A in
               zip(range(len(src.generators)), images, strict=True)]
     xs = [ops.field(A) for A in images]
     u = tgt.unit
@@ -472,7 +473,7 @@ def coset_graded(alg: ModeAlgebra, Wgens, d):
     rows = []
     for A in Wgens:
         a = ops.field(A)
-        for p in range(u - A.scaled_degree(alg), ops.mode(d) + 1, u):
+        for p in range(u - A.scaled_degree(alg), alg.to_units(d) + 1, u):
             # sparse rows {column: coefficient} of A_[p] restricted to V_d
             block = {}
             for i, m in enumerate(monos):

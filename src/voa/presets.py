@@ -19,7 +19,7 @@ from .scalars import Scalar, Poly, parse_scalar
 from .fock import (ModeAlgebra, GeneratorSpec, BracketRule, BracketTerm,
                    CentralTerm, PbwMonomial, State, normal_order, apply_mode,
                    basis_monomials)
-from .fields import field_mode
+from .fields import OperatorCache
 from .ope import morphism_check
 from .linalg import kernel_basis
 
@@ -403,15 +403,10 @@ def commutative_va(num_gens: int = 1) -> AlgebraInstance:
 
 def lattice_vertex_op(inst: AlgebraInstance, lam: int, window, target: State):
     """Coefficients of Y(1_lam, z) target as {z-exponent: State}."""
-    alg = inst.algebra
-    vacuum = PbwMonomial(lam, ())
-    w = alg.sector_energy(lam)
-    out = {}
-    for e in window:
-        acc = field_mode(alg, vacuum, -e - w, target)
-        if not acc.is_zero:
-            out[Fraction(e)] = acc
-    return out
+    ops = OperatorCache(inst.algebra)
+    x = ops.field(State.vacuum(lam))
+    coeffs = {Fraction(e): ops.coeff(x, e, target) for e in window}
+    return {e: acc for e, acc in coeffs.items() if not acc.is_zero}
 
 
 @dataclass

@@ -10,7 +10,8 @@ from voa import (CoordChange, NonInvertibleLinearTerm, NotPrimary, R_apply,
                  R_inverse_apply, Scalar, State, TruncationMismatch,
                  decompose, get_preset, huang_check,
                  primary_differential_check, reconstruct)
-from voa.coords import _power_series, laurent_coefficients
+from voa.coords import (_derivative_power, _power_series,
+                         laurent_coefficients)
 from voa.fields import state_field_mode
 from voa.fock import basis_monomials
 from voa.scalars import parse_scalar
@@ -314,4 +315,15 @@ def test_derivative_and_evaluation():
     rho = _cc(2, 3)
     t = parse_scalar("t")
     assert rho.evaluate_at(t) == parse_scalar("2*t + 3*t^2")
-    assert rho.derivative_at(t) == parse_scalar("2 + 6*t")
+    # the series rho'(t)^Delta that the primary check inserts, for the
+    # changes of test_power_series_matches_rational_expansion, against the
+    # Laurent expansion of rho'(t)^Delta with rho'(t) written out by hand
+    top = 4
+    for coeffs, derivative in [
+            ((1, "eps"), "1 + 2*eps*t"), (("a",), "a"),
+            ((2, Fraction(1, 2), Fraction(-1, 3)), "2 + t - t^2")]:
+        for delta in range(4):
+            want = laurent_coefficients(parse_scalar(derivative) ** delta,
+                                        "t", top)
+            assert _derivative_power(_cc(*coeffs), delta, top) == want, \
+                (coeffs, delta)

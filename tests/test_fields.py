@@ -236,6 +236,33 @@ def test_lattice_vertex_operator_shifts_sector():
             assert mono.sector == 1
 
 
+@pytest.mark.parametrize("name, sectors", [
+    ("heisenberg", (0,)), ("affine:sl2", (0,)), ("lattice:1", (0, 1, -1)),
+    ("lattice:3", (0, 1, -1))])
+def test_coeff_matches_state_field_mode(name, sectors):
+    # the coefficient of z^e in Y(X, z) v, read through one held cache, is
+    # the one-shot mode X_[p] v at p = -e - deg X; on the odd lattices the
+    # odd sectors give half-integral degrees and modes
+    inst = get_preset(name)
+    alg = inst.algebra
+    X_states = [A for _, A in inst.generator_states()]
+    X_states += [State.vacuum(s) for s in sectors if s]
+    names = {spec.name for spec in alg.generators}
+    X_states += [inst.state([(g, -1)], s) for g in ("b", "e") if g in names
+                 for s in sectors if s]
+    if inst.conformal is not None:
+        X_states.append(inst.conformal)
+    targets = [State.monomial(m) for twice in range(5) for s in sectors
+               for m in basis_monomials(alg, Fraction(twice, 2), s)]
+    ops = fields.OperatorCache(alg)
+    for X in X_states:
+        x, d = ops.field(X), X.degree(alg)
+        for v in targets:
+            for e in range(-4, 3):
+                assert ops.coeff(x, e, v) == \
+                    state_field_mode(alg, X, -e - d, v), (X, v, e)
+
+
 def test_commutative_field_has_no_singular_part():
     inst = get_preset("commutative")
     alg = inst.algebra

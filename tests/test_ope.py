@@ -378,14 +378,14 @@ def test_odd_lattice_modes_enter_the_cache_in_half_units():
     inst = get_preset("lattice:1")
     alg = inst.algebra
     ops = ope.OperatorCache(alg)
-    assert ops.mode(Fraction(3, 2)) == 3 and ops.mode(-2) == -4
-    assert ops.mode(Fraction(1, 3)) is None
+    assert alg.to_units(Fraction(3, 2)) == 3 and alg.to_units(-2) == -4
+    assert alg.to_units(Fraction(1, 3)) is None
     A, b = State.vacuum(1), inst.gen_state("b")
     x = ops.field(A)
     for p in (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)):
         for v in (State.vacuum(), State.vacuum(-1), b):
             assert state_field_mode(alg, A, p, v) == \
-                ops.apply(x, ops.mode(p), v)
+                ops.apply(x, alg.to_units(p), v)
     assert not state_field_mode(alg, A, Fraction(-1, 2),
                                 State.vacuum()).is_zero
     # a mode off the grid of 1/2 acts by zero
