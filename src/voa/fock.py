@@ -42,7 +42,8 @@ class GeneratorSpec(NamedTuple):
 
 class BracketTerm(NamedTuple):
     target: int           # generator index, mode m+n
-    coeff: Poly           # polynomial in "m", "n" with rational coefficients
+    coeff: Poly           # polynomial in "m", "n"; int coefficients when
+                          # integral, Fraction ones otherwise
     scalar: Scalar = Scalar.one()
 
 
@@ -111,6 +112,9 @@ class ModeAlgebra:
     values: an int when integral, a Fraction only when half-integral.
     Generator modes (`apply_mode`, the words of PBW monomials) are real
     ints.  `GeneratorSpec.weight` itself stays the Fraction it was given.
+    A generator of negative weight is refused: its modes x_n with
+    0 <= n <= -weight would count as creation modes, yet no monomial the
+    basis enumerates would hold them.
     """
 
     def __init__(self, name, generators, rules, *, lattice_N=None,
@@ -126,6 +130,10 @@ class ModeAlgebra:
         if len(self._by_name) != len(self.generators):
             raise ValueError("generator names must be unique")
         self._weights = tuple(mode_index(g.weight) for g in self.generators)
+        for g, w in zip(self.generators, self._weights):
+            if w < 0:
+                raise ValueError(f"generator {g.name!r} has negative "
+                                 f"weight {w}")
         self.unit = lcm(self.grading_denominator,
                         *(Fraction(g.weight).denominator
                           for g in self.generators))

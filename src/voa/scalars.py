@@ -1,7 +1,8 @@
 """Exact scalars: rational functions in named formal parameters over Q.
 
 A Scalar is a reduced fraction num/den of multivariate polynomials with
-Fraction coefficients.  Canonical form: gcd(num, den) = 1 and the leading
+rational coefficients, each held as an int when it is integral and as a
+Fraction otherwise.  Canonical form: gcd(num, den) = 1 and the leading
 coefficient of den (graded lexicographic order, variables sorted
 alphabetically) is 1.  Scalars are immutable and hashable.
 
@@ -46,24 +47,41 @@ def _mono_degree(a: Mono) -> int:
     return sum(e for _, e in a)
 
 
+def _integral(t: dict) -> dict:
+    """t with each integral Fraction value replaced by its int, in place."""
+    for m, c in t.items():
+        if type(c) is not int and c.denominator == 1:
+            t[m] = c.numerator
+    return t
+
+
 class Poly:
-    """Multivariate polynomial with Fraction coefficients."""
+    """Multivariate polynomial with rational coefficients.
+
+    A coefficient is an int when it is integral and a Fraction otherwise,
+    so that the arithmetic of integral coefficients runs on ints and no
+    float appears.  Every operation returns its coefficients in that form;
+    an int and a Fraction of equal value compare and hash equal, so
+    equality, hashing, `key()` and rendering do not depend on the form.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict Mono -> Fraction, zero coefficients removed
+        # terms: dict Mono -> int or non-integral Fraction, zeros removed
         self.terms = terms or {}
 
     @staticmethod
     def const(c) -> "Poly":
-        if not isinstance(c, Fraction):
+        if type(c) is not int:
             c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
         return Poly({(): c} if c else {})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly({((name, 1),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -74,9 +92,8 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.terms[()]
+        """The value of a constant polynomial, as a Fraction."""
+        return Fraction(self.terms.get((), 0))
 
     def variables(self):
         vs = set()
@@ -93,10 +110,12 @@ class Poly:
         t = dict(self.terms)
         for m, c in other.terms.items():
             s = t.get(m, 0) + c
-            if s:
+            if not s:
+                t.pop(m, None)
+            elif type(s) is int or s.denominator != 1:
                 t[m] = s
             else:
-                t.pop(m, None)
+                t[m] = s.numerator
         return Poly(t)
 
     def __neg__(self) -> "Poly":
@@ -109,15 +128,9 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly()
         if other.is_constant:
-            c = other.constant_value()
-            if c == 1:
-                return self
-            return Poly({m: a * c for m, a in self.terms.items()})
+            return self.scale(other.terms[()])
         if self.is_constant:
-            c = self.constant_value()
-            if c == 1:
-                return other
-            return Poly({m: a * c for m, a in other.terms.items()})
+            return other.scale(self.terms[()])
         t: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -127,12 +140,15 @@ class Poly:
                     t[m] = s
                 else:
                     t.pop(m, None)
-        return Poly(t)
+        return Poly(_integral(t))
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c) -> "Poly":
+        """self times a rational c (an int or a Fraction)."""
+        if c == 1:
+            return self
         if not c:
             return Poly()
-        return Poly({m: a * c for m, a in self.terms.items()})
+        return Poly(_integral({m: a * c for m, a in self.terms.items()}))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -159,11 +175,18 @@ class Poly:
         exps = dict(mono)
         return (_mono_degree(mono),) + tuple(exps.get(v, 0) for v in varlist)
 
-    def leading(self):
-        """Leading (mono, coeff) under grlex with alphabetical variables."""
+    def _lead(self):
+        """Leading (mono, coeff) under grlex with alphabetical variables,
+        the coefficient as held in `terms`."""
         varlist = self.variables()
         m = max(self.terms, key=lambda mo: self._grlex_key(mo, varlist))
         return m, self.terms[m]
+
+    def leading(self):
+        """Leading (mono, coeff) under grlex with alphabetical variables,
+        the coefficient as a Fraction."""
+        m, c = self._lead()
+        return m, Fraction(c)
 
     def evaluate(self, point: dict) -> Fraction:
         total = Fraction(0)
@@ -180,6 +203,8 @@ class Poly:
 
     def _as_univariate(self, x: str) -> dict:
         """dict degree-in-x -> Poly in remaining variables."""
+        # each monomial splits into one (degree, rest) pair, so every
+        # coefficient moves over as it is
         out: dict = {}
         for m, c in self.terms.items():
             d = 0
@@ -189,22 +214,18 @@ class Poly:
                     d = e
                 else:
                     rest.append((v, e))
-            p = out.setdefault(d, Poly())
-            t = p.terms.get(tuple(rest), 0) + c
-            if t:
-                p.terms[tuple(rest)] = t
-            else:
-                p.terms.pop(tuple(rest), None)
-        return {d: p for d, p in out.items() if not p.is_zero}
+            out.setdefault(d, {})[tuple(rest)] = c
+        return {d: Poly(t) for d, t in out.items()}
 
     @staticmethod
     def _from_univariate(x: str, coeffs: dict) -> "Poly":
+        """The inverse of `_as_univariate`: coeffs maps each degree in x to
+        a nonzero Poly free of x, so every coefficient moves over as it is."""
         t: dict = {}
         for d, p in coeffs.items():
             for m, c in p.terms.items():
-                mono = _mono_mul(m, ((x, d),) if d else ())
-                t[mono] = t.get(mono, 0) + c
-        return Poly({m: c for m, c in t.items() if c})
+                t[_mono_mul(m, ((x, d),) if d else ())] = c
+        return Poly(t)
 
     def __repr__(self):
         return f"Poly({render_poly(self)!r})"
@@ -220,8 +241,8 @@ def poly_derivative(p: Poly, name: str) -> Poly:
             continue
         exps[name] = e - 1
         new = tuple(sorted((v, k) for v, k in exps.items() if k))
-        out[new] = out.get(new, Fraction(0)) + c * e
-    return Poly(out)
+        out[new] = c * e
+    return Poly(_integral(out))
 
 
 def _poly_divexact(a: Poly, b: Poly) -> Poly:
@@ -231,7 +252,7 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
     if a.is_zero:
         return Poly()
     if b.is_constant:
-        return a.scale(1 / b.constant_value())
+        return _over(a, b.terms[()])
     x = b.variables()[0]
     ua = a._as_univariate(x)
     ub = b._as_univariate(x)
@@ -342,8 +363,14 @@ def _pseudo_rem(f: dict, g: dict, x: str) -> dict:
 def _monic(p: Poly) -> Poly:
     if p.is_zero:
         return p
-    _, c = p.leading()
-    return p.scale(1 / c)
+    _, c = p._lead()
+    return _over(p, c)
+
+
+def _over(p: Poly, c) -> Poly:
+    """p divided by a nonzero rational c, through Fraction so that no float
+    appears."""
+    return p if c == 1 else p.scale(Fraction(1) / c)
 
 
 class Scalar:
@@ -376,8 +403,8 @@ class Scalar:
         self._den = den
         # plain-rational value, or None when parameters appear
         if num.is_constant and den.is_constant:
-            n = num.constant_value()
-            d = den.constant_value()
+            n = num.terms.get((), 0)
+            d = den.terms[()]
             v = n if d == 1 else Fraction(n) / d
             self._frac = v.numerator if v.denominator == 1 else v
         else:
@@ -584,17 +611,13 @@ def _reduce(num: Poly, den: Poly):
     if num.is_zero:
         return Poly(), Poly.const(1)
     if den.is_constant:
-        c = den.constant_value()
-        return (num if c == 1 else num.scale(1 / c)), Poly.const(1)
+        return _over(num, den.terms[()]), Poly.const(1)
     g = poly_gcd(num, den)
-    if not (g.is_constant and g.constant_value() == 1):
+    if not (g.is_constant and g.terms[()] == 1):
         num = _poly_divexact(num, g)
         den = _poly_divexact(den, g)
-    _, lc = den.leading()
-    if lc != 1:
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
-    return num, den
+    _, lc = den._lead()
+    return _over(num, lc), _over(den, lc)
 
 
 def _rational(c) -> Scalar:

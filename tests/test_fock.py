@@ -229,6 +229,16 @@ class TestJson:
         alg2 = algebra_from_json(doc)
         assert alg2.lattice_N == 1 and alg2.charge_gen == 0
 
+    @pytest.mark.parametrize("weight2, shown", [(-2, "-1"), (-1, "-1/2")])
+    def test_negative_weight_is_refused(self, weight2, shown):
+        # x(1) and x(0) of a weight -1 generator would count as creation
+        # modes that basis_monomials never enumerates
+        doc = {"generators": [{"name": "x", "weight2": weight2}],
+               "bracket": []}
+        with pytest.raises(ValueError, match=rf"^generator 'x' has negative "
+                                             rf"weight {shown}$"):
+            algebra_from_json(doc)
+
 
 # ---------------------------------------------------------------------------
 # State.sum against the left fold of State.__add__ and State.scale

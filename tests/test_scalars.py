@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from voa import get_preset, verify_axioms
+from voa import coset_graded, get_preset, verify_axioms
 from voa import scalars as scalars_module
 from voa.fock import PbwMonomial, State
 from voa.scalars import (
@@ -15,6 +15,13 @@ from voa.scalars import (
 
 def S(text):
     return parse_scalar(text)
+
+
+def _assert_canonical(p: Poly):
+    """Each coefficient of p is an int when integral, else a Fraction."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            (p, c)
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -187,6 +194,77 @@ class TestPolyGcd:
             assert poly_gcd(ours(a), ours(b)) == want, (a, b)
 
 
+_VARS = ("c", "eps", "k")
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+points = st.fixed_dictionaries({v: rationals for v in _VARS})
+
+
+@st.composite
+def polys(draw, max_terms=3):
+    """A Poly in c, eps, k with int and Fraction coefficients, its terms
+    written out here in canonical form."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+        c = draw(coefficients)
+        if c:
+            mono = tuple((v, e) for v, e in zip(_VARS, exps) if e)
+            terms[mono] = c.numerator if c.denominator == 1 else c
+    return Poly(terms)
+
+
+def _value(p: Poly, point) -> Fraction:
+    """p at a rational point, summed term by term from `terms`."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        term = Fraction(c)
+        for v, e in mono:
+            term *= point[v] ** e
+        total += term
+    return total
+
+
+class TestPolyArithmetic:
+    """Poly operations against evaluation at rational points, and the
+    coefficient form of every result."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys(), polys(), coefficients, st.integers(0, 3), points)
+    def test_ring_operations_commute_with_evaluation(self, p, q, r, n, point):
+        pv, qv = _value(p, point), _value(q, point)
+        for got, want in [(p + q, pv + qv), (p - q, pv - qv), (-p, -pv),
+                          (p * q, pv * qv), (p.scale(r), pv * r),
+                          (p ** n, pv ** n)]:
+            _assert_canonical(got)
+            assert _value(got, point) == want
+            assert got.evaluate(point) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys(), polys(), polys(max_terms=2), points)
+    def test_exact_division_and_gcd(self, p, q, f, point):
+        if not q.is_zero:
+            quotient = scalars_module._poly_divexact(p * q, q)
+            _assert_canonical(quotient)
+            assert quotient == p
+        a, b = f * p, f * q
+        assume(not (a.is_zero and b.is_zero))
+        g = poly_gcd(a, b)
+        _assert_canonical(g)
+        assert g.leading()[1] == 1
+        for x in (a, b):
+            # g divides both operands ...
+            cofactor = scalars_module._poly_divexact(x, g)
+            _assert_canonical(cofactor)
+            assert cofactor * g == x
+            assert _value(cofactor, point) * _value(g, point) == \
+                _value(x, point)
+        if not f.is_zero:
+            # ... and the planted common factor f divides g
+            _assert_canonical(scalars_module._poly_divexact(g, f))
+
+
 class TestParsing:
     def test_roundtrip(self):
         for text in ["k", "3*k/(k+2)", "(k-1)/(k+1)", "-12*lam^2+1", "c/2"]:
@@ -296,6 +374,18 @@ class TestIntegralValues:
             for v in value:
                 yield from TestIntegralValues._scalars(v)
 
+    @staticmethod
+    def _check(s: Scalar):
+        """s holds each rational as an int exactly when it is integral, and
+        as a Fraction otherwise; True when s is parametric."""
+        f = s._frac
+        if f is None:
+            _assert_canonical(s.num)
+            _assert_canonical(s.den)
+            return True
+        assert type(f) is int or (type(f) is Fraction and f.denominator != 1), f
+        return False
+
     @pytest.mark.parametrize("name", ["weyl:1", "fermion", "lattice:1",
                                       "affine:sl2"])
     def test_memo_after_verify_axioms(self, name):
@@ -306,15 +396,19 @@ class TestIntegralValues:
             for value in memo.values():
                 for s in self._scalars(value):
                     seen += 1
-                    f = s._frac
-                    if f is None:
-                        coeffs = list(s.num.terms.values()) + \
-                            list(s.den.terms.values())
-                        assert all(type(c) is Fraction for c in coeffs)
-                        continue
-                    assert type(f) in (int, Fraction), (name, f)
-                    assert type(f) is int or f.denominator != 1, (name, f)
+                    self._check(s)
         assert seen > 100
+
+    def test_coset_of_sl2_currents_at_symbolic_k(self):
+        # the commutant of each current of V_k(sl2) in degree 3 has
+        # coefficients in k, such as -1/k and 3*k^2-6*k
+        inst = get_preset("affine:sl2")
+        currents = [s for _, s in inst.generator_states()]
+        parametric = 0
+        for gens in [currents] + [[A] for A in currents]:
+            for v in coset_graded(inst.algebra, gens, 3):
+                parametric += sum(self._check(s) for s in v.terms.values())
+        assert parametric > 5
 
 
 # parametric operands drawn from the cases above
