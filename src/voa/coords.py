@@ -12,6 +12,8 @@ clears the charges and the state the same way, and divides the sum of the
 powers once.  A check decomposes its rho and clears omega once, and its
 fields, S among them, act through one `OperatorCache`.
 
+Truncated power series are one type, `Series`: exact modulo t^(n+1), with
+Scalar coefficients (or Series ones, for a series in z over series in t).
 Huang's identity Y(A,t) = R(rho) Y(R(rho_t)^{-1} A, rho(t)) R(rho)^{-1}
 (rho_t(z) = rho(t+z) - rho(t)) is verified on matrix elements compared as
 Laurent series in t up to a window t^window.  Both sides are one
@@ -19,8 +21,10 @@ function, `_field_series`, of sum_j t^j Y(B_j, rho(t)) v as {t-exponent:
 State} with t-free coefficients in Q(params), its fields read by
 z-exponent (`OperatorCache.coeff`): B is carried as its t-series {j: B_j}
 (the direct side is B = A at rho(t) = t), and rho(t)^m = t^m U(t)^m is a
-truncated series in t (U = rho_1 + rho_2 t + ... is a unit).  Only B of
-`huang_check`, R(rho_t)^{-1} A, is formed over Q(params, t) and expanded.
+truncated series in t (U = rho_1 + rho_2 t + ... is a unit).  B of
+`huang_check` is R(rho_t)^{-1} A with the coefficients of rho_t, and so its
+charges, Series in t: R acts on {t-exponent: State} series throughout, and
+no Scalar depends on t.
 """
 
 from __future__ import annotations
@@ -47,8 +51,80 @@ class TruncationMismatch(ValueError):
     """Operands carry different truncation orders."""
 
 
-def _coerce_scalar(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar.from_fraction(x)
+class Series:
+    """sum_k c[k] t^k modulo t^(n+1), n = len(c) - 1, exactly.
+
+    Coefficients are Scalars, or Series in another variable: a series in z
+    over series in t needs only their `+`, `*` and `is_zero`.  A Scalar
+    operand is a constant (`*` also takes an int or Fraction), and an
+    operation keeps the shorter of two truncations.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(a.is_zero for a in self.c)
+
+    def _coeffs(self, other) -> list:
+        if isinstance(other, Series):
+            return other.c
+        return [other] + [Scalar.zero()] * (len(self.c) - 1)
+
+    def __add__(self, other) -> "Series":
+        return Series(a if b.is_zero else a + b
+                      for a, b in zip(self.c, self._coeffs(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Series":
+        return Series(a if b.is_zero else a - b
+                      for a, b in zip(self.c, self._coeffs(other)))
+
+    def __mul__(self, other) -> "Series":
+        if not isinstance(other, Series):
+            return Series(a if a.is_zero else a * other for a in self.c)
+        n = min(len(self.c), len(other.c))
+        out = [Scalar.zero()] * n
+        for i, a in enumerate(self.c[:n]):
+            if a.is_zero:
+                continue
+            for j, b in enumerate(other.c[:n - i]):
+                if not b.is_zero:
+                    out[i + j] = out[i + j] + a * b
+        return Series(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, unit: "Series") -> "Series":
+        return self * unit.inverse()
+
+    def inverse(self) -> "Series":
+        """1/self, term by term; the constant term must be invertible."""
+        inv0 = Scalar.one() / self.c[0]
+        out = [inv0]
+        for k in range(1, len(self.c)):
+            acc = Scalar.zero()
+            for i in range(1, k + 1):
+                if not self.c[i].is_zero:
+                    acc = acc + self.c[i] * out[k - i]
+            out.append(-(inv0 * acc))
+        return Series(out)
+
+    def __pow__(self, m: int) -> "Series":
+        base = self.inverse() if m < 0 else self
+        out = Series([Scalar.one()] + [Scalar.zero()] * (len(self.c) - 1))
+        for _ in range(abs(m)):
+            out = out * base
+        return out
+
+
+def _coerce_scalar(x):
+    # Series coefficients are those of rho_t in `huang_check`
+    return x if isinstance(x, (Scalar, Series)) else Scalar.from_fraction(x)
 
 
 @dataclass(frozen=True)
@@ -82,36 +158,21 @@ class CoordChange:
         if self.order != other.order:
             raise TruncationMismatch(
                 f"orders {self.order} != {other.order}")
-        M = self.order
-        out = [Scalar.zero()] * M
-        cur = [Scalar.zero()] + list(self.coeffs)  # z^0..z^M of self(z)
-        acc = [Scalar.one()] + [Scalar.zero()] * M
-        for j in range(1, M + 1):
-            acc = _series_mul(acc, cur, M)
-            cj = other.coeffs[j - 1]
-            if not cj.is_zero:
-                for k in range(1, M + 1):
-                    out[k - 1] = out[k - 1] + acc[k] * cj
-        return CoordChange(tuple(out))
+        z = Series((Scalar.zero(),) + self.coeffs)  # self(z) to z^M
+        out = sum((z ** j * c for j, c in enumerate(other.coeffs, 1)),
+                  Scalar.zero())
+        return CoordChange(tuple(out.c[1:]))
 
     def inverse(self) -> "CoordChange":
         """mu with mu(self(z)) = z modulo z^{M+1}; only tests use it, as a
-        group-law oracle."""
-        M = self.order
-        mu = [Scalar.zero()] * M
-        mu[0] = Scalar.one() / self.coeffs[0]
-        acc = [Scalar.one()] + [Scalar.zero()] * M
-        cur = [Scalar.zero()] + list(self.coeffs)
-        powers = []
-        for j in range(1, M + 1):
-            acc = _series_mul(acc, cur, M)
-            powers.append(list(acc))
-        for k in range(2, M + 1):
-            total = Scalar.zero()
-            for j in range(1, k):
-                total = total + mu[j - 1] * powers[j - 1][k]
-            mu[k - 1] = -total / powers[k - 1][k]
-        return CoordChange(tuple(mu))
+        group-law oracle.
+
+        By Lagrange inversion mu_k = [z^(k-1)] U(z)^(-k) / k, with
+        U = rho_1 + rho_2 z + ... = self(z) / z.
+        """
+        U = Series(self.coeffs)
+        return CoordChange(tuple((U ** -k).c[k - 1] / k
+                                 for k in range(1, self.order + 1)))
 
     def evaluate_at(self, t: Scalar) -> Scalar:
         """rho(t); only tests use it, as an oracle of `_power_series`."""
@@ -133,17 +194,14 @@ class CoordChange:
         return CoordChange(self.coeffs +
                            (Scalar.zero(),) * (M - self.order))
 
-    def shifted(self, tname: str = "t") -> "CoordChange":
-        """rho_t(z) = rho(t + z) - rho(t) with t a Scalar parameter."""
-        t = Scalar.param(tname)
-        out = [Scalar.zero()] * self.order
-        for i in range(1, self.order + 1):
-            ci = self.coeffs[i - 1]
-            if ci.is_zero:
-                continue
-            for k in range(1, i + 1):
-                out[k - 1] = out[k - 1] + ci * comb(i, k) * (t ** (i - k))
-        return CoordChange(tuple(out))
+    def _shifted(self, K: int, top: int) -> "CoordChange":
+        """rho_t(z) = rho(t + z) - rho(t) to z^K, for `huang_check`: its
+        coefficient rho_t,k = sum_i C(i,k) rho_i t^(i-k) is a Series in t
+        cut at t^top."""
+        return CoordChange(tuple(
+            Series(self.coefficient(k + i) * comb(k + i, k)
+                   for i in range(top + 1))
+            for k in range(1, K + 1)))
 
     def render(self) -> str:
         from .scalars import render_scalar
@@ -156,20 +214,6 @@ class CoordChange:
             z = "z" if k == 1 else f"z^{k}"
             parts.append(z if cs == "1" else f"({cs})*{z}")
         return " + ".join(parts) if parts else "0"
-
-
-def _series_mul(a, b, M):
-    """Product of z-coefficient lists (index = exponent), kept to z^M."""
-    out = [Scalar.zero()] * (M + 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero or i > M:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > M:
-                break
-            if not bj.is_zero:
-                out[i + j] = out[i + j] + ai * bj
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +233,22 @@ class VirasoroCharge:
 
 
 def _exp_vector_field(charges, M):
-    """Coefficients of exp(sum_j charges[j-1] z^{j+1} d/dz) applied to z."""
-    cur = [Scalar.zero(), Scalar.one()] + [Scalar.zero()] * (M - 1)
-    out = list(cur)
-    fact = 1
-    for step in range(1, M + 1):
-        nxt = [Scalar.zero()] * (M + 1)
-        for k in range(M + 1):
-            if cur[k].is_zero:
-                continue
-            # D(z^k) = sum_j v_j k z^{k+j}
-            for j, vj in enumerate(charges, start=1):
-                if k + j <= M and not vj.is_zero:
-                    nxt[k + j] = nxt[k + j] + cur[k] * (vj * k)
-        cur = nxt
-        fact *= step
-        inv = Fraction(1, fact)
-        for k in range(M + 1):
-            if not cur[k].is_zero:
-                out[k] = out[k] + cur[k] * inv
-        if all(c.is_zero for c in cur):
-            break
-    return out
+    """Coefficients z^0..z^M of exp(sum_j charges[j-1] z^{j+1} d/dz) z.
+
+    The vector field sends f to (z f') W with W = sum_j charges[j-1] z^j,
+    so each term of the exponential is (z f') W / n for the one before.
+    """
+    zero = Scalar.zero()
+    w = Series([zero] + list(charges[:M]) + [zero] * (M - len(charges)))
+    cur = out = Series([zero, Scalar.one()] + [zero] * (M - 1))
+    n = 0
+    while True:
+        n += 1
+        euler = Series(c if c.is_zero else c * k for k, c in enumerate(cur.c))
+        cur = euler * w * Fraction(1, n)
+        if cur.is_zero:
+            return out.c
+        out = out + cur
 
 
 def decompose(rho: CoordChange) -> VirasoroCharge:
@@ -220,14 +258,15 @@ def decompose(rho: CoordChange) -> VirasoroCharge:
     unit = [c / r1 for c in rho.coeffs]
     charges = [Scalar.zero()] * (M - 1)
     for j in range(1, M):
-        cur = _exp_vector_field(charges, M)
+        # the coefficient of z^(j+1) needs the exponential only to z^(j+1)
+        cur = _exp_vector_field(charges, j + 1)
         charges[j - 1] = unit[j] - cur[j + 1]
     return VirasoroCharge(r1, tuple(charges))
 
 
 def reconstruct(charge: VirasoroCharge) -> CoordChange:
     M = charge.order
-    series = _exp_vector_field(list(charge.charges), M)
+    series = _exp_vector_field(charge.charges, M)
     return CoordChange(tuple(series[k] * charge.scaling
                              for k in range(1, M + 1)))
 
@@ -245,27 +284,29 @@ def _common_denominator(scalars) -> Scalar:
     return Scalar(lcm, _canonical=True)
 
 
-def _scaling_power(scaling: Scalar, state: State, alg, sign: int) -> State:
-    """scaling^{sign * L_0}: multiply each graded piece by scaling^(sign*deg)."""
-    out = {}
-    for mono, c in state.terms.items():
-        d = alg.mono_degree(mono)
-        if d.denominator != 1:
-            raise ValueError(
-                "scaling^{L_0} needs integral degrees; got degree %s" % d)
-        out[mono] = c * (scaling ** (sign * int(d)))
-    return State(out) if out else State.zero()
-
-
 def _top_degree(alg, A: State) -> int:
     return int(max(A.degrees(alg), default=0))
+
+
+def _as_series(x) -> Series:
+    """A Scalar as the constant series, which R reads to t^0 only."""
+    return x if isinstance(x, Series) else Series([x])
+
+
+def _nonzero(series: dict) -> dict:
+    """A t-series without its zero terms, by increasing exponent."""
+    return {e: st for e, st in sorted(series.items()) if not st.is_zero}
 
 
 class _ROperator:
     """R(rho) and its inverse with rho decomposed and omega cleared once.
 
-    A transformation check builds one for its rho and applies it to many
-    states; it lives only as long as the check, and so does its
+    Both act on t-series {t-exponent: State}.  The charges of rho are Series
+    in t: a change with Scalar coefficients has constant charges, read to
+    t^0, and the rho_t of `huang_check` has Series coefficients, cut at the
+    last t-exponent the check reads, so R(rho_t)^{-1} A comes out as its
+    t-series.  A transformation check builds one for its rho and applies it
+    to many states; it lives only as long as the check, and so does its
     `OperatorCache` `ops`, through which the check also reads its field
     elements.  Degrees are >= 0 and L_j
     lowers degree by j, so on a state of top degree `top` only the charges
@@ -277,19 +318,45 @@ class _ROperator:
 
     def __init__(self, inst, rho: CoordChange):
         self.alg = inst.algebra
-        self.charge = decompose(rho)
+        charge = decompose(rho)
+        self.scaling = _as_series(charge.scaling)
+        self.charges = [_as_series(v) for v in charge.charges]
+        self.n = len(self.scaling.c)  # t^0..t^(n-1) are kept
+        self.powers = {}
         self.q = _common_denominator(inst.conformal.terms.values())
         self.ops = OperatorCache(self.alg)
         self.s = self.ops.field(inst.conformal.scale(self.q))
 
-    def _lower(self, v: State, sign: int) -> State:
+    def _scaling_power(self, series: dict, sign: int) -> dict:
+        """scaling^{sign * L_0}: the degree-d piece of each t^e term times
+        scaling^(sign*d), whose t^i term lands on t^(e+i)."""
+        pieces = {}
+        for e, st in series.items():
+            for mono, c in st.terms.items():
+                d = self.alg.mono_degree(mono)
+                pieces.setdefault((e, d), {})[mono] = c
+        out = {}
+        for (e, d), terms in pieces.items():
+            if d.denominator != 1:
+                raise ValueError(
+                    "scaling^{L_0} needs integral degrees; got degree %s" % d)
+            k = sign * int(d)
+            if k not in self.powers:
+                self.powers[k] = (self.scaling ** k).c
+            piece = State(terms)
+            for i, s in enumerate(self.powers[k][:self.n - e]):
+                out.setdefault(e + i, []).append((piece, s))
+        return _nonzero({e: State.sum(pairs) for e, pairs in out.items()})
+
+    def _lower(self, v: dict, sign: int) -> dict:
         """exp(sign * sum_j v_j L_j) v; exact since L_j lowers degree.
 
         Denominators are cleared first: omega = S / q, with `s` the field
         of S in `ops`, so S_[j] = q L_j, and likewise v_j = w_j / r and
-        v = V / p, all of S, w_j and V free of denominators.  The powers
-        C_n = (sum_j w_j S_[j])^n V then carry polynomial coefficients,
-        whose adds and products form no gcd, and
+        v = V / p, all of S, w_j and V free of denominators (r and p over
+        every t-coefficient).  The powers C_n = (sum_j w_j S_[j])^n V then
+        carry polynomial coefficients, whose adds and products form no gcd,
+        and
 
             exp(...) v = sum_{n <= N} sign^n (N!/n!) (q r)^(N-n) C_n
                          / (N! (q r)^N p),
@@ -297,32 +364,43 @@ class _ROperator:
         with N the last nonzero power, is summed as polynomials too and
         divided once.
         """
-        charges = self.charge.charges[:_top_degree(self.alg, v)]
-        r = _common_denominator(charges)
+        top = max((_top_degree(self.alg, st) for st in v.values()), default=0)
+        charges = self.charges[:top]
+        r = _common_denominator(c for vj in charges for c in vj.c)
         w = [vj * r for vj in charges]
-        p = _common_denominator(v.terms.values())
+        p = _common_denominator(c for st in v.values()
+                                for c in st.terms.values())
         qr = self.q * r
-        cur = acc = v.scale(p)
+        cur = acc = {e: st.scale(p) for e, st in v.items()}
         den = p
         u = self.alg.unit
+        zero = State.zero()
         n = 0
         while True:
             n += 1
-            cur = State.sum((self.ops.apply(self.s, j * u, cur), wj)
-                            for j, wj in enumerate(w, start=1)
-                            if not wj.is_zero)
-            if cur.is_zero:
-                return acc.scale(Scalar.one() / den)
+            pairs = {}
+            for j, wj in enumerate(w, start=1):
+                if wj.is_zero:
+                    continue
+                for e, st in cur.items():
+                    lowered = self.ops.apply(self.s, j * u, st)
+                    for i, c in enumerate(wj.c[:self.n - e]):
+                        if not c.is_zero:
+                            pairs.setdefault(e + i, []).append((lowered, c))
+            cur = _nonzero({e: State.sum(ps) for e, ps in pairs.items()})
+            if not cur:
+                return _nonzero({e: st.scale(Scalar.one() / den)
+                                 for e, st in acc.items()})
             den = den * qr * n
-            acc = acc.scale(qr * n) + cur.scale(sign ** n)
+            acc = {e: acc.get(e, zero).scale(qr * n) +
+                   cur.get(e, zero).scale(sign ** n)
+                   for e in sorted(acc.keys() | cur.keys())}
 
-    def apply(self, A: State) -> State:
-        mid = _scaling_power(self.charge.scaling, A, self.alg, -1)
-        return self._lower(mid, -1)
+    def apply(self, A: dict) -> dict:
+        return self._lower(self._scaling_power(A, -1), -1)
 
-    def inverse(self, A: State) -> State:
-        return _scaling_power(self.charge.scaling, self._lower(A, +1),
-                              self.alg, +1)
+    def inverse(self, A: dict) -> dict:
+        return self._scaling_power(self._lower(A, +1), +1)
 
 
 def _acting_prefix(inst, rho: CoordChange, A: State) -> CoordChange:
@@ -343,7 +421,8 @@ def R_apply(inst, rho: CoordChange, A: State) -> State:
     Only the charges v_1..v_top act on a state of top degree `top`, so
     only rho_1..rho_{top+1} is decomposed.
     """
-    return _ROperator(inst, _acting_prefix(inst, rho, A)).apply(A)
+    R = _ROperator(inst, _acting_prefix(inst, rho, A))
+    return R.apply({0: A}).get(0, State.zero())
 
 
 def R_inverse_apply(inst, rho: CoordChange, A: State) -> State:
@@ -351,7 +430,8 @@ def R_inverse_apply(inst, rho: CoordChange, A: State) -> State:
 
     Like `R_apply`, decomposes only rho_1..rho_{top+1}.
     """
-    return _ROperator(inst, _acting_prefix(inst, rho, A)).inverse(A)
+    R = _ROperator(inst, _acting_prefix(inst, rho, A))
+    return R.inverse({0: A}).get(0, State.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -359,49 +439,42 @@ def R_inverse_apply(inst, rho: CoordChange, A: State) -> State:
 # ---------------------------------------------------------------------------
 
 def laurent_coefficients(s: Scalar, name: str, top: int) -> dict:
-    """{exponent: Scalar} of s as a Laurent series in `name`, up to `top`."""
+    """{exponent: Scalar} of s as a Laurent series in `name`, up to `top`.
+
+    Nothing in the checks calls it: the tests expand rational functions with
+    it, as an oracle of `Series`, and it shares no code with that type.
+    """
     if s.is_zero:
         return {}
     num = s.num._as_univariate(name)
     den = s.den._as_univariate(name)
     j0 = min(den)
     unit = {i - j0: Scalar(p) for i, p in den.items()}
-    inv0 = Scalar.one() / unit[0]
     n_min = min(num)
-    inv = {0: inv0}
+    # inv[k] = coefficient of t^k in 1/unit
+    inv = [Scalar.one() / unit[0]]
+    for k in range(1, top + j0 - n_min + 1):
+        acc = Scalar.zero()
+        for i, u in unit.items():
+            if 1 <= i <= k:
+                acc = acc + u * inv[k - i]
+        inv.append(-(inv[0] * acc))
     out = {}
     for e in range(n_min - j0, top + 1):
         # coefficient of t^e in num * inverse(unit) * t^{-j0}
         total = Scalar.zero()
         for i, p in num.items():
             k = e + j0 - i
-            if k < 0:
-                continue
-            if k not in inv:
-                _extend_inverse(unit, inv, inv0, k)
-            total = total + Scalar(p) * inv[k]
+            if k >= 0:
+                total = total + Scalar(p) * inv[k]
         if not total.is_zero:
             out[e] = total
     return out
 
 
-def _extend_inverse(unit, inv, inv0, upto):
-    for k in range(max(inv) + 1, upto + 1):
-        acc = Scalar.zero()
-        for i, u in unit.items():
-            if 1 <= i <= k:
-                acc = acc + u * inv[k - i]
-        inv[k] = -(inv0 * acc)
-
-
 # ---------------------------------------------------------------------------
 # Huang's transformation formula
 # ---------------------------------------------------------------------------
-
-# The parameter of the compared Laurent series.  parse_scalar makes no name
-# with a quote in it, so t in rho stays apart from this one.
-_T = "t'"
-
 
 @dataclass
 class CoordReport:
@@ -418,41 +491,20 @@ class CoordReport:
 def _power_series(rho: CoordChange, m: int, top: int) -> dict:
     """{exponent: Scalar} of rho(t)^m up to t^top, as t^m U(t)^m.
 
-    U(t) = rho_1 + rho_2 t + ... is a unit (rho_1 != 0), so for m < 0 its
-    power is the power of its term-by-term inverse.  Only the exponents
-    m..top exist, and every coefficient is free of t.
+    U(t) = rho_1 + rho_2 t + ... is a unit (rho_1 != 0), so every integer
+    power of it is a Series.  Only the exponents m..top exist, and every
+    coefficient is free of t.
     """
-    n = top - m
-    if n < 0:
+    if top < m:
         return {}
-    unit = dict(enumerate(rho.coeffs))
-    if m < 0:
-        inv0 = Scalar.one() / rho.coeffs[0]
-        inv = {0: inv0}
-        _extend_inverse(unit, inv, inv0, n)
-        base = [inv[k] for k in range(n + 1)]
-    else:
-        base = [unit.get(k, Scalar.zero()) for k in range(n + 1)]
-    acc = [Scalar.one()] + [Scalar.zero()] * n
-    for _ in range(abs(m)):
-        acc = _series_mul(acc, base, n)
-    return {m + k: c for k, c in enumerate(acc) if not c.is_zero}
+    unit = Series(rho.coefficient(k) for k in range(1, top - m + 2))
+    return {m + k: c for k, c in enumerate((unit ** m).c) if not c.is_zero}
 
 
 def _derivative_power(rho: CoordChange, n: int, top: int) -> dict:
-    """rho'(t)^n up to t^top, n >= 0: t^-n (t rho'(t))^n, t rho'(t) the
-    change with coefficients k rho_k."""
-    slope = CoordChange(tuple(c * k for k, c in enumerate(rho.coeffs, 1)))
-    return {e - n: c for e, c in _power_series(slope, n, top + n).items()}
-
-
-def _t_series(B: State, top: int) -> dict:
-    """{t-exponent: State} of a State with t-dependent coefficients."""
-    out = {}
-    for mono, c in B.terms.items():
-        for j, cj in laurent_coefficients(c, _T, top).items():
-            out.setdefault(j, {})[mono] = cj
-    return {j: State(terms) for j, terms in out.items()}
+    """rho'(t)^n up to t^top, n >= 0."""
+    slope = Series(rho.coefficient(k) * k for k in range(1, top + 2))
+    return {e: c for e, c in enumerate((slope ** n).c) if not c.is_zero}
 
 
 def _field_series(ops: OperatorCache, Bt: dict, v: State, power, top: int,
@@ -530,13 +582,18 @@ def _transformation_check(inst, A: State, Bt: dict, rho: CoordChange,
     rho_power = cache(lambda m: _power_series(rho, m, top))
     R = _ROperator(inst, rho)
     reach = D + window + int(A.degree(alg))
+    zero = State.zero()
     for d in range(D + 1):
         for mono in basis_monomials(alg, d, 0):
             v = State.monomial(mono)
             lhs = _field_series(R.ops, {0: A}, v, lambda m: {m: Scalar.one()},
                                 D, window)
-            rhs = {e: R.apply(st) for e, st in _field_series(
-                R.ops, Bt, R.inverse(v), rho_power, reach, window).items()}
+            inv_v = R.inverse({0: v}).get(0, zero)
+            # the charges of rho are constants, which R keeps to t^0 only,
+            # so each t-exponent of the series goes through R alone
+            rhs = {e: R.apply({0: st}).get(0, zero) for e, st in
+                   _field_series(R.ops, Bt, inv_v, rho_power, reach,
+                                 window).items()}
             witness = _compare_series(alg, lhs, rhs, D)
             if witness is not None:
                 return CoordReport(
@@ -550,7 +607,11 @@ def huang_check(inst, A: State, rho: CoordChange, window: int, D: int,
     """Y(A,t) = R(rho) Y(R(rho_t)^{-1} A, rho(t)) R(rho)^{-1} on elements.
 
     Matrix elements against every basis state and functional of degree <= D
-    are compared exactly as Laurent series in t up to t^window.
+    are compared exactly as Laurent series in t up to t^window.  The
+    inserted state is the t-series {t-exponent: State} of R(rho_t)^{-1} A:
+    the coefficients of rho_t and its charges are Series in t cut at
+    t^(window + D + deg A), the last exponent that reaches the window, and
+    only rho_t,1..rho_t,{deg A + 1}, all that acts on A, are built.
     `first_order_in` only names the small parameter of an infinitesimal
     change and must occur in rho; it does not change the verdict, so a
     defect of second order in it fails like any other.
@@ -558,9 +619,10 @@ def huang_check(inst, A: State, rho: CoordChange, window: int, D: int,
     _check_first_order(rho, first_order_in)
     desc = f"huang_check({rho.render()})"
     dA = int(A.degree(inst.algebra))
-    rho = rho.padded(D + window + dA + 2)
-    Bt = _t_series(R_inverse_apply(inst, rho.shifted(_T), A),
-                   window + D + dA)
+    top = window + D + dA
+    # R(rho) reads the charges v_1..v_top, which need rho_1..rho_{top+1}
+    rho = rho.padded(top + 1)
+    Bt = _ROperator(inst, rho._shifted(dA + 1, top)).inverse({0: A})
     return _transformation_check(inst, A, Bt, rho, window, D, desc)
 
 
@@ -586,7 +648,9 @@ def primary_differential_check(inst, A: State, rho: CoordChange, window: int,
     if dA.denominator != 1:
         raise ValueError("primary check needs an integral weight")
     desc = f"primary_differential_check({rho.render()})"
-    rho = rho.padded(D + window + dA + 2)
+    # R(rho) reads the charges up to v_(D+window+dA), which need rho to
+    # one coefficient more
+    rho = rho.padded(D + window + dA + 1)
     Bt = {e: A.scale(c) for e, c in
           _derivative_power(rho, dA, window + D + dA).items()}
     return _transformation_check(inst, A, Bt, rho, window, D, desc)

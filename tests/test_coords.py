@@ -3,14 +3,17 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import voa.coords as coords
 from voa import (CoordChange, NonInvertibleLinearTerm, NotPrimary, R_apply,
                  R_inverse_apply, Scalar, State, TruncationMismatch,
                  decompose, get_preset, huang_check,
                  primary_differential_check, reconstruct)
-from voa.coords import (_derivative_power, _power_series,
+from voa.coords import (Series, _derivative_power, _power_series,
                          laurent_coefficients)
 from voa.fields import state_field_mode
 from voa.fock import basis_monomials
@@ -84,6 +87,117 @@ def test_power_series_matches_rational_expansion(coeffs):
     for m in range(-4, 5):
         want = laurent_coefficients(rho.evaluate_at(t) ** m, "t", top)
         assert _power_series(rho, m, top) == want, m
+
+
+def _dense(expansion, n):
+    """The coefficients t^0..t^n of a {exponent: Scalar} expansion."""
+    return [expansion.get(k, Scalar.zero()) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, "eps"), ("a",), (2, Fraction(1, 2), Fraction(-1, 3))])
+def test_series_matches_rational_expansion(coeffs):
+    # U(t) = rho(t)/t and rho'(t) as Series against the Laurent expansion
+    # of the rational functions, which shares no code with Series
+    rho = _cc(*coeffs)
+    t = Scalar.param("t")
+    n = 4
+    U = Series(rho.coefficient(k) for k in range(1, n + 2))
+    slope = Series(rho.coefficient(k) * k for k in range(1, n + 2))
+    u_t = rho.evaluate_at(t) / t
+    slope_t = sum((c * k * t ** (k - 1) for k, c in enumerate(rho.coeffs, 1)),
+                  Scalar.zero())
+    assert (U * slope).c == _dense(laurent_coefficients(u_t * slope_t, "t", n),
+                                   n)
+    assert U.inverse().c == _dense(laurent_coefficients(1 / u_t, "t", n), n)
+    assert (slope / U).c == _dense(
+        laurent_coefficients(slope_t / u_t, "t", n), n)
+    for m in range(-3, 0):
+        assert (U ** m).c == _dense(laurent_coefficients(u_t ** m, "t", n),
+                                    n), m
+
+
+_coefficients = st.sampled_from(
+    [Scalar.zero(), Scalar.one(), Scalar.from_fraction(-2),
+     Scalar.from_fraction(Fraction(1, 3)), Scalar.param("x"),
+     parse_scalar("x - 1/2")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(_coefficients, min_size=1, max_size=4),
+       b=st.lists(_coefficients, min_size=1, max_size=4),
+       m=st.integers(-3, 3))
+def test_series_arithmetic_matches_rational_expansion(a, b, m):
+    # the polynomials a(t), b(t) with a(0) != 0, kept to t^n
+    if a[0].is_zero:
+        a = [Scalar.one()] + a[1:]
+    n = 3
+    t = Scalar.param("t")
+    pa = sum((c * t ** k for k, c in enumerate(a)), Scalar.zero())
+    pb = sum((c * t ** k for k, c in enumerate(b)), Scalar.zero())
+    A = Series(a + [Scalar.zero()] * (n + 1 - len(a)))
+    B = Series(b + [Scalar.zero()] * (n + 1 - len(b)))
+    for got, want in ((A + B, pa + pb), (A - B, pa - pb), (A * B, pa * pb),
+                      (A * Fraction(1, 2), pa / 2), (B / A, pb / pa),
+                      (A.inverse(), 1 / pa), (A ** m, pa ** m)):
+        assert got.c == _dense(laurent_coefficients(want, "t", n), n)
+
+
+def test_huang_check_expands_no_rational_function(monkeypatch):
+    # B = R(rho_t)^{-1} A is built as a t-series; no Scalar depends on t
+    def refuse(*args):
+        raise AssertionError("laurent_coefficients called")
+    monkeypatch.setattr(coords, "laurent_coefficients", refuse)
+    inst = get_preset("heisenberg", lam=0)
+    for rho in (_cc(1, "eps"), _cc("a", 1), _cc(1, 1, 1, 1)):
+        report = huang_check(inst, inst.conformal, rho, window=2, D=2)
+        assert report.passed, report.render()
+
+
+def _B_by_rational_route(inst, A, rho, window, D):
+    """R(rho_t)^{-1} A over Q(params, t') with rho_t written out by hand,
+    Laurent-expanded in t' to t'^(window + D + deg A)."""
+    t = Scalar.param("t'")
+    dA = int(A.degree(inst.algebra))
+    rho = rho.padded(dA + 1)
+    rho_t = CoordChange(tuple(
+        sum((rho.coeffs[i - 1] * comb(i, k) * t ** (i - k)
+             for i in range(k, rho.order + 1)), Scalar.zero())
+        for k in range(1, rho.order + 1)))
+    out = {}
+    for mono, c in R_inverse_apply(inst, rho_t, A).terms.items():
+        for e, ce in laurent_coefficients(c, "t'", window + D + dA).items():
+            out.setdefault(e, {})[mono] = ce
+    return {e: State(terms) for e, terms in out.items()}
+
+
+_B_CHANGES = [(1, "eps"), ("a",), ("a", 1), (1, "t"), (1, 1, 1, 1),
+              (2, Fraction(1, 2), Fraction(-1, 3)), (1, 0, 1),
+              (1, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("preset, lam, word", [
+    ("heisenberg", 0, [("b", -1)]), ("heisenberg", 0, None),
+    ("heisenberg", 0, [("b", -2), ("b", -1)]), ("heisenberg", 0, [("b", -3)]),
+    ("heisenberg", None, None), ("virasoro", None, None),
+    ("virasoro", None, [("L", -3)]), ("virasoro", None, [("L", -2)] * 2),
+    ("affine:sl2", None, [("e", -1)]), ("affine:sl2", None, None)])
+def test_huang_insertion_matches_rational_route(monkeypatch, preset, lam,
+                                                word):
+    # the t-series B that huang_check inserts, against R_inverse_apply on a
+    # rho_t with t' a Scalar parameter and each coefficient expanded; every
+    # (t-exponent, monomial) entry is compared, also those that no verdict
+    # reads (None is omega)
+    inst = get_preset(preset, lam=lam)
+    A = inst.conformal if word is None else inst.state(word)
+    inserted = []
+    monkeypatch.setattr(coords, "_transformation_check",
+                        lambda inst, A, Bt, *rest: inserted.append(Bt))
+    for coeffs in _B_CHANGES:
+        for window, D in ((2, 2), (1, 2), (2, 1)):
+            huang_check(inst, A, _cc(*coeffs), window=window, D=D)
+            assert inserted.pop() == _B_by_rational_route(
+                inst, A, _cc(*coeffs), window, D), (coeffs, window, D)
 
 
 def test_decompose_scaling_only():
