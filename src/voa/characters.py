@@ -113,7 +113,9 @@ def character(instance, sector=0, cutoff: int = 8,
               point: ParamPoint | None = None) -> QSeries:
     """Graded character Tr q^{L_0 - c/24} of one sector, truncated.
 
-    A parametric central charge must be evaluated through `point`.
+    A parametric central charge must be evaluated through `point`; an
+    instance without one (commutative, affine at the critical level)
+    raises ValueError.
     The offset is sector energy minus c/24; relative exponents step by 1.
     An even weight-0 generator g makes every graded piece infinite
     (g(0)^k |0> for all k), so it raises ValueError.
@@ -126,6 +128,9 @@ def character(instance, sector=0, cutoff: int = 8,
             f"infinite-dimensional, from the zero modes of the even weight-0 "
             f"generator{'s' if len(zero) > 1 else ''} {', '.join(zero)}")
     c = instance.central_charge
+    if c is None:
+        raise ValueError(
+            f"preset {instance.name!r} has no conformal structure")
     if point is not None:
         c = c.evaluate(point)
     elif c.is_rational:

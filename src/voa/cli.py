@@ -197,8 +197,6 @@ def cmd_character(args) -> int:
                 "central charge is parametric; supply --param "
                 + " ".join(f"{p}=..." for p in missing))
         point = ParamPoint(**{p: str(params[p]) for p in names})
-    if inst.central_charge is None:
-        raise CliError(f"preset {inst.name!r} has no conformal structure")
     ch = character(inst, sector=args.sector, cutoff=args.cutoff, point=point)
     _emit(args, ch.to_json(), ch.render())
     return 0

@@ -19,7 +19,7 @@ from math import comb, factorial
 
 from .scalars import Poly, poly_derivative as _poly_deriv
 from .fock import PbwMonomial, State
-from .fields import OperatorCache
+from .fields import OperatorCache, state_field_mode
 
 
 def zvar(i: int) -> str:
@@ -450,17 +450,22 @@ def matrix_element_coefficient(alg, states, phi, exponents, region):
     """Exact coefficient of prod z_i^{e_i} in phi(Y(A_1,z_1)...|0>).
 
     The operator composition follows `region` (leftmost = largest modulus);
-    each field is read at its variable's exponent (`OperatorCache.coeff`).
-    A test oracle, one coefficient at a time: `consistency_check` reads
-    the same coefficients from `_region_walk`, and the tests compare the
-    two.
+    each field acts by its mode p = -e_i - deg A_i (the one-shot
+    `state_field_mode`), and phi is summed here.  A test oracle, one
+    coefficient at a time, sharing neither the z-exponent reading
+    (`OperatorCache.coeff`) nor the pairing (`_pair`) with `_region_walk`,
+    from which `consistency_check` reads the same coefficients; the tests
+    compare the two.  An exponent that is not an int raises TypeError.
     """
-    order = [int(v[1:]) for v in region.order]
-    ops = OperatorCache(alg)
     v = State.vacuum()
-    for idx in reversed(order):
-        v = ops.coeff(ops.field(states[idx - 1]), exponents[idx - 1], v)
-    return _pair(_phi_terms(phi), v)
+    for idx in reversed([int(z[1:]) for z in region.order]):
+        A, e = states[idx - 1], exponents[idx - 1]
+        if type(e) is not int:
+            raise TypeError(f"exponent {e} is not an int")
+        v = state_field_mode(alg, A, -e - A.degree(alg), v)
+    phi = _phi_terms(phi)
+    return sum((phi[m] * c.as_fraction() for m, c in v.terms.items()
+                if m in phi), Fraction(0))
 
 
 @dataclass

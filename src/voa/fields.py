@@ -12,7 +12,9 @@ state, and its modes follow the reconstruction formula
 recursing on the word of the monomial: the empty word is the identity field
 in sector 0 and the vertex operator of the sector vacuum in a charge sector,
 and a single letter g(n) over the vacuum has the modes
-binom(-p - wt g, j) g_p.
+binom(-p - wt g, j) g_p.  Generator weights and modes are ints, and so is
+j; a field has modes off the integers only on an odd lattice, where a
+charge sector can have half-integral energy.
 
 The recursion is memoized only in the `OperatorCache` of one call; the
 algebra keeps the generator-level memos (`apply_mode`, T, E-/E+ below).
@@ -102,7 +104,7 @@ def _field_mode_raw(ops, A, p, mono):
 
     g, n = word[0]
     w = alg.weight(g)
-    j = int(-n - w)
+    j = -n - w
     if j < 0:
         raise ValueError("word contains an annihilation mode")
 

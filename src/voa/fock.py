@@ -20,10 +20,11 @@ mode acts on charge-m sectors by m.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Optional
 
-from .scalars import _SMALL_INTS, _rational, Scalar, Poly, parse_scalar
+from .scalars import (_SMALL_INTS, _rational, Scalar, Poly, parse_scalar,
+                      render_poly)
 
 
 class UnknownGenerator(KeyError):
@@ -31,7 +32,7 @@ class UnknownGenerator(KeyError):
 
 
 class SectorMismatch(ValueError):
-    """A sector shift was applied in an algebra without lattice sectors."""
+    """A charge sector was named in an algebra without lattice sectors."""
 
 
 class GeneratorSpec(NamedTuple):
@@ -102,30 +103,32 @@ class ModeAlgebra:
     the axiom checks their two-mode products, through a
     `fields.OperatorCache` made for its call.
 
-    Field modes and degrees are carried as ints in units of 1/u, with
-    `unit` u the least integer that makes every generator weight and
-    every sector energy integral: 2 for an odd lattice or a generator of
-    half-integral weight, else 1, where such an int is the real value.
+    Weights and generator modes (`apply_mode`, the words of PBW
+    monomials) are ints; degrees are half-integral only in the odd
+    sectors of an odd lattice.  So field modes and degrees are carried as
+    ints in units of 1/u, with `unit` u = 2 on an odd lattice, else 1.
     `to_units` takes a real mode in, `from_units` gives one back;
-    `scaled_degree` and `scaled_energy` are the degrees in these units.
-    Weights, sector energies and monomial degrees come back as real
-    values: an int when integral, a Fraction only when half-integral.
-    Generator modes (`apply_mode`, the words of PBW monomials) are real
-    ints.  `GeneratorSpec.weight` itself stays the Fraction it was given.
-    A generator of negative weight is refused: its modes x_n with
-    0 <= n <= -weight would count as creation modes, yet no monomial the
-    basis enumerates would hold them.
+    `scaled_degree` and `scaled_energy` are the degrees in these units,
+    `mono_degree` and `sector_energy` the real values: an int when
+    integral, else a Fraction.
+
+    Input the basis cannot grade raises ValueError: a generator of
+    negative weight, whose modes x_n with 0 <= n <= -weight would count
+    as creation modes that no enumerated monomial holds; one of
+    non-integral weight, whose x(-1)|0> would not have its weight; a
+    lattice without an int `lattice_N` >= 1, whose sector energies would
+    not grow with the charge, or without a charge generator; and a
+    charge generator without a lattice.
     """
 
     def __init__(self, name, generators, rules, *, lattice_N=None,
-                 charge_gen=None, vacuum_symbol="|0>", central_params=()):
+                 charge_gen=None, vacuum_symbol="|0>"):
         self.name = name
         self.generators = tuple(generators)
         self.rules = dict(rules)           # (i, j) -> BracketRule
         self.lattice_N = lattice_N
         self.charge_gen = charge_gen
         self.vacuum_symbol = vacuum_symbol
-        self.central_params = tuple(central_params)
         self._by_name = {g.name: i for i, g in enumerate(self.generators)}
         if len(self._by_name) != len(self.generators):
             raise ValueError("generator names must be unique")
@@ -134,9 +137,18 @@ class ModeAlgebra:
             if w < 0:
                 raise ValueError(f"generator {g.name!r} has negative "
                                  f"weight {w}")
-        self.unit = lcm(self.grading_denominator,
-                        *(Fraction(g.weight).denominator
-                          for g in self.generators))
+            if type(w) is not int:
+                raise ValueError(f"generator {g.name!r} has non-integral "
+                                 f"weight {w}")
+        if lattice_N is not None and (type(lattice_N) is not int
+                                      or lattice_N < 1):
+            raise ValueError(f"lattice_N must be an int >= 1, "
+                             f"got {lattice_N!r}")
+        if lattice_N is not None and charge_gen is None:
+            raise ValueError("a lattice needs a charge generator")
+        if lattice_N is None and charge_gen is not None:
+            raise ValueError("a charge generator needs a lattice")
+        self.unit = 2 if lattice_N is not None and lattice_N % 2 else 1
         self._non_central_charge = next(
             ((self.generators[i].name, self.generators[j].name)
              for (i, j), rule in self.rules.items()
@@ -150,12 +162,6 @@ class ModeAlgebra:
     @property
     def has_sectors(self):
         return self.lattice_N is not None
-
-    @property
-    def grading_denominator(self):
-        if self.has_sectors and self.lattice_N % 2 == 1:
-            return 2
-        return 1
 
     def gen_index(self, name):
         try:
@@ -511,30 +517,16 @@ def _apply_mono_raw(alg, g, n, mono):
 
 
 def normal_order(alg: ModeAlgebra, word, sector=0) -> State:
-    """Rewrite a product of modes (and lattice shifts) applied to a vacuum.
+    """Rewrite a product of modes applied to the vacuum of a sector.
 
-    `word` is a sequence of ops, leftmost first; each op is either
-    (generator name or index, mode) or ("S", charge shift).
+    `word` is a sequence of ops, leftmost first; each op is
+    (generator name or index, mode).
     """
     state = State.vacuum(sector)
-    for op in reversed(list(word)):
-        tag, n = op
-        if tag == "S" and "S" not in alg._by_name:
-            if not alg.has_sectors:
-                raise SectorMismatch(f"shift in sector-free algebra {alg.name!r}")
-            state = shift_sector(alg, n, state)
-            continue
+    for tag, n in reversed(list(word)):
         g = tag if isinstance(tag, int) else alg.gen_index(tag)
         state = apply_mode(alg, g, int(n), state)
     return state
-
-
-def shift_sector(alg: ModeAlgebra, shift: int, state: State) -> State:
-    """Action of the lattice shift operator S_shift."""
-    if not alg.has_sectors:
-        raise SectorMismatch(f"shift in sector-free algebra {alg.name!r}")
-    return State({PbwMonomial(m.sector + shift, m.word): c
-                  for m, c in state.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +551,12 @@ def all_sector_monomials(alg: ModeAlgebra, degree):
     degree = Fraction(degree)
     if not alg.has_sectors:
         return basis_monomials(alg, degree, 0)
-    out = []
-    m = 0
-    while True:
-        found = False
-        for s in ([0] if m == 0 else [m, -m]):
-            if alg.sector_energy(s) <= degree:
-                found = True
-                out.extend(basis_monomials(alg, degree, s))
-        if not found and m > 0:
-            break
+    # sector energies m^2 N / 2 grow with |m|, since N >= 1
+    out = basis_monomials(alg, degree, 0)
+    m = 1
+    while alg.sector_energy(m) <= degree:
+        out += basis_monomials(alg, degree, m)
+        out += basis_monomials(alg, degree, -m)
         m += 1
     return out
 
@@ -678,11 +666,6 @@ def render_state(alg: ModeAlgebra, state: State) -> str:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def _poly_to_str(p: Poly) -> str:
-    from .scalars import render_poly
-    return render_poly(p)
-
-
 def algebra_to_json(alg: ModeAlgebra) -> dict:
     gens = [{"name": g.name, "weight2": int(2 * g.weight),
              "parity": "odd" if g.odd else "even"} for g in alg.generators]
@@ -692,21 +675,18 @@ def algebra_to_json(alg: ModeAlgebra) -> dict:
             "lhs": alg.generators[i].name,
             "rhs": alg.generators[j].name,
             "terms": [{"gen": alg.generators[t.target].name,
-                       "coeff": _poly_to_str(t.coeff),
-                       "scalar": str(t.scalar),
-                       "delta_condition": None}
+                       "coeff": render_poly(t.coeff),
+                       "scalar": str(t.scalar)}
                       for t in rule.terms],
         }
         if rule.central is not None:
             entry["central"] = {"param": str(rule.central.scalar),
-                                "coeff": _poly_to_str(rule.central.coeff)}
+                                "coeff": render_poly(rule.central.coeff)}
         brackets.append(entry)
     doc = {
         "name": alg.name,
         "generators": gens,
         "bracket": brackets,
-        "central_params": list(alg.central_params),
-        "grading_denominator": alg.grading_denominator,
         "vacuum_symbol": alg.vacuum_symbol,
     }
     if alg.has_sectors:
@@ -726,26 +706,36 @@ def _parse_poly(text: str, allowed=("m", "n")) -> Poly:
 
 
 def algebra_from_json(doc: dict) -> ModeAlgebra:
-    gens = [GeneratorSpec(g["name"], Fraction(g["weight2"], 2),
-                          g.get("parity", "even") == "odd")
-            for g in doc["generators"]]
-    index = {g.name: i for i, g in enumerate(gens)}
-    rules = {}
-    for entry in doc.get("bracket", []):
-        i, j = index[entry["lhs"]], index[entry["rhs"]]
-        terms = tuple(
-            BracketTerm(index[t["gen"]], _parse_poly(t["coeff"]),
-                        parse_scalar(t.get("scalar", "1")))
-            for t in entry.get("terms", []))
-        central = None
-        if entry.get("central"):
-            central = CentralTerm(parse_scalar(entry["central"]["param"]),
-                                  _parse_poly(entry["central"]["coeff"], ("m",)))
-        rules[(i, j)] = BracketRule(terms, central)
-    return ModeAlgebra(
-        doc.get("name", "custom"), gens, rules,
-        lattice_N=doc.get("lattice_N"),
-        charge_gen=index[doc["charge_gen"]] if "charge_gen" in doc else None,
-        vacuum_symbol=doc.get("vacuum_symbol", "|0>"),
-        central_params=tuple(doc.get("central_params", ())),
-    )
+    """The algebra of an `algebra_to_json` document.  A missing key or an
+    unknown generator name raises ValueError; a key it does not read, as
+    older documents have, is ignored."""
+    try:
+        gens = [GeneratorSpec(g["name"], Fraction(g["weight2"], 2),
+                              g.get("parity", "even") == "odd")
+                for g in doc["generators"]]
+        index = {g.name: i for i, g in enumerate(gens)}
+
+        def gen(name):
+            if name not in index:
+                raise ValueError(f"unknown generator {name!r}")
+            return index[name]
+
+        rules = {}
+        for entry in doc.get("bracket", []):
+            i, j = gen(entry["lhs"]), gen(entry["rhs"])
+            terms = tuple(
+                BracketTerm(gen(t["gen"]), _parse_poly(t["coeff"]),
+                            parse_scalar(t.get("scalar", "1")))
+                for t in entry.get("terms", []))
+            central = None
+            if entry.get("central"):
+                c = entry["central"]
+                central = CentralTerm(parse_scalar(c["param"]),
+                                      _parse_poly(c["coeff"], ("m",)))
+            rules[(i, j)] = BracketRule(terms, central)
+        charge_gen = gen(doc["charge_gen"]) if "charge_gen" in doc else None
+    except KeyError as exc:
+        raise ValueError(f"algebra document: missing key {exc}") from None
+    return ModeAlgebra(doc.get("name", "custom"), gens, rules,
+                       lattice_N=doc.get("lattice_N"), charge_gen=charge_gen,
+                       vacuum_symbol=doc.get("vacuum_symbol", "|0>"))

@@ -286,8 +286,7 @@ def _grouped_basis(alg, D):
     degree an int in units of 1/u, so the window loops of the axiom checks
     run on ints."""
     groups = []
-    for d in range(0, int(D * alg.unit) + 1,
-                   alg.unit // alg.grading_denominator):
+    for d in range(int(D * alg.unit) + 1):
         monos = all_sector_monomials(alg, alg.from_units(d))
         if monos:
             groups.append((d, [State.monomial(m) for m in monos]))

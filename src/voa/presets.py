@@ -240,8 +240,7 @@ class AlgebraInstance:
 
     def gen_state(self, gen_name: str) -> State:
         g = self.algebra.gen_index(gen_name)
-        w = self.algebra.weight(g)
-        return State.monomial(PbwMonomial(0, ((g, int(-w) if w else 0),)))
+        return State.monomial(PbwMonomial(0, ((g, -self.algebra.weight(g)),)))
 
     def generator_states(self):
         return [(spec.name, self.gen_state(spec.name))
@@ -252,8 +251,7 @@ def heisenberg(lam=None) -> AlgebraInstance:
     """Rank-one Heisenberg with conformal vector (1/2)b(-1)^2 + lam*b(-2)."""
     alg = ModeAlgebra(
         "heisenberg", [GeneratorSpec("b", Fraction(1))],
-        {(0, 0): BracketRule((), CentralTerm(Scalar.one(), _poly("m")))},
-        central_params=("lam",))
+        {(0, 0): BracketRule((), CentralTerm(Scalar.one(), _poly("m")))})
     if lam is None:
         lam = Scalar.param("lam")
     elif not isinstance(lam, Scalar):
@@ -271,8 +269,7 @@ def virasoro() -> AlgebraInstance:
         "virasoro", [GeneratorSpec("L", Fraction(2))],
         {(0, 0): BracketRule((BracketTerm(0, _poly("m-n")),),
                              CentralTerm(Scalar.param("c"),
-                                         _poly("(m^3-m)/12")))},
-        central_params=("c",))
+                                         _poly("(m^3-m)/12")))})
     omega = State.monomial(PbwMonomial(0, ((0, -2),)))
     return AlgebraInstance("virasoro", alg, omega, Scalar.param("c"),
                            params=("c",))
@@ -295,8 +292,7 @@ def affine(lie: LieData, level=None) -> AlgebraInstance:
             if terms or central:
                 rules[(i, j)] = BracketRule(terms, central)
     name = f"affine:{lie.name}"
-    alg = ModeAlgebra(name, gens, rules, vacuum_symbol="v_k",
-                      central_params=("k",) if level is None else ())
+    alg = ModeAlgebra(name, gens, rules, vacuum_symbol="v_k")
     inst = AlgebraInstance(name, alg, lie=lie, params=("k",))
     try:
         inst.conformal = sugawara(inst)
@@ -317,12 +313,10 @@ def sugawara(inst: AlgebraInstance) -> State:
     alg = inst.algebra
     if lie is None:
         raise ValueError("sugawara requires an affine instance")
-    k = Scalar.param("k") if "k" in alg.central_params else None
-    if k is None:
-        # fixed numeric level embedded in the central terms
-        rule = next(r for r in alg.rules.values() if r.central is not None)
-        k = rule.central.scalar / Scalar.from_fraction(
-            rule.central.coeff.evaluate({"m": Fraction(1)}))
+    # the level, symbolic or numeric: [x_m, y_n] has central term m (x, y) k
+    (i, j), c = next((ij, r.central) for ij, r in alg.rules.items()
+                     if r.central is not None)
+    k = c.scalar * c.coeff.evaluate({"m": 1}) / lie.form[i][j]
     denom = (k + Scalar.from_fraction(lie.h_vee)) * 2
     if denom.is_zero:
         raise ZeroDivisionError("level equals the critical level -h_vee")

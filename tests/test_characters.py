@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 
 from voa import (ParamPoint, QSeries, boson_fermion_character_check,
-                 character, get_preset, lattice_theta_character)
+                 character, get_preset, lattice, lattice_theta_character,
+                 presets)
 
 
 def _partitions_oracle(cutoff, min_part=1):
@@ -121,3 +122,19 @@ def test_boson_fermion_character_dims():
     assert dims[Fraction(1)] == 1
     assert dims[Fraction(3, 2)] == 2
     assert dims[Fraction(2)] == 4
+
+
+def test_boson_fermion_character_negative_control(monkeypatch):
+    # the even lattice 2Z in place of Z: no charged state at degree 1/2
+    monkeypatch.setattr(presets, "lattice", lambda N: lattice(2))
+    assert boson_fermion_character_check(3).render() == \
+        "boson-fermion characters: FAIL (degree 1/2: 2 != 0)"
+
+
+@pytest.mark.parametrize("name, level", [("commutative", None),
+                                         ("affine:sl2", -2)])
+def test_character_needs_a_conformal_structure(name, level):
+    inst = get_preset(name, level=level)
+    with pytest.raises(ValueError) as exc:
+        character(inst, cutoff=2)
+    assert str(exc.value) == f"preset {name!r} has no conformal structure"

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from voa import (character, get_preset, heisenberg_npoint, render_state,
-                 singular_part)
+from voa import (State, character, get_preset, heisenberg_npoint,
+                 render_state, singular_part)
 from voa.cli import parse_state, run
 from voa.scalars import ParamPoint
 
@@ -66,6 +66,16 @@ def test_ope_matches_library(capsys):
     body = ", ".join(f"{j}: {render_state(alg, table[j])}"
                      for j in sorted(table, reverse=True))
     assert out.strip() == "{" + body + "}"
+
+
+def test_ope_of_sector_vacua_matches_library(capsys):
+    inst = get_preset("lattice:2")
+    table = singular_part(inst.algebra, State.vacuum(1), State.vacuum(-1))
+    code, out, _ = _run(capsys, "ope", "--algebra", "lattice:2",
+                        "--a", "1_{1,2}", "--b", "1_{-1,2}")
+    assert code == 0
+    assert out == "{2: |0>, 1: 2 b(-1) |0>}\n"
+    assert table == {2: State.vacuum(), 1: inst.state([("b", -1)]).scale(2)}
 
 
 def test_bracket_central_term(capsys):
@@ -249,6 +259,10 @@ def test_unknown_algebra_exits_2(capsys):
     (["character", "--algebra", "weyl:1", "--cutoff", "2"],
      "infinite-dimensional, from the zero modes of the even weight-0 "
      "generator a*"),
+    (["character", "--algebra", "commutative"],
+     "error: preset 'commutative' has no conformal structure"),
+    (["character", "--algebra", "affine:sl2", "--param", "k=-2"],
+     "error: preset 'affine:sl2' has no conformal structure"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

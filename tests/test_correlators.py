@@ -407,6 +407,51 @@ def test_consistency_walks_each_insertion_sequence_once(monkeypatch):
         assert len(sequences) == len(set(sequences)) == walks
 
 
+def test_matrix_element_oracle_does_not_share_the_walk(monkeypatch):
+    # a wrong phi pairing in the walk fails consistency_check, while the
+    # per-tuple oracle, with its own sum, still equals the expansion
+    monkeypatch.setattr(correlators, "_pair", lambda phi, v: Fraction(1))
+    inst = get_preset("heisenberg", lam=0)
+    states = [inst.gen_state("b")] * 2
+    region = ExpansionRegion((zvar(1), zvar(2)))
+    assert not consistency_check(inst.algebra, states, VACUUM_PHI, [region],
+                                 8).passed
+    coeffs = expand(heisenberg_npoint(VACUUM_PHI, 2), region, 3)
+    for e in product(range(-5, 4), repeat=2):
+        assert matrix_element_coefficient(inst.algebra, states, VACUUM_PHI,
+                                          e, region) == \
+            coeffs.get(e, Fraction(0))
+
+
+def test_matrix_element_exponent_must_be_an_int():
+    inst = get_preset("heisenberg", lam=0)
+    with pytest.raises(TypeError, match="exponent 1/2 is not an int"):
+        matrix_element_coefficient(inst.algebra, [inst.gen_state("b")],
+                                   VACUUM_PHI, (Fraction(1, 2),),
+                                   ExpansionRegion((zvar(1),)))
+
+
+@pytest.mark.parametrize("extra, order", [
+    (None, 2),
+    (Term(Fraction(1), Poly.const(1), ((1, 2, 1),), ()), 1)],
+    ids=["doubled", "simple-pole"])
+def test_bootstrap_fails_on_a_wrong_two_point_function(monkeypatch, extra,
+                                                       order):
+    # omega_2 doubled misses omega_0 at order 2; omega_2 + 1/(z1-z2) keeps
+    # order 2 and leaves an order-1 coefficient
+    npoint = correlators.heisenberg_npoint
+
+    def wrong(phi, n, insertions=None):
+        f = npoint(phi, n, insertions)
+        if n != 2:
+            return f
+        return f.scale(2) if extra is None else f + RationalCorrelator([extra])
+
+    monkeypatch.setattr(correlators, "heisenberg_npoint", wrong)
+    assert bootstrap_verify(VACUUM_PHI, 4).render() == (
+        f"bootstrap: FAIL (n=2, pair (1,2): order-{order} coefficient)")
+
+
 def test_bootstrap_negative_control(monkeypatch):
     # every contraction doubled: the (z1-z2)^{-2} coefficient of omega_2 is
     # 2, against omega_0 = 1

@@ -10,7 +10,6 @@ from voa import (PbwMonomial, State, algebra_from_json, apply_mode,
                  basis_monomials, get_preset, lattice_vertex_op,
                  state_field_mode, translate)
 from voa import fields
-from voa.fock import shift_sector
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +310,8 @@ def _vertex_mode_oracle(alg, m, p, mono):
             mid = State.monomial(mono)
             for n in bmodes:
                 mid = apply_mode(alg, b, n, mid)
-            mid = shift_sector(alg, m, mid)
+            mid = State({PbwMonomial(x.sector + m, x.word): c
+                         for x, c in mid.terms.items()})
             for ca, amodes in _exp_terms(lam_N, int(k), True):
                 res = mid
                 for n in amodes:
@@ -329,7 +329,7 @@ def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2, 3), top=5,
     result (one above it as well) down through 5 creation layers;
     vertex_mode takes p in units of 1/u.
     """
-    step = Fraction(1, alg.grading_denominator)
+    step = Fraction(1, alg.unit)
     monos = [mono for i in range(int(top / step) + 1)
              for s in sectors for mono in basis_monomials(alg, i * step, s)]
     for m in charges:

@@ -9,7 +9,7 @@ from voa.fock import (
     ModeAlgebra, GeneratorSpec, BracketRule, BracketTerm, CentralTerm,
     PbwMonomial, State, normal_order, apply_mode, graded_dim,
     basis_monomials, all_sector_monomials, render_monomial, render_state,
-    algebra_to_json, algebra_from_json, UnknownGenerator, SectorMismatch,
+    algebra_to_json, algebra_from_json, UnknownGenerator,
 )
 
 
@@ -32,7 +32,7 @@ def vir():
         "virasoro", [GeneratorSpec("L", Fraction(2))],
         {(0, 0): BracketRule((BracketTerm(0, P("m-n")),),
                              CentralTerm(Scalar.param("c"), P("(m^3-m)/12")))},
-        central_params=("c",), vacuum_symbol="|0>")
+        vacuum_symbol="|0>")
 
 
 @pytest.fixture
@@ -145,8 +145,10 @@ class TestBrackets:
         assert v == State.vacuum(3).scale(3)
         assert normal_order(lat, [("b", 0)], sector=0).is_zero
 
-    def test_shift_requires_sectors(self, heis):
-        with pytest.raises(SectorMismatch):
+    def test_shift_op_is_an_unknown_generator(self, heis):
+        # a sector is named by the vacuum normal_order starts from, not
+        # by an op of the word
+        with pytest.raises(UnknownGenerator):
             normal_order(heis, [("S", 1)])
 
     def test_unknown_generator(self, heis):
@@ -196,6 +198,9 @@ class TestRendering:
         assert render_monomial(lat, PbwMonomial(2, ())) == "1_{2,1}"
 
 
+_X = {"name": "x", "weight2": 2}
+
+
 class TestJson:
     def test_roundtrip(self, vir):
         doc = algebra_to_json(vir)
@@ -218,8 +223,8 @@ class TestJson:
                         assert alg2.bracket(i, m, j, n) == \
                             alg.bracket(i, m, j, n)
         assert alg2.vacuum_symbol == alg.vacuum_symbol
-        step = Fraction(1, alg.grading_denominator)
-        for k in range(4 * alg.grading_denominator + 1):
+        step = Fraction(1, alg.unit)
+        for k in range(4 * alg.unit + 1):
             assert len(all_sector_monomials(alg2, k * step)) == \
                 len(all_sector_monomials(alg, k * step))
         assert verify_axioms(alg2, 2).passed and verify_axioms(alg, 2).passed
@@ -238,6 +243,58 @@ class TestJson:
         with pytest.raises(ValueError, match=rf"^generator 'x' has negative "
                                              rf"weight {shown}$"):
             algebra_from_json(doc)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lattice_N": 0, "charge_gen": 0}, "lattice_N must be an int >= 1, "
+                                            "got 0"),
+        ({"lattice_N": -2, "charge_gen": 0}, "lattice_N must be an int >= 1, "
+                                             "got -2"),
+        ({"lattice_N": 1.0, "charge_gen": 0}, "lattice_N must be an int >= 1, "
+                                              "got 1.0"),
+        ({"lattice_N": 1}, "a lattice needs a charge generator"),
+        ({"charge_gen": 0}, "a charge generator needs a lattice"),
+    ])
+    def test_ungradable_lattice_is_refused(self, kwargs, message):
+        # lattice_N=0 gives every sector energy 0, so all_sector_monomials
+        # would never stop; without a charge generator the zero mode has no
+        # eigenvalue to act by
+        with pytest.raises(ValueError) as exc:
+            ModeAlgebra("lat", [GeneratorSpec("b", Fraction(1))], {},
+                        **kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "algebra document: missing key 'generators'"),
+        ({"generators": [{"name": "x"}]},
+         "algebra document: missing key 'weight2'"),
+        ({"generators": [_X], "bracket": [{"rhs": "x"}]},
+         "algebra document: missing key 'lhs'"),
+        ({"generators": [_X], "bracket": [{"lhs": "x", "rhs": "x",
+                                           "central": {"coeff": "m"}}]},
+         "algebra document: missing key 'param'"),
+        ({"generators": [_X], "bracket": [{"lhs": "x", "rhs": "y"}]},
+         "unknown generator 'y'"),
+        ({"generators": [_X], "bracket": [{"lhs": "x", "rhs": "x", "terms": [
+            {"gen": "z", "coeff": "1"}]}]}, "unknown generator 'z'"),
+        ({"generators": [_X], "lattice_N": 2, "charge_gen": "b"},
+         "unknown generator 'b'"),
+    ])
+    def test_bad_document_is_refused(self, doc, message):
+        with pytest.raises(ValueError) as exc:
+            algebra_from_json(doc)
+        assert str(exc.value) == message
+
+    def test_document_holds_only_what_the_reader_reads(self, vir):
+        doc = algebra_to_json(vir)
+        assert set(doc) == {"name", "generators", "bracket",
+                            "vacuum_symbol"}
+        assert set(doc["bracket"][0]["terms"][0]) == {"gen", "coeff",
+                                                      "scalar"}
+        # keys older documents wrote are ignored
+        old = dict(doc, central_params=["c"], grading_denominator=1)
+        old["bracket"] = [dict(doc["bracket"][0], terms=[
+            dict(doc["bracket"][0]["terms"][0], delta_condition=None)])]
+        assert algebra_to_json(algebra_from_json(old)) == doc
 
 
 # ---------------------------------------------------------------------------

@@ -426,38 +426,21 @@ def test_singular_part_reads_through_a_given_cache(monkeypatch):
 
 
 # The two JSON algebras below have generators of half-integral weight but
-# integral modes and degrees: a grading the engine does not support.  Their
-# reports are the current behaviour, pinned so that the units of the mode
-# arithmetic (1/2 here) cannot change it.
-_HALF_WEIGHT_REPORTS = [
+# integral modes, so no state has its generator's weight: the algebra is
+# refused before any check runs.
+@pytest.mark.parametrize("doc, message", [
     ({"name": "nsf",
       "generators": [{"name": "psi", "weight2": 1, "parity": "odd"}],
       "bracket": [{"lhs": "psi", "rhs": "psi",
-                   "central": {"param": "1", "coeff": "1"}}]}, 2,
-     "axiom report: nsf (degree 2)\n"
-     "  vacuum         FAIL  witness: A=psi(-2) |0>, mode -1\n"
-     "  translation    FAIL  witness: A=psi(-1) |0>, B=|0>, mode -2\n"
-     "  locality       FAIL  witness: A=psi(-1) |0>, B=psi(-1) |0>, N=2, "
-     "modes (-2,0), C=|0>\n"
-     "  associativity  FAIL  witness: A=psi(-2) |0>, B=|0>, n=0, m=-1, "
-     "C=|0>\n"
-     "result: FAILED"),
-    ({"name": "half", "generators": [{"name": "x", "weight2": 3}]}, 3,
-     "axiom report: half (degree 3)\n"
-     "  vacuum         FAIL  witness: A=x(-3) |0>, mode -2\n"
-     "  translation    FAIL  witness: A=x(-2) |0>, B=|0>, mode -3\n"
-     "  locality       pass\n"
-     "  associativity  FAIL  witness: A=x(-3) |0>, B=|0>, n=0, m=-1, C=|0>\n"
-     "result: FAILED"),
-]
-
-
-@pytest.mark.parametrize("doc,D,expected", _HALF_WEIGHT_REPORTS,
-                         ids=["nsf", "half"])
-def test_half_weight_json_algebra_reports_are_pinned(doc, D, expected):
-    alg = algebra_from_json(doc)
-    assert alg.unit == 2
-    assert verify_axioms(alg, D).render() == expected
+                   "central": {"param": "1", "coeff": "1"}}]},
+     "generator 'psi' has non-integral weight 1/2"),
+    ({"name": "half", "generators": [{"name": "x", "weight2": 3}]},
+     "generator 'x' has non-integral weight 3/2"),
+], ids=["nsf", "half"])
+def test_half_weight_json_algebra_is_refused(doc, message):
+    with pytest.raises(ValueError) as exc:
+        algebra_from_json(doc)
+    assert str(exc.value) == message
 
 
 def test_coset_commutative_is_everything():

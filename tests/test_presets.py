@@ -10,7 +10,8 @@ from voa import (BracketRule, InvalidLieData, LieData, ModeAlgebra,
                  ParamPoint, Scalar, State, boson_fermion_check, get_preset,
                  graded_dim, morphism_check, parse_scalar, singular_part,
                  sl2_data, sl3_data, state_field_mode, sugawara, translate)
-from voa.presets import _matrix_lie
+from voa import presets
+from voa.presets import _matrix_lie, affine, lattice
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -191,6 +192,20 @@ def test_sugawara_at_fixed_level():
     assert got == State.vacuum().scale(Fraction(1, 2))  # c/2 with c = 1
 
 
+@pytest.mark.parametrize("level", [1, 2, None], ids=["k=1", "k=2", "k"])
+@pytest.mark.parametrize("order", ["hef", "ehf"])
+def test_sugawara_level_in_any_basis_order(order, level):
+    # sugawara reads k from a central term m (x, y) k; with h first that
+    # term is the one of (h, h) = 2, which must not halve the level
+    mats = {"e": _E, "h": _H, "f": _F}
+    inst = affine(_matrix_lie("sl2", [(x, mats[x]) for x in order]), level)
+    alg, omega = inst.algebra, inst.conformal
+    for _, x in inst.generator_states():
+        assert state_field_mode(alg, omega, 0, x) == x      # L_0 x = x
+    poles = singular_part(alg, omega, omega)
+    assert poles[4] == State.vacuum().scale(inst.central_charge / 2)
+
+
 def test_sugawara_critical_level_has_no_conformal_vector():
     inst = get_preset("affine:sl2", level=-2)
     assert inst.conformal is None
@@ -231,6 +246,15 @@ def test_boson_fermion_check_degree_4():
     assert report.dims == [(0, 2, 2), (1, 4, 4), (2, 6, 6), (3, 12, 12),
                            (4, 18, 18)]
     assert report.mismatch is None and report.passed
+
+
+def test_boson_fermion_check_negative_control(monkeypatch):
+    # the even lattice 2Z in place of Z: the two fermion states of degree
+    # 0, |0> and psi*(0) |0>, against the one lattice state of degree 0
+    monkeypatch.setattr(presets, "lattice", lambda N: lattice(2))
+    report = boson_fermion_check(3)
+    assert not report.passed
+    assert report.mismatch == "graded dimension at degree 0: 2 != 1"
 
 
 def test_morphism_check_catches_wrong_psi_image():
