@@ -158,10 +158,10 @@ class OperatorCache:
     the `mono` entry itself for a one-term field with coefficient 1, else
     one sum over the terms of X.  Both are kept for the call.
     `apply(x, p, v)` is X_[p] v, the `col` entry itself for a one-term v
-    with coefficient 1.  `pair(x, p, y, q, m)` is X_[p] Y_[q] m, kept
-    until the next `new_scope()`, which the axiom checks call for each
-    locality test state and each associativity pair, so that memory stays
-    flat over the call.
+    with coefficient 1.  Two-mode products X_[p] Y_[q] m are not kept
+    here: the locality and associativity checks hold them in a
+    `ope.TwoModeProducts` table for one test state at a time, so that
+    memory stays flat over the call.
     """
 
     def __init__(self, alg: ModeAlgebra):
@@ -170,7 +170,6 @@ class OperatorCache:
         self._terms = []     # field number -> ((monomial, coefficient), ...)
         self._modes = {}     # (A, p, m) -> A_[p] m, A a PBW monomial
         self._cols = {}      # (x, p, m) -> X_[p] m, X not one monomial
-        self._pairs = {}
         self._degrees = {}   # field number -> degree in units of 1/u
 
     def mono(self, A: PbwMonomial, p: int, m: PbwMonomial) -> State:
@@ -220,18 +219,6 @@ class OperatorCache:
             X = State(dict(self._terms[x]))
             d = self._degrees[x] = X.scaled_degree(self.alg)
         return self.apply(x, -e * self.alg.unit - d, v)
-
-    def pair(self, x: int, p: int, y: int, q: int,
-             m: PbwMonomial) -> State:
-        key = (x, p, y, q, m)
-        v = self._pairs.get(key)
-        if v is None:
-            v = self._pairs[key] = self.apply(x, p, self.col(y, q, m))
-        return v
-
-    def new_scope(self):
-        """Drop the cached two-mode products."""
-        self._pairs = {}
 
 
 # ---------------------------------------------------------------------------

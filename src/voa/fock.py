@@ -705,14 +705,31 @@ def _parse_poly(text: str, allowed=("m", "n")) -> Poly:
     return s.num
 
 
+def _json_object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"algebra document: {what} must be an object, "
+                         f"got {type(x).__name__}")
+    return x
+
+
+def _generator_spec(g) -> GeneratorSpec:
+    _json_object(g, "a generator entry")
+    w = g["weight2"]
+    if type(w) is not int:
+        raise ValueError(f"generator {g['name']!r}: weight2 must be an int, "
+                         f"got {w!r}")
+    return GeneratorSpec(g["name"], Fraction(w, 2),
+                         g.get("parity", "even") == "odd")
+
+
 def algebra_from_json(doc: dict) -> ModeAlgebra:
-    """The algebra of an `algebra_to_json` document.  A missing key or an
-    unknown generator name raises ValueError; a key it does not read, as
-    older documents have, is ignored."""
+    """The algebra of an `algebra_to_json` document.  A missing key, an
+    unknown generator name, a document or generator entry that is not an
+    object and a `weight2` that is not an int raise ValueError; a key it
+    does not read, as older documents have, is ignored."""
     try:
-        gens = [GeneratorSpec(g["name"], Fraction(g["weight2"], 2),
-                              g.get("parity", "even") == "odd")
-                for g in doc["generators"]]
+        gens = [_generator_spec(g)
+                for g in _json_object(doc, "the top level")["generators"]]
         index = {g.name: i for i, g in enumerate(gens)}
 
         def gen(name):

@@ -14,9 +14,11 @@ products: for n >= 0 (in the unshifted indexing Y(A,z) = sum A_(n) z^{-n-1})
 which is exhaustive over a computed mode window (the coefficient-wise
 domain swap involves no other finite data).
 
-Each check of `verify_axioms` is a generator of the witnesses of its failing
-cases; the report keeps the first one, so a witness is the first failing case
-in a fixed search order, (deg A, deg B, A, B, ...).
+Each check of `verify_axioms` reports its first failing case in a fixed
+search order, (deg A, deg B, A, B, ...).  Locality and associativity run in
+one sweep over the unordered pairs {A, B}, in which each test state C holds
+one `TwoModeProducts` table of the products X_[p] Y_[q] C for both checks
+and both orders of the pair; the table is dropped with C.
 
 The loops carry modes and degrees as ints in units of 1/u
 (`ModeAlgebra.unit`), as `fields.OperatorCache` takes them, and step by u;
@@ -29,9 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .fock import (ModeAlgebra, PbwMonomial, State, all_sector_monomials,
-                   apply_mode, basis_monomials, mode_index, render_monomial,
-                   render_state)
+from .fock import (ModeAlgebra, State, all_sector_monomials, apply_mode,
+                   basis_monomials, mode_index, render_monomial, render_state)
 from .fields import OperatorCache, gbinom, translate
 from .linalg import kernel_basis
 
@@ -165,38 +166,59 @@ def _locality_windows(alg, A, B, C, N, cap):
             yield S - t, t
 
 
-def locality_defect(ops: OperatorCache, a: int, b: int, eps: int, N: int,
-                    r, t, c: PbwMonomial) -> State:
+class TwoModeProducts(dict):
+    """X_[p] Y_[q] c on one basis state C = c, keyed by the ints (x, p, y, q)
+    (fields of `ops`, modes in units of 1/u) and computed through `ops` on
+    first read.
+
+    A check holds one table per test state and drops it with the state:
+    the products of one window are shared with the next N windows of the
+    same C, and in `verify_axioms` with the locality and associativity
+    checks of both orders of a pair {A, B}.
+    """
+
+    def __init__(self, ops: OperatorCache, C: State):
+        super().__init__()
+        self.ops = ops
+        self.c, = C.terms
+
+    def __missing__(self, key):
+        x, p, y, q = key
+        ops = self.ops
+        v = self[key] = ops.apply(x, p, ops.col(y, q, self.c))
+        return v
+
+
+def locality_defect(products: TwoModeProducts, a: int, b: int, eps: int,
+                    N: int, r, t) -> State:
     """Coefficient of the (z-w)^N-multiplied supercommutator at modes (r,t)
-    on the monomial c: sum_i (-1)^i C(N,i) [A_[r+N-i], B_[t+i]] c, with
-    a, b the fields of A, B in `ops`, eps the sign of B A in the
-    supercommutator and r, t in units of 1/u."""
-    pair, u = ops.pair, ops.alg.unit
+    on the state of `products`: sum_i (-1)^i C(N,i) [A_[r+N-i], B_[t+i]] C,
+    with a, b the fields of A, B, eps the sign of B A in the supercommutator
+    and r, t in units of 1/u."""
+    u = products.ops.alg.unit
     pairs = []
     for i in range(N + 1):
         k = (-1) ** i * comb(N, i)
         p, q = r + (N - i) * u, t + i * u
-        pairs.append((pair(a, p, b, q, c), k))
-        pairs.append((pair(b, q, a, p, c), -eps * k))
+        pairs.append((products[a, p, b, q], k))
+        pairs.append((products[b, q, a, p], -eps * k))
     return State.sum(pairs)
 
 
 def locality_witness(ops: OperatorCache, A: State, B: State, N: int,
-                     test_states, cap):
+                     tests, cap):
     """First (r, t, C) where (z-w)^N [Y(A,z),Y(B,w)] C != 0, else None;
     r and t are real modes.
 
-    The test states are basis monomials.  The two-mode products of `ops`
-    live for one C, since neighbouring windows share N of their N+1 pairs.
+    `tests` yields each test state C, a basis monomial, with the
+    `TwoModeProducts` table of C.
     """
     alg = ops.alg
     a, b = ops.field(A), ops.field(B)
     eps = -1 if (state_parity(alg, A) and state_parity(alg, B)) else 1
-    for C in test_states:
-        c, = C.terms
-        ops.new_scope()
+    for C, products in tests:
         for r, t in _locality_windows(alg, A, B, C, N, cap):
-            if not locality_defect(ops, a, b, eps, N, r, t, c).is_zero:
+            if not locality_defect(products, a, b, eps, N, r, t).is_zero:
                 return alg.from_units(r), alg.from_units(t), C
     return None
 
@@ -209,7 +231,8 @@ def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
     ops = OperatorCache(alg)
     witness = None
     for N in range(bound + 1):
-        witness = locality_witness(ops, A, B, N, states, int(D))
+        tests = ((C, TwoModeProducts(ops, C)) for C in states)
+        witness = locality_witness(ops, A, B, N, tests, int(D))
         if witness is None:
             return N
     raise NotLocalUpTo(alg, D, witness)
@@ -219,23 +242,24 @@ def locality_order(alg: ModeAlgebra, A: State, B: State, D) -> int:
 # Associativity (finite Borcherds-type coefficient identities)
 # ---------------------------------------------------------------------------
 
-def associativity_defect(ops: OperatorCache, a: int, b: int, ab: int, n: int,
-                         m, c: PbwMonomial, sA, sB, sign: int) -> State:
+def associativity_defect(products: TwoModeProducts, a: int, b: int, ab: int,
+                         n: int, m, sA, sB, sign: int) -> State:
     """LHS - RHS of the singular-product re-expansion identity (n >= 0) on
-    the monomial c.
+    the state of `products`.
 
-    a, b and ab are the fields of A, B and A_(n)B in `ops`, and sign is
+    a, b and ab are the fields of A, B and A_(n)B, and sign is
     (-1)^(n + |A||B|).  The unshifted product X_(j) is X_[j + s] with
     s = 1 - wt X, here sA and sB, so (A_(n)B)_(m) is
     (A_(n)B)_[m + n + sA + sB]; m, sA and sB are in units of 1/u.
     """
-    pair, u = ops.pair, ops.alg.unit
+    ops, u = products.ops, products.ops.alg.unit
     mB = m + sB
-    pairs = [(ops.col(ab, mB + n * u + sA, c), 1)]
+    pairs = [(ops.col(ab, mB + n * u + sA, products.c), 1)]
     for i in range(n + 1):
         k = (-1) ** i * comb(n, i)
-        pairs.append((pair(a, (n - i) * u + sA, b, mB + i * u, c), -k))
-        pairs.append((pair(b, mB + (n - i) * u, a, i * u + sA, c), k * sign))
+        pairs.append((products[a, (n - i) * u + sA, b, mB + i * u], -k))
+        pairs.append((products[b, mB + (n - i) * u, a, i * u + sA],
+                      k * sign))
     return State.sum(pairs)
 
 
@@ -342,50 +366,96 @@ def _translation_failures(ops, groups, D):
                        f"B={render_state(alg, B)}, mode {alg.from_units(p)}")
 
 
-def _locality_failures(ops, groups, D):
-    """N from the maximal pole order annihilates the supercommutator."""
-    alg = ops.alg
-    for dA, A, dB, B in _pairs(groups, D):
-        if dB < dA:
-            continue
-        N = max(singular_part(alg, A, B, ops), default=0)
-        Cs = [C for _, C in _upto(groups, D - dA - dB)]
-        w = locality_witness(ops, A, B, N, Cs, D // alg.unit)
-        if w is not None:
-            r, t, C = w
-            yield (f"A={render_state(alg, A)}, B={render_state(alg, B)}, "
-                   f"N={N}, modes ({r},{t}), C={render_state(alg, C)}")
-
-
-def _associativity_failures(ops, groups, D):
-    """Singular products re-expand consistently."""
+def _associativity_steps(ops, dA, A, dB, B):
+    """What the associativity check of (A, B) reads on every test state:
+    the fields a, b of A and B, their shifts sA, sB (`associativity_defect`)
+    and, for each n, (n, field of A_(n)B, (-1)^(n + |A||B|), weight of
+    A_(n)B)."""
     alg, u = ops.alg, ops.alg.unit
-    for dA, A, dB, B in _pairs(groups, D):
-        ops.new_scope()
-        a, b = ops.field(A), ops.field(B)
-        bm, = B.terms
-        eps = state_parity(alg, A) * state_parity(alg, B)
-        sA, sB = u - dA, u - dB
+    a, b = ops.field(A), ops.field(B)
+    bm, = B.terms
+    eps = state_parity(alg, A) * state_parity(alg, B)
+    sA, sB = u - dA, u - dB
+    n_max = int(alg.from_units(_max_target_degree(alg, B) + dA - u))
+    steps = [(n, ops.field(ops.col(a, n * u + sA, bm)), (-1) ** (n + eps),
+              dB - (n * u + u - dA)) for n in range(n_max + 1)]
+    return a, b, sA, sB, steps
+
+
+def _locality_and_associativity(ops, groups, D):
+    """The first witnesses of locality and of associativity (None for a
+    check that passes), from one sweep.
+
+    Locality: N from the maximal pole order annihilates the
+    supercommutator, on the ordered pairs (A, B) with deg A <= deg B.
+    Associativity: singular products re-expand consistently, on all
+    ordered pairs.  The sweep visits each unordered pair {A, B} once, at
+    its first position in `_pairs` order, and the test states C of degree
+    <= D - deg A - deg B in basis order.  Each C holds one
+    `TwoModeProducts` table, read by locality and associativity of both
+    orders of the pair and dropped with C.  Each check keeps its first
+    witness in its own search order, (pair position, C, window) for
+    locality and (pair position, n, C, m) for associativity: a case that
+    cannot come before the witness found so far is not run, and the sweep
+    stops once both witnesses come before the next pair.
+    """
+    alg, u = ops.alg, ops.alg.unit
+    cap = D // u
+    pairs = list(_pairs(groups, D))
+    position = {(A, B): k for k, (_, A, _, B) in enumerate(pairs)}
+    loc = assoc = None          # (sort key, witness)
+
+    def before(found, key):
+        return found is None or key < found[0]
+
+    for k, (dA, A, dB, B) in enumerate(pairs):
+        k2 = position[B, A]
+        if k2 < k:
+            continue
+        if not before(loc, k) and not before(assoc, (k, 0)):
+            break
+        orders = [(k, dA, A, dB, B)]
+        if k2 > k:
+            orders.append((k2, dB, B, dA, A))
+        local = [(pos, X, Y, max(singular_part(alg, X, Y, ops), default=0))
+                 for pos, dX, X, dY, Y in orders
+                 if dX <= dY and before(loc, pos)]
+        assocs = [(pos, X, Y, *_associativity_steps(ops, dX, X, dY, Y))
+                  for pos, dX, X, dY, Y in orders if before(assoc, (pos, 0))]
         qAB = _charge(alg, A) + _charge(alg, B)
-        Cs = [(dC, C, alg.scaled_energy(_charge(alg, C) + qAB))
-              for dC, C in _upto(groups, D - dA - dB)]
-        n_max = int(alg.from_units(_max_target_degree(alg, B) + dA - u))
-        for n in range(0, n_max + 1):
-            ab = ops.field(ops.col(a, n * u + sA, bm))     # A_(n)B
-            sign = (-1) ** (n + eps)
-            dAB = dB - (n * u + u - dA)      # weight of A_(n)B
-            for dC, C, e_res in Cs:
-                c, = C.terms
-                # m values hitting result degrees e_res + L in [0, D]
-                top = dC - e_res + dAB - u
-                for L in range(D // u + 1):
-                    m = top - L * u
-                    if not associativity_defect(ops, a, b, ab, n, m, c,
-                                                sA, sB, sign).is_zero:
-                        yield (f"A={render_state(alg, A)}, "
-                               f"B={render_state(alg, B)}, n={n}, "
-                               f"m={alg.from_units(m)}, "
-                               f"C={render_state(alg, C)}")
+        for dC, C in _upto(groups, D - dA - dB):
+            local = [job for job in local if before(loc, job[0])]
+            assocs = [job for job in assocs if before(assoc, (job[0], 0))]
+            if not local and not assocs:
+                break
+            products = TwoModeProducts(ops, C)
+            for pos, X, Y, N in local:
+                if not before(loc, pos):
+                    continue        # (A, B) failed on this C before (B, A)
+                w = locality_witness(ops, X, Y, N, [(C, products)], cap)
+                if w is not None:
+                    r, t, _ = w
+                    loc = (pos, f"A={render_state(alg, X)}, "
+                                f"B={render_state(alg, Y)}, N={N}, "
+                                f"modes ({r},{t}), C={render_state(alg, C)}")
+            e_res = alg.scaled_energy(_charge(alg, C) + qAB)
+            for pos, X, Y, a, b, sX, sY, steps in assocs:
+                for n, ab, sign, dAB in steps:
+                    if not before(assoc, (pos, n)):
+                        break
+                    # m values hitting result degrees e_res + L in [0, D]
+                    top = dC - e_res + dAB - u
+                    for L in range(cap + 1):
+                        m = top - L * u
+                        if not associativity_defect(products, a, b, ab, n, m,
+                                                    sX, sY, sign).is_zero:
+                            assoc = ((pos, n), f"A={render_state(alg, X)}, "
+                                     f"B={render_state(alg, Y)}, n={n}, "
+                                     f"m={alg.from_units(m)}, "
+                                     f"C={render_state(alg, C)}")
+                            break
+    return (None if loc is None else loc[1],
+            None if assoc is None else assoc[1])
 
 
 def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
@@ -393,25 +463,25 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
 
     Pairs and triples are bounded by total degree (deg A + deg B (+ deg C)
     <= D), which keeps the verification exhaustive over a well-defined
-    finite family while scaling to multi-generator presets.  The checks run
-    in the order vacuum, translation, locality, associativity; each reports
-    the first failing case in a fixed search order, (deg A, deg B, A, B,
-    ...), where "..." are the check's own modes and test states.  All four
+    finite family while scaling to multi-generator presets.  The report
+    lists the checks in the order vacuum, translation, locality,
+    associativity; each reports the first failing case in a fixed search
+    order, (deg A, deg B, A, B, ...), where "..." are the check's own modes
+    and test states.  Locality and associativity run in one sweep over
+    the unordered pairs {A, B} (`_locality_and_associativity`).  All four
     read their mode actions through one `OperatorCache`, which lives for
     this call only: X_[p] on a monomial is kept for the call, a two-mode
-    product X_[p] Y_[q] C for one locality test state or one associativity
-    pair (A, B).
+    product X_[p] Y_[q] C for one pair {A, B} and one test state C.
     """
     report = AxiomReport(alg.name, D)
     groups = _grouped_basis(alg, D)
     ops = OperatorCache(alg)
     Du = int(D * alg.unit)
-    for name, failures in (
-            ("vacuum", _vacuum_failures(ops, groups, Du)),
-            ("translation", _translation_failures(ops, groups, Du)),
-            ("locality", _locality_failures(ops, groups, Du)),
-            ("associativity", _associativity_failures(ops, groups, Du))):
-        witness = next(failures, None)
+    witnesses = [next(_vacuum_failures(ops, groups, Du), None),
+                 next(_translation_failures(ops, groups, Du), None),
+                 *_locality_and_associativity(ops, groups, Du)]
+    for name, witness in zip(("vacuum", "translation", "locality",
+                              "associativity"), witnesses):
         report.checks.append(CheckResult(name, witness is None, witness))
     return report
 

@@ -284,6 +284,23 @@ class TestJson:
             algebra_from_json(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"generators": [{"name": "x", "weight2": "2"}]},
+         "generator 'x': weight2 must be an int, got '2'"),
+        ({"generators": [{"name": "x", "weight2": 2.0}]},
+         "generator 'x': weight2 must be an int, got 2.0"),
+        ([_X], "algebra document: the top level must be an object, "
+               "got list"),
+        ({"generators": [_X, "y"]},
+         "algebra document: a generator entry must be an object, got str"),
+    ], ids=["weight2-str", "weight2-float", "list", "generator-str"])
+    def test_mistyped_document_is_refused(self, doc, message):
+        # each of these ended in a TypeError traceback from Fraction or
+        # from indexing a list or a str by a key
+        with pytest.raises(ValueError) as exc:
+            algebra_from_json(doc)
+        assert str(exc.value) == message
+
     def test_document_holds_only_what_the_reader_reads(self, vir):
         doc = algebra_to_json(vir)
         assert set(doc) == {"name", "generators", "bracket",

@@ -1,5 +1,7 @@
 """Tests for OPE extraction, commutator formulas, axioms, and cosets."""
 
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voa import (BracketRule, CentralTerm, CoordChange, ExpansionRegion,
+from voa import (BracketRule, BracketTerm, CentralTerm, CoordChange,
+                 ExpansionRegion,
                  GeneratorSpec, ModeAlgebra, Poly, Scalar, State, affine,
                  algebra_from_json, apply_mode, basis_monomials,
                  consistency_check, coset_graded, get_preset, graded_dim,
@@ -201,6 +204,152 @@ def test_verify_axioms_odd_lattice_negative_control():
         "associativity": "A=1_{1,1}, B=1_{1,1}, n=0, m=-3, C=|0>"}
 
 
+def _sl2_doubled():
+    # [e_m, f_n] = 2 h_{m+n} + m delta at level 1: the Jacobi identity of
+    # e, h, f fails, which only a pair of total degree 3 can see
+    sl2 = get_preset("affine:sl2", level=1).algebra
+    rule = sl2.rules[(0, 2)]
+    return ModeAlgebra("sl2-doubled", list(sl2.generators), {
+        **sl2.rules, (0, 2): BracketRule((BracketTerm(1, Poly.const(2)),),
+                                         rule.central)})
+
+
+def _weyl_with_aa():
+    # weyl:1 with [a_m, a_n] = 2 delta_{m+n,0}, a central term that is not
+    # skew-symmetric
+    weyl = get_preset("weyl:1").algebra
+    return ModeAlgebra("weyl-aa", list(weyl.generators), {
+        **weyl.rules,
+        (0, 0): BracketRule((), CentralTerm(Scalar.one(), Poly.const(2)))})
+
+
+def _two_currents():
+    # [a_m, c_n] = (m+n) c_{m+n} + 2m delta and [c_m, c_n] = 2 delta: the
+    # first associativity failure at D = 2, (a, c), comes before the first
+    # locality failure, (c, c)
+    m, n = Poly.var("m"), Poly.var("n")
+    one = Scalar.one()
+    return ModeAlgebra(
+        "two-currents", [GeneratorSpec("a", Fraction(1)),
+                         GeneratorSpec("c", Fraction(1))],
+        {(0, 1): BracketRule((BracketTerm(1, m + n),),
+                             CentralTerm(one, m.scale(2))),
+         (1, 1): BracketRule((), CentralTerm(one, Poly.const(2)))})
+
+
+def _weyl_with_central_m():
+    # weyl:1 with [a_m, a*_n] = m delta_{m+n,0}: an associativity failure at
+    # the second position of a pair {A, B} is found before the first
+    # failing pair
+    weyl = get_preset("weyl:1").algebra
+    return ModeAlgebra("weyl-m", list(weyl.generators), {
+        (0, 1): BracketRule((), CentralTerm(Scalar.one(), Poly.var("m")))})
+
+
+def _brackets_of_a():
+    # [a_m, a_n] = m a_{m+n} + m^3 delta and [a_m, c_n] = 2 a_{m+n} + m^2
+    # delta, with a spectator d of weight 0: at D = 3 the pair (a, a)
+    # fails associativity first at n = 1 on C = |0> and at n = 0 on a later
+    # C, and the witness is the one of n = 0
+    m = Poly.var("m")
+    one = Scalar.one()
+    return ModeAlgebra(
+        "brackets-of-a", [GeneratorSpec("a", Fraction(1)),
+                          GeneratorSpec("c", Fraction(1)),
+                          GeneratorSpec("d", Fraction(0))],
+        {(0, 0): BracketRule((BracketTerm(0, m),), CentralTerm(one, m * m * m)),
+         (0, 1): BracketRule((BracketTerm(0, Poly.const(2)),),
+                             CentralTerm(one, m * m))})
+
+
+def _pair_position(alg, D, witness):
+    """Positions in the pair order of the witness's (A, B) and (B, A)."""
+    A, B = witness[2:].split(", B=")[0], witness.split(", B=")[1].split(", ")[0]
+    order = [(render_state(alg, X), render_state(alg, Y)) for _, X, _, Y in
+             ope._pairs(_grouped_basis(alg, D), D * alg.unit)]
+    return order.index((A, B)), order.index((B, A))
+
+
+_E, _H, _F = "e(-1) |0>", "h(-1) |0>", "f(-1) |0>"
+_A, _AS = "a(-1) |0>", "a*(0) |0>"
+_C = "c(-1) |0>"
+
+
+@pytest.mark.parametrize("build, D, expected", [
+    (_sl2_doubled, 2, {"vacuum": None, "translation": None,
+                       "locality": None, "associativity": None}),
+    (_sl2_doubled, 3, {
+        "vacuum": None,
+        "translation": f"A={_E}, B=h(-1) f(-1) |0>, mode 3",
+        "locality": f"A={_E}, B={_H}, N=1, modes (-1,1), C={_F}",
+        "associativity": f"A={_E}, B={_H}, n=0, m=1, C={_F}"}),
+    (_weyl_with_aa, 2, {
+        "vacuum": None,
+        "translation": f"A={_A}, B={_A}, mode 2",
+        "locality": f"A={_A}, B={_A}, N=2, modes (-2,0), C=|0>",
+        "associativity": f"A=a(-1) a*(0) |0>, B={_A}, n=0, m=-2, C=|0>"}),
+    (_weyl_with_aa, 3, {
+        "vacuum": None,
+        "translation": f"A={_A}, B={_A}, mode 2",
+        "locality": f"A={_A}, B={_A}, N=2, modes (-2,0), C=|0>",
+        "associativity": f"A=a(-1) a*(0) |0>, B={_A}, n=0, m=-2, C=|0>"}),
+    (_two_currents, 2, {
+        "vacuum": None,
+        "translation": f"A={_A}, B={_C}, mode 0",
+        "locality": f"A={_C}, B={_C}, N=2, modes (-2,0), C=|0>",
+        "associativity": f"A={_A}, B={_C}, n=0, m=-2, C=|0>"}),
+    (_two_currents, 3, {
+        "vacuum": None,
+        "translation": f"A={_A}, B={_C}, mode 0",
+        "locality": f"A={_A}, B={_A}, N=0, modes (0,1), C={_C}",
+        "associativity": f"A={_A}, B={_A}, n=0, m=1, C={_C}"}),
+    (_weyl_with_central_m, 2, {
+        "vacuum": None,
+        "translation": f"A={_AS}, B={_A}, mode 2",
+        "locality": f"A={_AS}, B={_A}, N=1, modes (-2,1), C=|0>",
+        "associativity": f"A=a*(0)^2 |0>, B={_A}, n=0, m=-2, C=|0>"}),
+    (_weyl_with_central_m, 3, {
+        "vacuum": None,
+        "translation": f"A={_AS}, B={_A}, mode 2",
+        "locality": f"A={_AS}, B={_A}, N=1, modes (-2,1), C=|0>",
+        "associativity": f"A=a*(0)^2 |0>, B={_A}, n=0, m=-2, C=|0>"}),
+    (_brackets_of_a, 2, {
+        "vacuum": None,
+        "translation": f"A={_A}, B={_A}, mode 1",
+        "locality": f"A={_A}, B={_A}, N=2, modes (-3,1), C=|0>",
+        "associativity": f"A={_A}, B={_A}, n=1, m=-2, C=|0>"}),
+    (_brackets_of_a, 3, {
+        "vacuum": None,
+        "translation": f"A={_A}, B={_A}, mode 1",
+        "locality": f"A={_A}, B={_A}, N=2, modes (-3,1), C=|0>",
+        "associativity": f"A={_A}, B={_A}, n=0, m=1, C={_C}"}),
+], ids=["sl2-D2", "sl2-D3", "weyl-D2", "weyl-D3", "currents-D2",
+        "currents-D3", "weyl-m-D2", "weyl-m-D3", "brackets-of-a-D2",
+        "brackets-of-a-D3"])
+def test_verify_axioms_multi_generator_witnesses(build, D, expected):
+    # each check reports its first failing case in the pair order
+    # (deg A, deg B, A, B) even when the other check fails earlier or later
+    alg = build()
+    witness = {c.name: c.witness for c in verify_axioms(alg, D).checks}
+    assert witness == expected
+
+
+def test_first_failing_pairs_sit_where_the_pins_need_them():
+    # the weyl pin's associativity pair comes after its reverse, which
+    # passes; the two-current pin's locality pair comes after the
+    # associativity pair
+    for D in (2, 3):
+        alg = _weyl_with_aa()
+        report = {c.name: c.witness for c in verify_axioms(alg, D).checks}
+        first, reverse = _pair_position(alg, D, report["associativity"])
+        assert reverse < first
+        assert _pair_position(alg, D, report["locality"])[0] < reverse
+    alg = _two_currents()
+    report = {c.name: c.witness for c in verify_axioms(alg, 2).checks}
+    assert (_pair_position(alg, 2, report["associativity"])[0]
+            < _pair_position(alg, 2, report["locality"])[0])
+
+
 def test_verify_axioms_odd_lattice_quick():
     # in lattice:3 the sum of two half-integral modes is an integral mode,
     # which a single-letter field must receive as an int
@@ -280,6 +429,37 @@ def test_axiom_checks_free_their_caches():
     assert _memo_kinds(lat) <= pure | {"E-", "E+"}
 
 
+_RSS_GROWTH = """
+from voa import get_preset, verify_axioms
+
+def status_kib(key):
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith(key + ":"):
+                return int(line.split()[1])
+
+alg = get_preset("weyl:1").algebra
+start = status_kib("VmRSS")
+assert verify_axioms(alg, 3).passed
+print(status_kib("VmHWM") - start)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_verify_axioms_memory_stays_flat():
+    # in a fresh interpreter, the peak RSS of verify_axioms(weyl:1, 3) grows
+    # by about 14 MB over the RSS after import and preset build (Python
+    # 3.11); keeping the two-mode products for the whole call, not for one
+    # test state, makes it about 40 MB.  The child reads its peak as VmHWM:
+    # its ru_maxrss starts at the RSS of this process, which it inherits
+    # through fork and exec.
+    result = subprocess.run([sys.executable, "-c", _RSS_GROWTH],
+                            capture_output=True, text=True, check=True)
+    growth_mb = int(result.stdout) / 1024
+    assert growth_mb < 24, f"peak RSS grew by {growth_mb:.1f} MB"
+
+
 def test_one_shot_calls_free_their_caches():
     # each one-shot call makes its own OperatorCache: composite fields,
     # vertex operators and the coordinate and correlator checks leave only
@@ -315,20 +495,30 @@ def _numbers(key):
 
 def _verify_numbers(monkeypatch, alg, D):
     """Every number in the memo keys of verify_axioms(alg, D): those of the
-    algebra and those of each OperatorCache the call made."""
-    caches = []
+    algebra, those of each OperatorCache the call made and those of each
+    table of two-mode products."""
+    caches, tables = [], []
 
     class Recorded(ope.OperatorCache):
         def __init__(self, alg):
             super().__init__(alg)
             caches.append(self)
 
+    class RecordedProducts(ope.TwoModeProducts):
+        def __init__(self, ops, C):
+            super().__init__(ops, C)
+            tables.append(self)
+
     monkeypatch.setattr(ope, "OperatorCache", Recorded)
+    monkeypatch.setattr(ope, "TwoModeProducts", RecordedProducts)
     assert verify_axioms(alg, D).passed
     assert any(ops._modes for ops in caches)
+    assert any(tables)
     keys = [*alg._apply_memo]
     for ops in caches:
-        keys += [*ops._modes, *ops._cols, *ops._pairs]
+        keys += [*ops._modes, *ops._cols]
+    for table in tables:
+        keys += [*table]
     return [x for key in keys for x in _numbers(key)]
 
 
