@@ -705,15 +705,20 @@ def _parse_poly(text: str, allowed=("m", "n")) -> Poly:
     return s.num
 
 
-def _json_object(x, what: str) -> dict:
-    if not isinstance(x, dict):
-        raise ValueError(f"algebra document: {what} must be an object, "
-                         f"got {type(x).__name__}")
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _json_value(x, kind, what: str):
+    """x if it is of the JSON kind `kind` (dict, list or str), else a
+    one-line ValueError naming the field."""
+    if not isinstance(x, kind):
+        raise ValueError(f"algebra document: {what} must be "
+                         f"{_JSON_KINDS[kind]}, got {type(x).__name__}")
     return x
 
 
 def _generator_spec(g) -> GeneratorSpec:
-    _json_object(g, "a generator entry")
+    _json_value(g, dict, "a generator entry")
     w = g["weight2"]
     if type(w) is not int:
         raise ValueError(f"generator {g['name']!r}: weight2 must be an int, "
@@ -724,12 +729,15 @@ def _generator_spec(g) -> GeneratorSpec:
 
 def algebra_from_json(doc: dict) -> ModeAlgebra:
     """The algebra of an `algebra_to_json` document.  A missing key, an
-    unknown generator name, a document or generator entry that is not an
-    object and a `weight2` that is not an int raise ValueError; a key it
-    does not read, as older documents have, is ignored."""
+    unknown generator name, a `weight2` that is not an int and a field of
+    the wrong JSON kind (the document, an entry or a term that is not an
+    object, a list of them that is not a list, a coefficient or parameter
+    that is not a string) raise a one-line ValueError; a key it does not
+    read, as older documents have, is ignored."""
     try:
-        gens = [_generator_spec(g)
-                for g in _json_object(doc, "the top level")["generators"]]
+        doc = _json_value(doc, dict, "the top level")
+        gens = [_generator_spec(g) for g in
+                _json_value(doc["generators"], list, "generators")]
         index = {g.name: i for i, g in enumerate(gens)}
 
         def gen(name):
@@ -738,18 +746,27 @@ def algebra_from_json(doc: dict) -> ModeAlgebra:
             return index[name]
 
         rules = {}
-        for entry in doc.get("bracket", []):
+        for entry in _json_value(doc.get("bracket", []), list, "bracket"):
+            entry = _json_value(entry, dict, "a bracket entry")
             i, j = gen(entry["lhs"]), gen(entry["rhs"])
-            terms = tuple(
-                BracketTerm(gen(t["gen"]), _parse_poly(t["coeff"]),
-                            parse_scalar(t.get("scalar", "1")))
-                for t in entry.get("terms", []))
+            terms = []
+            for t in _json_value(entry.get("terms", []), list,
+                                 "bracket terms"):
+                t = _json_value(t, dict, "a bracket term")
+                target = gen(t["gen"])
+                coeff = _json_value(t["coeff"], str, "a term coeff")
+                scalar = _json_value(t.get("scalar", "1"), str,
+                                     "a term scalar")
+                terms.append(BracketTerm(target, _parse_poly(coeff),
+                                         parse_scalar(scalar)))
             central = None
             if entry.get("central"):
-                c = entry["central"]
-                central = CentralTerm(parse_scalar(c["param"]),
-                                      _parse_poly(c["coeff"], ("m",)))
-            rules[(i, j)] = BracketRule(terms, central)
+                c = _json_value(entry["central"], dict, "a central term")
+                param = _json_value(c["param"], str, "a central param")
+                coeff = _json_value(c["coeff"], str, "a central coeff")
+                central = CentralTerm(parse_scalar(param),
+                                      _parse_poly(coeff, ("m",)))
+            rules[(i, j)] = BracketRule(tuple(terms), central)
         charge_gen = gen(doc["charge_gen"]) if "charge_gen" in doc else None
     except KeyError as exc:
         raise ValueError(f"algebra document: missing key {exc}") from None

@@ -18,7 +18,11 @@ Each check of `verify_axioms` reports its first failing case in a fixed
 search order, (deg A, deg B, A, B, ...).  Locality and associativity run in
 one sweep over the unordered pairs {A, B}, in which each test state C holds
 one `TwoModeProducts` table of the products X_[p] Y_[q] C for both checks
-and both orders of the pair; the table is dropped with C.
+and both orders of the pair; the table is dropped with C.  The cases in
+which the sector-0 vacuum |0>, whose field is the identity, is one of the
+two fields hold by construction and are not run: translation for A = |0>,
+locality of every pair holding |0>, associativity of (|0>, B), and of
+(B, |0>) once the vacuum check passes (`verify_axioms` gives the reasons).
 
 The loops carry modes and degrees as ints in units of 1/u
 (`ModeAlgebra.unit`), as `fields.OperatorCache` takes them, and step by u;
@@ -352,9 +356,13 @@ def _vacuum_failures(ops, groups, D):
 
 
 def _translation_failures(ops, groups, D):
-    """[T, A_[p]] = (1 - p - wt A) A_[p-1]."""
+    """[T, A_[p]] = (1 - p - wt A) A_[p-1], for A other than the identity
+    field |0> (`verify_axioms`)."""
     alg, u = ops.alg, ops.alg.unit
+    vac = State.vacuum()
     for dA, A, dB, B in _pairs(groups, D):
+        if A == vac:
+            continue
         a = ops.field(A)
         b, = B.terms
         TB = translate(alg, B)
@@ -382,7 +390,7 @@ def _associativity_steps(ops, dA, A, dB, B):
     return a, b, sA, sB, steps
 
 
-def _locality_and_associativity(ops, groups, D):
+def _locality_and_associativity(ops, groups, D, vacuum_holds):
     """The first witnesses of locality and of associativity (None for a
     check that passes), from one sweep.
 
@@ -398,8 +406,14 @@ def _locality_and_associativity(ops, groups, D):
     locality and (pair position, n, C, m) for associativity: a case that
     cannot come before the witness found so far is not run, and the sweep
     stops once both witnesses come before the next pair.
+
+    The cases of the identity field |0> that hold by construction are not
+    run (`verify_axioms`): locality of every pair holding |0>, and
+    associativity of (|0>, B) and, when `vacuum_holds` (the vacuum check
+    found no witness), of (B, |0>).
     """
     alg, u = ops.alg, ops.alg.unit
+    vac = State.vacuum()
     cap = D // u
     pairs = list(_pairs(groups, D))
     position = {(A, B): k for k, (_, A, _, B) in enumerate(pairs)}
@@ -419,9 +433,11 @@ def _locality_and_associativity(ops, groups, D):
             orders.append((k2, dB, B, dA, A))
         local = [(pos, X, Y, max(singular_part(alg, X, Y, ops), default=0))
                  for pos, dX, X, dY, Y in orders
-                 if dX <= dY and before(loc, pos)]
+                 if dX <= dY and before(loc, pos) and vac not in (A, B)]
         assocs = [(pos, X, Y, *_associativity_steps(ops, dX, X, dY, Y))
-                  for pos, dX, X, dY, Y in orders if before(assoc, (pos, 0))]
+                  for pos, dX, X, dY, Y in orders
+                  if before(assoc, (pos, 0)) and X != vac
+                  and not (Y == vac and vacuum_holds)]
         qAB = _charge(alg, A) + _charge(alg, B)
         for dC, C in _upto(groups, D - dA - dB):
             local = [job for job in local if before(loc, job[0])]
@@ -472,14 +488,30 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
     read their mode actions through one `OperatorCache`, which lives for
     this call only: X_[p] on a monomial is kept for the call, a two-mode
     product X_[p] Y_[q] C for one pair {A, B} and one test state C.
+
+    The vacuum |0> of sector 0 names the identity field: 1_[p] is
+    delta_{p,0} times the identity for every bracket table
+    (`fields._field_mode_raw`).  So these cases hold by construction, can
+    hold no witness, and are not run:
+
+    - locality of every pair holding |0>: [1_[r], B_[t]] = 0;
+    - translation for A = |0>: [T, 1_[p]] = 0 = (1 - p) 1_[p-1];
+    - associativity of (|0>, B): every term of the defect has a factor
+      1_[p] with p >= 1;
+    - associativity of (B, |0>) once the vacuum check found no witness:
+      term i of the right side cancels term n - i, and the left side is
+      (B_(n)|0>)_(m) C, where the vacuum check has shown B_(n)|0> = 0.
+
+    A lattice sector vacuum 1_m with m != 0 is an ordinary field and is
+    checked like any other state.
     """
     report = AxiomReport(alg.name, D)
     groups = _grouped_basis(alg, D)
     ops = OperatorCache(alg)
     Du = int(D * alg.unit)
-    witnesses = [next(_vacuum_failures(ops, groups, Du), None),
-                 next(_translation_failures(ops, groups, Du), None),
-                 *_locality_and_associativity(ops, groups, Du)]
+    vacuum = next(_vacuum_failures(ops, groups, Du), None)
+    witnesses = [vacuum, next(_translation_failures(ops, groups, Du), None),
+                 *_locality_and_associativity(ops, groups, Du, vacuum is None)]
     for name, witness in zip(("vacuum", "translation", "locality",
                               "associativity"), witnesses):
         report.checks.append(CheckResult(name, witness is None, witness))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .scalars import Scalar, Poly, parse_scalar
 from .fock import (ModeAlgebra, GeneratorSpec, BracketRule, BracketTerm,
                    CentralTerm, PbwMonomial, State, normal_order, apply_mode,
-                   basis_monomials)
+                   basis_monomials, mode_index)
 from .fields import OperatorCache
 from .ope import morphism_check
 from .linalg import kernel_basis
@@ -44,6 +44,8 @@ class LieData:
     Structure constants: bracket[(i, j)] = {k: coefficient}; the form is
     normalized so the highest root has squared length 2, and h_vee is the
     dual Coxeter number (half the Casimir eigenvalue on the adjoint).
+    `_matrix_lie` gives the coefficients and the form's entries as ints
+    when integral, else as Fractions, as `Poly` coefficients are.
     """
     name: str
     basis: list
@@ -57,7 +59,7 @@ class LieData:
         for i in range(n):
             for j in range(n):
                 for k, c in self.pair(i, j).items():
-                    if self.pair(j, i).get(k, Fraction(0)) != -c:
+                    if self.pair(j, i).get(k, 0) != -c:
                         raise InvalidLieData(f"bracket not antisymmetric at "
                                              f"({self.basis[i]},{self.basis[j]})")
         # [i,[j,k]] = [[i,j],k] + [j,[i,k]]
@@ -67,16 +69,16 @@ class LieData:
                     lhs = {}
                     for tgt, c in self.pair(j, k).items():
                         for t2, c2 in self.pair(i, tgt).items():
-                            lhs[t2] = lhs.get(t2, Fraction(0)) + c * c2
+                            lhs[t2] = lhs.get(t2, 0) + c * c2
                     rhs = {}
                     for tgt, c in self.pair(i, j).items():
                         for t2, c2 in self.pair(tgt, k).items():
-                            rhs[t2] = rhs.get(t2, Fraction(0)) + c * c2
+                            rhs[t2] = rhs.get(t2, 0) + c * c2
                     for tgt, c in self.pair(i, k).items():
                         for t2, c2 in self.pair(j, tgt).items():
-                            rhs[t2] = rhs.get(t2, Fraction(0)) + c * c2
+                            rhs[t2] = rhs.get(t2, 0) + c * c2
                     for t2 in set(lhs) | set(rhs):
-                        if lhs.get(t2, Fraction(0)) != rhs.get(t2, Fraction(0)):
+                        if lhs.get(t2, 0) != rhs.get(t2, 0):
                             raise InvalidLieData(
                                 f"Jacobi fails at ({self.basis[i]},"
                                 f"{self.basis[j]},{self.basis[k]})")
@@ -84,10 +86,10 @@ class LieData:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    s = sum((c * self.form[t][k] for t, c in
-                             self.pair(i, j).items()), Fraction(0))
-                    s += sum((c * self.form[j][t] for t, c in
-                              self.pair(i, k).items()), Fraction(0))
+                    s = sum(c * self.form[t][k] for t, c in
+                            self.pair(i, j).items())
+                    s += sum(c * self.form[j][t] for t, c in
+                             self.pair(i, k).items())
                     if s != 0:
                         raise InvalidLieData(
                             f"form not invariant at ({self.basis[i]},"
@@ -122,12 +124,12 @@ class LieData:
                     continue
                 for t, c in self.pair(b, target).items():
                     for t2, c2 in self.pair(a, t).items():
-                        acc[t2] = acc.get(t2, Fraction(0)) + g * c * c2
-        eig = acc.get(target, Fraction(0))
+                        acc[t2] = acc.get(t2, 0) + g * c * c2
+        eig = acc.get(target, 0)
         for t2, v in acc.items():
             if t2 != target and v != 0:
                 raise InvalidLieData("Casimir is not scalar on the adjoint")
-        return eig / 2
+        return Fraction(eig, 2)
 
 
 def _solve(cols, targets, dependent, outside):
@@ -186,34 +188,31 @@ def _matrix_lie(name, named_mats):
                     "commutator not in the span of the basis")
     bracket = {}
     for ij, x in zip(pairs, solved):
-        dec = {c: v for c, v in enumerate(x) if v}
+        dec = {c: mode_index(v) for c, v in enumerate(x) if v}
         if dec:
             bracket[ij] = dec
-    form = [[sum(a[i][t] * b[t][i] for i in dim for t in dim)
+    form = [[mode_index(sum(a[i][t] * b[t][i] for i in dim for t in dim))
              for b in mats] for a in mats]
     return LieData(name, names, bracket, form)
 
 
 def sl2_data() -> LieData:
-    F = Fraction
-    e = [[F(0), F(1)], [F(0), F(0)]]
-    h = [[F(1), F(0)], [F(0), F(-1)]]
-    f = [[F(0), F(0)], [F(1), F(0)]]
+    e = [[0, 1], [0, 0]]
+    h = [[1, 0], [0, -1]]
+    f = [[0, 0], [1, 0]]
     return _matrix_lie("sl2", [("e", e), ("h", h), ("f", f)])
 
 
 def sl3_data() -> LieData:
-    F = Fraction
-
     def E(i, j):
-        m = [[F(0)] * 3 for _ in range(3)]
-        m[i][j] = F(1)
+        m = [[0] * 3 for _ in range(3)]
+        m[i][j] = 1
         return m
 
     def D(i, j):
-        m = [[F(0)] * 3 for _ in range(3)]
-        m[i][i] = F(1)
-        m[j][j] = F(-1)
+        m = [[0] * 3 for _ in range(3)]
+        m[i][i] = 1
+        m[j][j] = -1
         return m
 
     named = [("e1", E(0, 1)), ("e2", E(1, 2)), ("e3", E(0, 2)),

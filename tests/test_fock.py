@@ -293,10 +293,34 @@ class TestJson:
                "got list"),
         ({"generators": [_X, "y"]},
          "algebra document: a generator entry must be an object, got str"),
-    ], ids=["weight2-str", "weight2-float", "list", "generator-str"])
+        ({"generators": [_X], "bracket": [5]},
+         "algebra document: a bracket entry must be an object, got int"),
+        ({"generators": [_X], "bracket": [{"lhs": "x", "rhs": "x",
+                                           "terms": [5]}]},
+         "algebra document: a bracket term must be an object, got int"),
+        ({"generators": [_X], "bracket": [{"lhs": "x", "rhs": "x",
+                                           "terms": [{"gen": "x",
+                                                      "coeff": 1}]}]},
+         "algebra document: a term coeff must be a string, got int"),
+        ({"generators": [_X], "bracket": [{"lhs": "x", "rhs": "x",
+                                           "central": {"param": 1,
+                                                       "coeff": "m"}}]},
+         "algebra document: a central param must be a string, got int"),
+        ({"generators": [_X], "bracket": [{"lhs": "x", "rhs": "x",
+                                           "central": {"param": "1",
+                                                       "coeff": [1]}}]},
+         "algebra document: a central coeff must be a string, got list"),
+        ({"generators": 5},
+         "algebra document: generators must be a list, got int"),
+        ({"generators": [_X], "bracket": 5},
+         "algebra document: bracket must be a list, got int"),
+    ], ids=["weight2-str", "weight2-float", "list", "generator-str",
+            "bracket-int", "term-int", "term-coeff-int", "central-param-int",
+            "central-coeff-list", "generators-int", "bracket-list-int"])
     def test_mistyped_document_is_refused(self, doc, message):
-        # each of these ended in a TypeError traceback from Fraction or
-        # from indexing a list or a str by a key
+        # each of these ended in a TypeError traceback from Fraction, from
+        # indexing a list, a str or an int by a key, from len() of an int
+        # or from iterating an int
         with pytest.raises(ValueError) as exc:
             algebra_from_json(doc)
         assert str(exc.value) == message

@@ -21,8 +21,9 @@ from voa import (BracketRule, BracketTerm, CentralTerm, CoordChange,
                  verify_axioms)
 from voa import ope
 from voa.correlators import VACUUM_PHI, zvar
-from voa.ope import (_grouped_basis, apply_combination, commutator_direct,
-                     commutator_via_formula)
+from voa.fields import OperatorCache
+from voa.ope import (_grouped_basis, apply_combination, associativity_defect,
+                     commutator_direct, commutator_via_formula)
 
 
 @pytest.fixture(scope="module")
@@ -187,21 +188,89 @@ def test_verify_axioms_negative_control_witnesses():
 
 
 
-def test_verify_axioms_odd_lattice_negative_control():
-    # the odd lattice with [b_m, b_n] = 2m in place of m: the sector vacua's
-    # energies and vertex operators no longer fit the boson; every witness
-    # has half-integral or mixed modes
-    alg = ModeAlgebra(
+def _wrong_odd_lattice():
+    # the odd lattice with [b_m, b_n] = 2m in place of m
+    return ModeAlgebra(
         "lattice-wrong", [GeneratorSpec("b", Fraction(1))],
         {(0, 0): BracketRule((), CentralTerm(Scalar.one(),
                                              Poly.var("m").scale(2)))},
         lattice_N=1, charge_gen=0)
+
+
+def test_verify_axioms_odd_lattice_negative_control():
+    # the sector vacua's energies and vertex operators no longer fit the
+    # boson; every witness has half-integral or mixed modes
+    alg = _wrong_odd_lattice()
     witness = {c.name: c.witness for c in verify_axioms(alg, 2).checks}
     assert witness == {
         "vacuum": None,
         "translation": "A=1_{1,1}, B=1_{1,1}, mode -3/2",
         "locality": "A=1_{1,1}, B=1_{1,1}, N=0, modes (-5/2,1/2), C=|0>",
         "associativity": "A=1_{1,1}, B=1_{1,1}, n=0, m=-3, C=|0>"}
+
+
+def _weyl_with_central_m():
+    # weyl:1 with [a_m, a*_n] = m delta_{m+n,0}: an associativity failure at
+    # the second position of a pair {A, B} is found before the first
+    # failing pair
+    weyl = get_preset("weyl:1").algebra
+    return ModeAlgebra("weyl-m", list(weyl.generators), {
+        (0, 1): BracketRule((), CentralTerm(Scalar.one(), Poly.var("m")))})
+
+
+@pytest.mark.parametrize("build", [
+    _corrupted_heisenberg, _weyl_with_central_m, _wrong_odd_lattice,
+    lambda: get_preset("lattice:1").algebra],
+    ids=["heisenberg-delta", "weyl-m", "lattice-wrong", "lattice:1"])
+def test_identity_field_cases_are_zero(build):
+    # verify_axioms does not run the cases in which the identity field |0>
+    # is one of the two fields; on algebras that fail other checks, each of
+    # them is zero when computed case by case, outside the sweep, over wider
+    # mode windows than the sweep's
+    alg, D = build(), 2
+    u, ops = alg.unit, OperatorCache(alg)
+    vac = State.vacuum()
+    vac_mono, = vac.terms
+    i = ops.field(vac)
+    groups = _grouped_basis(alg, D)
+    states = [(d, B) for d, Bs in groups for B in Bs]
+    tests = [(C, ope.TwoModeProducts(ops, C)) for _, C in states]
+    window = range(-(D + 3) * u, (D + 3) * u + 1)
+    assert next(ope._vacuum_failures(ops, groups, D * u), None) is None
+    for dB, B in states:
+        b, = B.terms
+        # locality: [1_[r], B_[t]] = 0, in both orders, already at N = 0
+        assert ope.locality_witness(ops, vac, B, 0, tests, D) is None
+        assert ope.locality_witness(ops, B, vac, 0, tests, D) is None
+        # translation: [T, 1_[p]] B = (1 - p) 1_[p-1] B = 0
+        TB = translate(alg, B)
+        for p in window:
+            assert translate(alg, ops.col(i, p, b)) == ops.apply(i, p, TB)
+            assert ops.col(i, p - u, b).scale(alg.from_units(u - p)).is_zero
+        assert ops.col(i, 0, b) == B
+        # associativity of (|0>, B) and (B, |0>), for n >= 0 and every m
+        x = ops.field(B)
+        sB = u - dB
+        for n in range(D + 2):
+            to_b = ops.field(ops.col(i, n * u + u, vac_mono))
+            b_to = ops.field(ops.col(x, n * u + sB, vac_mono))
+            for C, products in tests:
+                for m in window:
+                    assert associativity_defect(products, i, x, to_b, n, m, u,
+                                                sB, (-1) ** n).is_zero
+                    assert associativity_defect(products, x, i, b_to, n, m,
+                                                sB, u, (-1) ** n).is_zero
+
+
+def test_sector_vacuum_is_an_ordinary_field():
+    # the identity-field cases are those of the sector-0 vacuum only: in the
+    # wrong odd lattice, 1_{1,1} fails locality with itself
+    alg = _wrong_odd_lattice()
+    ops = OperatorCache(alg)
+    one = State.vacuum(1)
+    tests = [(C, ope.TwoModeProducts(ops, C))
+             for _, Cs in _grouped_basis(alg, 2) for C in Cs]
+    assert ope.locality_witness(ops, one, one, 0, tests, 2) is not None
 
 
 def _sl2_doubled():
@@ -235,15 +304,6 @@ def _two_currents():
         {(0, 1): BracketRule((BracketTerm(1, m + n),),
                              CentralTerm(one, m.scale(2))),
          (1, 1): BracketRule((), CentralTerm(one, Poly.const(2)))})
-
-
-def _weyl_with_central_m():
-    # weyl:1 with [a_m, a*_n] = m delta_{m+n,0}: an associativity failure at
-    # the second position of a pair {A, B} is found before the first
-    # failing pair
-    weyl = get_preset("weyl:1").algebra
-    return ModeAlgebra("weyl-m", list(weyl.generators), {
-        (0, 1): BracketRule((), CentralTerm(Scalar.one(), Poly.var("m")))})
 
 
 def _brackets_of_a():

@@ -44,6 +44,25 @@ def test_lie_data_invariants():
     assert sl3_data().h_vee == 3
 
 
+def test_lie_data_is_integral_where_it_can_be():
+    # integral structure constants and form entries are ints, as Poly
+    # coefficients are, also from matrices of Fractions; with the basis
+    # e, 2h, f, [e, f] = (1/2) (2h) stays a Fraction
+    from_fractions = _matrix_lie("sl2", [("e", _E), ("h", _H), ("f", _F)])
+    for lie in (sl2_data(), sl3_data(), from_fractions):
+        values = [c for dec in lie.bracket.values() for c in dec.values()]
+        values += [x for row in lie.form for x in row]
+        assert {type(x) for x in values} == {int}
+        assert type(lie.h_vee) is Fraction
+    two_h = [[2, 0], [0, -2]]
+    lie = _matrix_lie("sl2", [("e", [[0, 1], [0, 0]]), ("h", two_h),
+                              ("f", [[0, 0], [1, 0]])])
+    assert lie.pair(0, 2) == {1: Fraction(1, 2)}
+    assert type(lie.pair(0, 2)[1]) is Fraction
+    assert lie.pair(1, 0) == {0: 4} and type(lie.pair(1, 0)[0]) is int
+    assert lie.h_vee == 2
+
+
 def test_sl2_data_against_hand_table():
     # basis e, h, f: [e,f] = h, [h,e] = 2e, [h,f] = -2f, (e,f) = 1, (h,h) = 2
     lie = sl2_data()
