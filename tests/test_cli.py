@@ -169,7 +169,9 @@ def test_unknown_algebra_exits_2(capsys):
     assert "unknown preset" in err
 
 
-@pytest.mark.parametrize("argv, message", [
+# (argv, part of the one-line error); tests/test_cli_outputs.py pins the
+# whole output of each
+BAD_INPUT = [
     (["character", "--algebra", "virasoro", "--param", "c=1/2",
       "--sector", "1"], "has no sectors"),
     (["npoint", "--n", "-1"], "--n must be >= 0"),
@@ -263,7 +265,10 @@ def test_unknown_algebra_exits_2(capsys):
      "error: preset 'commutative' has no conformal structure"),
     (["character", "--algebra", "affine:sl2", "--param", "k=-2"],
      "error: preset 'affine:sl2' has no conformal structure"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT)
 def test_bad_input_exits_2_with_one_line(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 2
@@ -301,12 +306,15 @@ def test_readme_commands_run():
             assert result.stdout == _OPE_TABLE + "\n"
 
 
-@pytest.mark.parametrize("argv", [
+PRESET_PARAMETERS = [
     ["verify", "--algebra", "heisenberg", "--param", "lam=1/2", "--degree",
      "1"],
     ["verify", "--algebra", "affine:sl3", "--param", "k=1", "--degree", "1"],
     ["verify", "--algebra", "virasoro", "--param", "c=1/2", "--degree", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", PRESET_PARAMETERS)
 def test_preset_parameters_accepted(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 0, err
@@ -363,13 +371,16 @@ def _subprocess_bytes(argv):
         capture_output=True, check=True).stdout
 
 
-@pytest.mark.parametrize("argv", [
+DETERMINISM = [
     ["ope", "--algebra", "virasoro", "--a", "L(-2) |0>", "--b", "L(-2) |0>"],
     ["character", "--algebra", "heisenberg", "--lambda", "0",
      "--cutoff", "8", "--json"],
     ["npoint", "--n", "4", "--json"],
     ["verify", "--algebra", "heisenberg", "--degree", "2", "--json"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", DETERMINISM)
 def test_byte_determinism(argv):
     first = _subprocess_bytes(argv)
     second = _subprocess_bytes(argv)
