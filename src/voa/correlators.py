@@ -90,6 +90,7 @@ class RationalCorrelator:
     def __eq__(self, other):
         if not isinstance(other, RationalCorrelator):
             return NotImplemented
+        # equal term lists need no expansion
         if [t.key() for t in self.terms] == [t.key() for t in other.terms] \
                 and all(a.coeff == b.coeff for a, b in
                         zip(self.terms, other.terms)):

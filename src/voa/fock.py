@@ -87,9 +87,9 @@ class ModeAlgebra:
 
     The table never changes.  The algebra memoizes pure functions of it for
     its whole life: the first non-central bracket of the charge generator
-    in `_non_central_charge`, `scaled_energy` in `_energies` under the
-    sector, `bracket` in `_bracket_memo` under (i, m, j, n), and the
-    mode actions on PBW monomials in `_apply_memo`, under one key kind each:
+    in `_non_central_charge`, `bracket` in `_bracket_memo` under
+    (i, m, j, n), and the mode actions on PBW monomials in `_apply_memo`,
+    under one key kind each:
 
     - (g, n, mono), untagged: the generator mode g_n (`apply_mode`);
     - ("T", mono): the translation operator (`fields.translate`);
@@ -155,7 +155,6 @@ class ModeAlgebra:
              if rule.terms and charge_gen in (i, j)), None)
         self._apply_memo = {}
         self._bracket_memo = {}
-        self._energies = {0: 0}           # sector -> scaled energy
 
     # -- basic queries --------------------------------------------------
 
@@ -191,21 +190,16 @@ class ModeAlgebra:
     def from_units(self, k: int):
         """The real value of k units of 1/u: an int when integral, else a
         Fraction."""
-        u = self.unit
-        if u == 1:
-            return k
-        q, r = divmod(k, u)
-        return Fraction(k, u) if r else q
+        q, r = divmod(k, self.unit)
+        return Fraction(k, self.unit) if r else q
 
     def scaled_energy(self, sector) -> int:
         """Energy sector^2 N / 2 of the sector vacuum in units of 1/u."""
-        e = self._energies.get(sector)
-        if e is None:
-            if not self.has_sectors:
-                raise SectorMismatch(f"algebra {self.name!r} has no sectors")
-            e = sector * sector * self.lattice_N * self.unit // 2
-            self._energies[sector] = e
-        return e
+        if not sector:
+            return 0
+        if not self.has_sectors:
+            raise SectorMismatch(f"algebra {self.name!r} has no sectors")
+        return sector * sector * self.lattice_N * self.unit // 2
 
     def sector_energy(self, sector):
         """Energy sector^2 N / 2 of the sector vacuum: an int when
@@ -316,26 +310,15 @@ class State:
         return not self.terms
 
     def __add__(self, other: "State") -> "State":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s.is_zero:
-                t.pop(m, None)
-            else:
-                t[m] = s
-        return State(t)
+        return State.sum(((self, 1), (other, 1)))
 
     @staticmethod
     def sum(pairs) -> "State":
-        """sum c * state over (state, c) pairs, accumulated in one dict.
+        """sum c * state over (state, c) pairs, accumulated in one dict: the
+        one summation of States, through which `+` and `-` go too.
 
-        Equal to adding the scaled states one after the other, term order
-        included, without copying the partial sum at each step.  A
+        Equal to the fold that adds each term c * v of each state in turn
+        to a running dict of Scalars, term order included.  A
         plain-rational entry is an int numerator over one running
         denominator den: a term n/d with d not dividing den first
         multiplies den and every numerator by d // gcd(den, d), and the
@@ -400,22 +383,15 @@ class State:
         return State(acc) if acc else _ZERO
 
     def __sub__(self, other: "State") -> "State":
-        return self + other.scale(-1)
+        return State.sum(((self, 1), (other, -1)))
 
     def scale(self, c) -> "State":
-        if type(c) is int:
-            if not c or self.is_zero:
-                return _ZERO
-            if c == 1:
-                return self
-            c = _SMALL_INTS.get(c) or Scalar.from_fraction(c)
-        else:
-            if not isinstance(c, Scalar):
-                c = Scalar.from_fraction(c)
-            if c.is_zero or self.is_zero:
-                return _ZERO
-            if c._frac == 1:
-                return self
+        if not isinstance(c, Scalar):
+            c = Scalar.from_fraction(c)
+        if c.is_zero or self.is_zero:
+            return _ZERO
+        if c._frac == 1:
+            return self
         return State({m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -723,17 +699,21 @@ def _generator_spec(g) -> GeneratorSpec:
     if type(w) is not int:
         raise ValueError(f"generator {g['name']!r}: weight2 must be an int, "
                          f"got {w!r}")
-    return GeneratorSpec(g["name"], Fraction(w, 2),
-                         g.get("parity", "even") == "odd")
+    parity = g.get("parity", "even")
+    if parity not in ("even", "odd"):
+        raise ValueError(f"generator {g['name']!r}: parity must be \"even\" "
+                         f"or \"odd\", got {parity!r}")
+    return GeneratorSpec(g["name"], Fraction(w, 2), parity == "odd")
 
 
 def algebra_from_json(doc: dict) -> ModeAlgebra:
     """The algebra of an `algebra_to_json` document.  A missing key, an
-    unknown generator name, a `weight2` that is not an int and a field of
+    unknown generator name, a `weight2` that is not an int, a `parity`
+    other than "even" or "odd" (a missing one means even) and a field of
     the wrong JSON kind (the document, an entry or a term that is not an
-    object, a list of them that is not a list, a coefficient or parameter
-    that is not a string) raise a one-line ValueError; a key it does not
-    read, as older documents have, is ignored."""
+    object, a list of them that is not a list, a coefficient, parameter
+    or `vacuum_symbol` that is not a string) raise a one-line ValueError;
+    a key it does not read, as older documents have, is ignored."""
     try:
         doc = _json_value(doc, dict, "the top level")
         gens = [_generator_spec(g) for g in
@@ -768,8 +748,10 @@ def algebra_from_json(doc: dict) -> ModeAlgebra:
                                       _parse_poly(coeff, ("m",)))
             rules[(i, j)] = BracketRule(tuple(terms), central)
         charge_gen = gen(doc["charge_gen"]) if "charge_gen" in doc else None
+        vacuum_symbol = _json_value(doc.get("vacuum_symbol", "|0>"), str,
+                                    "vacuum_symbol")
     except KeyError as exc:
         raise ValueError(f"algebra document: missing key {exc}") from None
     return ModeAlgebra(doc.get("name", "custom"), gens, rules,
                        lattice_N=doc.get("lattice_N"), charge_gen=charge_gen,
-                       vacuum_symbol=doc.get("vacuum_symbol", "|0>"))
+                       vacuum_symbol=vacuum_symbol)

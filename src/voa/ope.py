@@ -21,8 +21,8 @@ one `TwoModeProducts` table of the products X_[p] Y_[q] C for both checks
 and both orders of the pair; the table is dropped with C.  The cases in
 which the sector-0 vacuum |0>, whose field is the identity, is one of the
 two fields hold by construction and are not run: translation for A = |0>,
-locality of every pair holding |0>, associativity of (|0>, B), and of
-(B, |0>) once the vacuum check passes (`verify_axioms` gives the reasons).
+and locality and associativity of every pair holding |0> (`verify_axioms`
+gives the reasons).
 
 The loops carry modes and degrees as ints in units of 1/u
 (`ModeAlgebra.unit`), as `fields.OperatorCache` takes them, and step by u;
@@ -390,7 +390,7 @@ def _associativity_steps(ops, dA, A, dB, B):
     return a, b, sA, sB, steps
 
 
-def _locality_and_associativity(ops, groups, D, vacuum_holds):
+def _locality_and_associativity(ops, groups, D):
     """The first witnesses of locality and of associativity (None for a
     check that passes), from one sweep.
 
@@ -407,10 +407,8 @@ def _locality_and_associativity(ops, groups, D, vacuum_holds):
     cannot come before the witness found so far is not run, and the sweep
     stops once both witnesses come before the next pair.
 
-    The cases of the identity field |0> that hold by construction are not
-    run (`verify_axioms`): locality of every pair holding |0>, and
-    associativity of (|0>, B) and, when `vacuum_holds` (the vacuum check
-    found no witness), of (B, |0>).
+    The pairs holding the identity field |0> hold by construction and
+    are not run (`verify_axioms`).
     """
     alg, u = ops.alg, ops.alg.unit
     vac = State.vacuum()
@@ -424,7 +422,7 @@ def _locality_and_associativity(ops, groups, D, vacuum_holds):
 
     for k, (dA, A, dB, B) in enumerate(pairs):
         k2 = position[B, A]
-        if k2 < k:
+        if k2 < k or vac in (A, B):
             continue
         if not before(loc, k) and not before(assoc, (k, 0)):
             break
@@ -433,11 +431,10 @@ def _locality_and_associativity(ops, groups, D, vacuum_holds):
             orders.append((k2, dB, B, dA, A))
         local = [(pos, X, Y, max(singular_part(alg, X, Y, ops), default=0))
                  for pos, dX, X, dY, Y in orders
-                 if dX <= dY and before(loc, pos) and vac not in (A, B)]
+                 if dX <= dY and before(loc, pos)]
         assocs = [(pos, X, Y, *_associativity_steps(ops, dX, X, dY, Y))
                   for pos, dX, X, dY, Y in orders
-                  if before(assoc, (pos, 0)) and X != vac
-                  and not (Y == vac and vacuum_holds)]
+                  if before(assoc, (pos, 0))]
         qAB = _charge(alg, A) + _charge(alg, B)
         for dC, C in _upto(groups, D - dA - dB):
             local = [job for job in local if before(loc, job[0])]
@@ -498,9 +495,18 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
     - translation for A = |0>: [T, 1_[p]] = 0 = (1 - p) 1_[p-1];
     - associativity of (|0>, B): every term of the defect has a factor
       1_[p] with p >= 1;
-    - associativity of (B, |0>) once the vacuum check found no witness:
-      term i of the right side cancels term n - i, and the left side is
-      (B_(n)|0>)_(m) C, where the vacuum check has shown B_(n)|0> = 0.
+    - associativity of (B, |0>): term i of the right side cancels term
+      n - i, and the left side is (B_(n)|0>)_(m) C, where B_(n)|0> = 0 for
+      n >= 0, that is B_[p]|0> = 0 for p > -deg B, for every table that
+      `ModeAlgebra` accepts.  By induction on the word of B = g(n) R in
+      `fields._field_mode_raw`: in sector 0 a generator mode that is not
+      a creation mode kills |0>, so the modes g_m moved inside,
+      n < m <= 0, give 0 or carry the factor C(-m - wt g, j) = 0, as
+      0 <= -m - wt g < j = -n - wt g; the outside terms, m <= n, carry
+      R_[p-m]|0> with p - m > -deg R, which is 0.  The base case of a
+      lattice sector vacuum 1_k holds as E-|0> = |0> in
+      `fields.vertex_mode`, so Y(1_k, z)|0> = E+(z) z^(...) 1_k is
+      regular.  The vacuum check still runs, on every A.
 
     A lattice sector vacuum 1_m with m != 0 is an ordinary field and is
     checked like any other state.
@@ -509,9 +515,9 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
     groups = _grouped_basis(alg, D)
     ops = OperatorCache(alg)
     Du = int(D * alg.unit)
-    vacuum = next(_vacuum_failures(ops, groups, Du), None)
-    witnesses = [vacuum, next(_translation_failures(ops, groups, Du), None),
-                 *_locality_and_associativity(ops, groups, Du, vacuum is None)]
+    witnesses = [next(_vacuum_failures(ops, groups, Du), None),
+                 next(_translation_failures(ops, groups, Du), None),
+                 *_locality_and_associativity(ops, groups, Du)]
     for name, witness in zip(("vacuum", "translation", "locality",
                               "associativity"), witnesses):
         report.checks.append(CheckResult(name, witness is None, witness))

@@ -508,6 +508,7 @@ class Scalar:
         if b is not None:
             return self._shifted(b)
         if self._den == other._den:
+            # a polynomial sum (den 1) needs no products and no gcd
             return Scalar(self._num + other._num, self._den)
         return Scalar(self._num * other._den + other._num * self._den,
                       self._den * other._den)
@@ -523,8 +524,6 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._frac is not None and other._frac is not None:
-            return Scalar.from_fraction(self._frac - other._frac)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -537,10 +536,6 @@ class Scalar:
         a, b = self._frac, other._frac
         if b is not None:
             if a is not None:
-                if b == 1:
-                    return self
-                if a == 1:
-                    return other
                 return Scalar.from_fraction(a * b)
             return self._scaled(b)
         if a is not None:
@@ -686,11 +681,9 @@ def render_poly(p: Poly) -> str:
 
 
 def render_scalar(s: Scalar) -> str:
-    if s._frac is not None:
-        # the general rule below gives str(Fraction) for a constant
-        return str(s._frac)
     # Clear coefficient denominators into the displayed denominator so that
-    # c * 1/2 prints as "c/2" rather than "1/2*c".
+    # c * 1/2 prints as "c/2" rather than "1/2*c", and a constant as
+    # str(Fraction).
     from math import lcm, gcd
     denoms = [v.denominator for v in s.num.terms.values()]
     denoms += [v.denominator for v in s.den.terms.values()]

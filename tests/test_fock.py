@@ -314,16 +314,35 @@ class TestJson:
          "algebra document: generators must be a list, got int"),
         ({"generators": [_X], "bracket": 5},
          "algebra document: bracket must be a list, got int"),
+        ({"generators": [dict(_X, parity="Odd")]},
+         "generator 'x': parity must be \"even\" or \"odd\", got 'Odd'"),
+        ({"generators": [dict(_X, parity=True)]},
+         "generator 'x': parity must be \"even\" or \"odd\", got True"),
+        ({"generators": [dict(_X, parity="fermionic")]},
+         "generator 'x': parity must be \"even\" or \"odd\", "
+         "got 'fermionic'"),
+        ({"generators": [_X], "vacuum_symbol": 5},
+         "algebra document: vacuum_symbol must be a string, got int"),
     ], ids=["weight2-str", "weight2-float", "list", "generator-str",
             "bracket-int", "term-int", "term-coeff-int", "central-param-int",
-            "central-coeff-list", "generators-int", "bracket-list-int"])
+            "central-coeff-list", "generators-int", "bracket-list-int",
+            "parity-Odd", "parity-true", "parity-fermionic",
+            "vacuum-symbol-int"])
     def test_mistyped_document_is_refused(self, doc, message):
         # each of these ended in a TypeError traceback from Fraction, from
-        # indexing a list, a str or an int by a key, from len() of an int
-        # or from iterating an int
+        # indexing a list, a str or an int by a key, from len() of an int,
+        # from iterating an int or, for a vacuum_symbol, from render_state;
+        # a parity other than "odd" built an even generator
         with pytest.raises(ValueError) as exc:
             algebra_from_json(doc)
         assert str(exc.value) == message
+
+    def test_parity_is_even_or_odd(self):
+        # only these two strings are parities; a missing one means even
+        docs = [{"generators": [dict(_X, **extra)]} for extra in
+                ({}, {"parity": "even"}, {"parity": "odd"})]
+        assert [algebra_from_json(doc).odd(0) for doc in docs] == \
+            [False, False, True]
 
     def test_document_holds_only_what_the_reader_reads(self, vir):
         doc = algebra_to_json(vir)
@@ -339,7 +358,7 @@ class TestJson:
 
 
 # ---------------------------------------------------------------------------
-# State.sum against the left fold of State.__add__ and State.scale
+# State.sum, through which State.__add__ and __sub__ go too, against a fold
 # ---------------------------------------------------------------------------
 
 _MONOS = [PbwMonomial(0, ((0, -n),)) for n in range(1, 5)]
@@ -354,11 +373,21 @@ def _scalar(v):
 
 
 def _fold(pairs):
-    """The oracle: add the scaled states one after the other."""
-    out = State()
+    """The oracle: add each term c * v of each state in turn to a dict, by
+    Scalar arithmetic alone, and delete an entry that reaches 0."""
+    out = {}
     for state, c in pairs:
-        out = out + state.scale(c)
-    return out
+        c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
+        if c.is_zero:
+            continue
+        for m, v in state.terms.items():
+            s = out.get(m)
+            v = v * c if s is None else s + v * c
+            if v.is_zero:
+                del out[m]
+            else:
+                out[m] = v
+    return State(out)
 
 
 def _state(items):
@@ -385,6 +414,14 @@ _coeffs = st.sampled_from(_COEFFS).flatmap(
 @given(st.lists(st.tuples(_states, _coeffs), max_size=8))
 def test_state_sum_is_left_fold(pairs):
     _assert_sum_is_fold(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_states, _states)
+def test_add_and_sub_match_the_fold(a, b):
+    for got, c in ((a + b, 1), (a - b, -1)):
+        want = _fold([(a, 1), (b, c)])
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 def _mono_state(*values):

@@ -1,10 +1,12 @@
 """Tests for OPE extraction, commutator formulas, axioms, and cosets."""
 
+import json
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,27 @@ def test_sector_vacuum_is_an_ordinary_field():
     assert ope.locality_witness(ops, one, one, 0, tests, 2) is not None
 
 
+_REPORTS = Path(__file__).parent / "fixtures" / "verify_reports.json"
+
+
+def test_no_accepted_table_fails_the_vacuum_check():
+    # B_(n)|0> = 0 for n >= 0 holds by construction for every table that
+    # ModeAlgebra accepts (`verify_axioms`), so the sweep skips (B, |0>)
+    # as it skips (|0>, B): the vacuum check finds no witness, one degree
+    # above the report's, on the 120 seeded algebras of the report fixture
+    # (83 + 19 of them fail some check) and on an even and an odd lattice
+    cases = [(algebra_from_json(case["algebra"]), case["D"] + 1)
+             for case in json.loads(_REPORTS.read_text())]
+    cases += [(get_preset(name).algebra, 4) for name in ("lattice:1",
+                                                         "lattice:3")]
+    assert len(cases) == 122
+    for alg, D in cases:
+        groups = _grouped_basis(alg, D)
+        failures = ope._vacuum_failures(OperatorCache(alg), groups,
+                                        D * alg.unit)
+        assert next(failures, None) is None, alg.name
+
+
 def _sl2_doubled():
     # [e_m, f_n] = 2 h_{m+n} + m delta at level 1: the Jacobi identity of
     # e, h, f fails, which only a pair of total degree 3 can see
@@ -408,6 +431,33 @@ def test_first_failing_pairs_sit_where_the_pins_need_them():
     report = {c.name: c.witness for c in verify_axioms(alg, 2).checks}
     assert (_pair_position(alg, 2, report["associativity"])[0]
             < _pair_position(alg, 2, report["locality"])[0])
+
+
+def _a_c_delta():
+    # currents a, c with [a_m, c_n] = delta_{m+n,0} in place of m delta:
+    # (a, c) and (c, a) both fail locality, on the same first C
+    return ModeAlgebra(
+        "a-c-delta", [GeneratorSpec("a", Fraction(1)),
+                      GeneratorSpec("c", Fraction(1))],
+        {(0, 1): BracketRule((), CentralTerm(Scalar.one(), Poly.const(1)))})
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_locality_witness_names_the_earlier_order(D):
+    # the sweep tries both orders of a pair of equal degrees on each C; when
+    # both fail on the first C, the witness is that of (a, c), the earlier
+    # of the two in the pair order, whichever order is tried first
+    alg = _a_c_delta()
+    ops = OperatorCache(alg)
+    a, c = (normal_order(alg, [(g, -1)]) for g in "ac")
+    vac = State.vacuum()
+    tests = [(vac, ope.TwoModeProducts(ops, vac))]
+    for X, Y in ((a, c), (c, a)):
+        N = max(singular_part(alg, X, Y), default=0)
+        assert ope.locality_witness(ops, X, Y, N, tests, D) is not None
+    witness = {c.name: c.witness for c in verify_axioms(alg, D).checks}
+    assert witness["locality"] == \
+        "A=a(-1) |0>, B=c(-1) |0>, N=2, modes (-2,0), C=|0>"
 
 
 def test_verify_axioms_odd_lattice_quick():
