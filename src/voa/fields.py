@@ -116,6 +116,8 @@ def _field_mode_raw(ops, A, p, mono):
             return State.zero()
         p //= u
         coeff = gbinom(-p - w, j)
+        if coeff == 1:
+            return _apply_mono(alg, g, p, mono)
         if coeff == 0:
             return State.zero()
         return _apply_mono(alg, g, p, mono).scale(coeff)

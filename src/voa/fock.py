@@ -10,6 +10,13 @@ Scalar multiples (level k, central charge c, or plain rationals).  The
 induced vacuum module has a PBW basis of normally ordered creation words;
 `normal_order` rewrites arbitrary mode words into that basis.
 
+Every memo and State of the engine is keyed by PBW monomials, so they are
+hash-consed: `PbwMonomial` keeps one object per (sector, word) in a
+per-process table, and two monomials are equal only when they are the same
+object.  A lookup then hashes an id instead of a nested word.  The table
+grows by one entry per distinct monomial that the process builds and is
+never cleared.
+
 Lattice sector modules are supported through an integer charge label: the
 sector vacuum with charge m (momentum m*sqrt(N)) has energy m^2*N/2, and the
 boson generator is stored in the rescaled normalization [b_m, b_n] =
@@ -58,9 +65,57 @@ class BracketRule(NamedTuple):
     central: Optional[CentralTerm] = None
 
 
-class PbwMonomial(NamedTuple):
+class _PbwFields(NamedTuple):
     sector: int
     word: tuple  # ((gen_index, mode), ...) sorted by (mode, gen), creation only
+
+
+# (sector, word) -> its PbwMonomial, for the life of the process
+_MONOMIALS: dict = {}
+
+
+class PbwMonomial(_PbwFields):
+    """A PBW basis monomial: the creation word `word` on the vacuum of the
+    charge sector `sector`, hash-consed.
+
+    There is one object per (sector, word) in a process: the constructor,
+    `_make`, `_replace`, `pickle`, `copy.copy` and `copy.deepcopy` all
+    return the object that the module table `_MONOMIALS` holds for it,
+    inserted with `dict.setdefault`, so threads that build the same
+    monomial get one object.  Equality is therefore identity, and the hash
+    is the object's id hash: a dict keyed by monomials, or by tuples that
+    hold them, hashes no word.  A monomial equals no plain tuple, not even
+    (sector, word).  As a tuple it still unpacks, indexes and orders by
+    (sector, word), which is the basis order.
+
+    The table holds one entry per distinct (sector, word) built in the
+    process and never drops one, so it is bounded by the monomials the
+    process's computations reach, not by the number of constructions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sector, word):
+        key = (sector, word)
+        mono = _MONOMIALS.get(key)
+        if mono is None:
+            mono = _MONOMIALS.setdefault(key, tuple.__new__(cls, key))
+        return mono
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return PbwMonomial, tuple(self)
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
 
 
 VACUUM_WORD: tuple = ()

@@ -1,9 +1,15 @@
+import copy
+import pickle
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from voa import PRESET_NAMES, get_preset, verify_axioms
+from voa import fock
 from voa.scalars import Scalar, parse_scalar
 from voa.fock import (
     ModeAlgebra, GeneratorSpec, BracketRule, BracketTerm, CentralTerm,
@@ -479,3 +485,83 @@ def test_empty_state_is_shared():
     assert (zero + _mono_state(1)) == _mono_state(1)
     assert State.sum([(zero, 1), (_mono_state(1), 2)]) == _mono_state(2)
     assert zero.terms == {} and zero is State.zero()
+
+
+# -- interning of PBW monomials -----------------------------------------------
+
+def test_monomials_are_interned():
+    word = ((0, -2), (0, -1))
+    mono = PbwMonomial(0, word)
+    assert mono is PbwMonomial(0, word)
+    assert mono is PbwMonomial(0, tuple(list(word)))
+    assert mono is PbwMonomial._make([0, word])
+    assert mono is PbwMonomial(1, word)._replace(sector=0)
+    assert (mono.sector, mono.word) == tuple(mono) == (0, word)
+    # equality is identity: a plain tuple of the same fields is not equal
+    assert mono != (0, word) and not mono == (0, word)
+    assert (0, word) != mono
+    assert mono != PbwMonomial(1, word)
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy,
+    *(lambda m, p=p: pickle.loads(pickle.dumps(m, p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+def test_interning_survives_copy_and_pickle(copier):
+    for mono in (PbwMonomial(0, ()), PbwMonomial(-2, ((0, -3), (0, -1)))):
+        assert copier(mono) is mono
+    # a copied memo keeps its keys and values
+    memo = {(0, -1, PbwMonomial(1, ())): PbwMonomial(1, ((0, -1),))}
+    assert list(copier(memo).items()) == list(memo.items())
+
+
+def test_monomials_sort_as_plain_tuples(lat):
+    monos = [m for d in range(4) for m in all_sector_monomials(lat, d)]
+    monos.reverse()
+    assert [tuple(m) for m in sorted(monos)] == sorted(tuple(m)
+                                                       for m in monos)
+
+
+def test_a_second_verify_adds_no_monomials():
+    assert verify_axioms(get_preset("heisenberg").algebra, 3).passed
+    size = len(fock._MONOMIALS)
+    assert verify_axioms(get_preset("heisenberg").algebra, 3).passed
+    assert len(fock._MONOMIALS) == size
+
+
+class _SlowMode(int):
+    """A mode whose hash sleeps, so a thread that hashes a word holding it
+    lets the others run between its table lookup and its insert."""
+
+    def __hash__(self):
+        time.sleep(1e-4)
+        return int.__hash__(self)
+
+
+def test_threads_building_one_monomial_get_one_object():
+    # more threads than cores, each round on a word no other test builds:
+    # a check-then-insert table would hand out two equal monomials
+    size = len(fock._MONOMIALS)
+    rounds = 50
+    barrier = threading.Barrier(4, timeout=30)
+    results = [[None] * rounds for _ in range(4)]
+
+    def build(t):
+        for r in range(rounds):
+            barrier.wait()
+            results[t][r] = PbwMonomial(0, ((0, _SlowMode(-10**6 - r)),))
+
+    threads = [threading.Thread(target=build, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for r in range(rounds):
+        assert all(results[t][r] is results[0][r] for t in range(4))
+    assert len(fock._MONOMIALS) == size + rounds
