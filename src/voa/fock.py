@@ -457,6 +457,11 @@ class State:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
+    def __reduce__(self):
+        # the cached hash is of monomial ids, which another process does
+        # not share: a pickled state carries its terms only
+        return State, (self.terms,)
+
     def coeff(self, mono: PbwMonomial) -> Scalar:
         return self.terms.get(mono, Scalar.zero())
 

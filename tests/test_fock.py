@@ -1,5 +1,6 @@
 import copy
 import pickle
+import subprocess
 import sys
 import threading
 import time
@@ -513,6 +514,20 @@ def test_interning_survives_copy_and_pickle(copier):
     # a copied memo keeps its keys and values
     memo = {(0, -1, PbwMonomial(1, ())): PbwMonomial(1, ((0, -1),))}
     assert list(copier(memo).items()) == list(memo.items())
+
+
+def test_a_pickled_state_hashes_in_another_process():
+    # a State's hash is built from monomial ids, which another process
+    # does not share, so it must not travel with the pickle
+    state = State.monomial(PbwMonomial(0, ((0, -1),)), 2)
+    hash(state)
+    code = ("import pickle, sys\n"
+            "from voa import PbwMonomial, State\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = State.monomial(PbwMonomial(0, ((0, -1),)), 2)\n"
+            "assert fresh in {loaded}\n")
+    subprocess.run([sys.executable, "-c", code], input=pickle.dumps(state),
+                   check=True, timeout=60)
 
 
 def test_monomials_sort_as_plain_tuples(lat):
