@@ -554,7 +554,7 @@ class _SlowMode(int):
 
 
 def test_threads_building_one_monomial_get_one_object():
-    # more threads than cores, each round on a word no other test builds:
+    # four threads, each round on a word no other test builds:
     # a check-then-insert table would hand out two equal monomials
     size = len(fock._MONOMIALS)
     rounds = 50
