@@ -3,10 +3,11 @@ seeded inputs, against a fixture.
 
 Each case is a JSON spec built from a seed, and its rendered output:
 
-- `boson_fermion_check(D)` for D = 0..3, and `morphism_check` on the
+- `boson_fermion_check(D)` for D = 0..4, and `morphism_check` on the
   Frenkel-Kac map V_1(sl2) -> V_{sqrt2 Z}, the boson-fermion map and
   b -> a b(-j) on the Heisenberg algebra, each image scaled by a seeded
-  rational (most scales break the map, so most cases have a witness);
+  rational (most scales break the map, so most cases have a witness),
+  and the boson-fermion map at D = 4 with seeded scales;
 - `coset_graded` in V_k(sl2) at generic k and at k = -2, degrees 0..3,
   for all three currents and for seeded lists of linear combinations of
   them, rendered basis state by basis state;
@@ -155,7 +156,7 @@ def outputs():
     maps = _maps()
     instances = {None: affine(sl2_data()), -2: affine(sl2_data(), -2)}
     cases = [({"check": "boson_fermion_check", "D": D},
-              boson_fermion_check(D).render()) for D in range(4)]
+              boson_fermion_check(D).render()) for D in range(5)]
     for _ in range(40):
         spec = _morphism_spec(rng, maps)
         cases.append((spec, _morphism_output(spec, maps)))
@@ -164,6 +165,10 @@ def outputs():
     for _ in range(32):
         spec = _consistency_spec(rng)
         cases.append((spec, _consistency_output(spec)))
+    for _ in range(8):
+        spec = {"check": "morphism_check", "map": "boson-fermion",
+                "scales": [rng.choice(_SCALES) for _ in range(2)], "D": 4}
+        cases.append((spec, _morphism_output(spec, maps)))
     return [{"spec": spec, "output": out} for spec, out in cases]
 
 
