@@ -43,6 +43,10 @@ the remaining word times prod C(a, r) c^r.  And with z_l = prod_i i^m_i m_i!,
     E+_k = sum_{partitions l of k} lam^len(l) / z_l  b_{-l},
 
 whose letters commute with every creation letter and merge into the word.
+The product depends on m, the word and the shift j - k that p fixes, not on
+the sector, so an `OperatorCache` runs it once per (m, word, shift) and
+relabels that first column into each later sector; a direct `vertex_mode`
+runs it every time.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def _field_mode_raw(ops, A, p, mono):
     word, sector = A.word, A.sector
     if not word:
         if sector:
-            return vertex_mode(alg, sector, p, mono)
+            return ops.vertex(sector, p, mono)
         return State.monomial(mono) if p == 0 else State.zero()
 
     g, n = word[0]
@@ -160,8 +164,12 @@ class OperatorCache:
     the `mono` entry itself for a one-term field with coefficient 1, else
     one sum over the terms of X.  Both are kept for the call.
     `apply(x, p, v)` is X_[p] v, the `col` entry itself for a one-term v
-    with coefficient 1.  Two-mode products X_[p] Y_[q] m are not kept
-    here: the locality and associativity checks hold them in a
+    with coefficient 1.  `vertex(m, p, mono)` is Y(1_m)_[p] mono, which
+    `mono` reaches on the empty word of sector m: it keeps the first
+    column built for each (m, word, shift) and gives a later sector that
+    column with its monomials relabeled and its Scalars shared, so the
+    E-/E+ product runs once per key.  Two-mode products X_[p] Y_[q] m are
+    not kept here: the locality and associativity checks hold them in a
     `ope.TwoModeProducts` table for one test state at a time, so that
     memory stays flat over the call.
     """
@@ -173,6 +181,7 @@ class OperatorCache:
         self._modes = {}     # (A, p, m) -> A_[p] m, A a PBW monomial
         self._cols = {}      # (x, p, m) -> X_[p] m, X not one monomial
         self._degrees = {}   # field number -> degree in units of 1/u
+        self._vertex = {}    # (m, word, shift) -> first column of Y(1_m)
 
     def mono(self, A: PbwMonomial, p: int, m: PbwMonomial) -> State:
         """A_[p] m for the field of the monomial A."""
@@ -181,6 +190,24 @@ class OperatorCache:
         if v is None:
             v = self._modes[key] = _field_mode_raw(self, A, p, m)
         return v
+
+    def vertex(self, m: int, p: int, mono: PbwMonomial) -> State:
+        """Y(1_m)_[p] mono, the E-/E+ product run once per (m, word, shift)
+        of the call; a later sector gets the first column relabeled."""
+        shift = _vertex_shift(self.alg, m, p, mono.sector)
+        if shift is None:
+            return State.zero()
+        key = (m, mono.word, shift)
+        col = self._vertex.get(key)
+        if col is None:
+            col = self._vertex[key] = _vertex_column(self.alg, m, shift, mono)
+        elif col.terms:
+            # only `mono` reaches here, and it memoizes (1_m, p, mono): a
+            # stored column is always of another sector
+            sector = mono.sector + m
+            col = State({PbwMonomial(sector, x.word): c
+                         for x, c in col.terms.items()})
+        return col
 
     def field(self, X: State) -> int:
         x = self._index.get(X)
@@ -230,21 +257,33 @@ class OperatorCache:
 def vertex_mode(alg: ModeAlgebra, m: int, p: int, mono: PbwMonomial) -> State:
     """Shifted mode of the vertex operator of the charge-m sector vacuum,
     p in units of 1/u."""
+    shift = _vertex_shift(alg, m, p, mono.sector)
+    if shift is None:
+        return State.zero()
+    return _vertex_column(alg, m, shift, mono)
+
+
+def _vertex_shift(alg, m: int, p: int, sector: int):
+    """The int j - k that the mode p fixes for E+_k ... E-_j in the sector,
+    or None when p is off the grid of the sector."""
     if not alg.has_sectors:
         raise ValueError(f"algebra {alg.name!r} has no lattice sectors")
     if alg._non_central_charge:
         x, y = alg._non_central_charge
         raise ValueError(f"no lattice vertex operator in {alg.name!r}: "
                          f"[{x}, {y}] is not central")
-    lam_N = m * alg.lattice_N
-    # E+_k z^k S_m z^(lam b_0) E-_j z^-j on mono has the z-exponent
+    # E+_k z^k S_m z^(lam b_0) E-_j z^-j on a monomial has the z-exponent
     # k - j + lam * sector, which the mode p fixes at -p - wt 1_m
     if type(p) is not int:
         raise TypeError(f"mode {p!r} is not an int in units of 1/{alg.unit}")
     shift, r = divmod(p + alg.scaled_energy(m)
-                      + lam_N * mono.sector * alg.unit, alg.unit)
-    if r:
-        return State.zero()
+                      + m * alg.lattice_N * sector * alg.unit, alg.unit)
+    return None if r else shift
+
+
+def _vertex_column(alg, m: int, shift: int, mono: PbwMonomial) -> State:
+    """sum_j E+_(j - shift) S_m E-_j mono, in sector mono.sector + m."""
+    lam_N = m * alg.lattice_N
     lower = _annihilation_terms(alg, lam_N, mono.word)
     top = max(max(j for _, j, _ in lower) - shift, 0)
     acc = {}  # numerators over top!, as each E+_k is over k!

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .fock import (ModeAlgebra, State, all_sector_monomials, apply_mode,
+from .fock import (ModeAlgebra, State, _apply_mono, all_sector_monomials,
                    basis_monomials, mode_index, render_monomial, render_state)
 from .fields import OperatorCache, gbinom, translate
 from .linalg import kernel_basis
@@ -531,9 +531,12 @@ def morphism_check(src: ModeAlgebra, tgt: ModeAlgebra, images, D):
     phi(g1(n1)...gk(nk)|0>) = phi(g1)_[n1+s1] ... phi(gk)_[nk+sk] |0> with
     s = wt g - deg phi(g); the check compares phi(g_n v) with
     phi(g)_[n+s] phi(v) in the order (d = deg v <= D, v, g, -d-2 <= n <= d+1).
-    The images act through one `OperatorCache` made for the call, with the
-    shifts in units of 1/u of the target; off that grid, every mode of the
-    image acts by zero.
+    Each case is one zero-sum: g_n v is read from the source's memo
+    (`fock._apply_mono`), and the case fails when phi(g_n v) - phi(g(n) v)
+    is nonzero, the images taken term by term in the order of g_n v, then
+    phi(g(n) v).  The images act through one `OperatorCache` made for the
+    call, with the shifts in units of 1/u of the target; off that grid,
+    every mode of the image acts by zero.
     """
     ops = OperatorCache(tgt)
     shifts = [tgt.to_units(src.weight(g) - A.degree(tgt)) for g, A in
@@ -553,10 +556,10 @@ def morphism_check(src: ModeAlgebra, tgt: ModeAlgebra, images, D):
         for mono in basis_monomials(src, d, 0):
             for g in range(len(images)):
                 for n in range(-d - 2, d + 2):
-                    gv = apply_mode(src, g, n, State.monomial(mono))
-                    lhs = State.sum((image(x.word), c)
-                                    for x, c in gv.terms.items())
-                    if lhs != image(((g, n),) + mono.word):
+                    gv = _apply_mono(src, g, n, mono)
+                    diff = [(image(x.word), c) for x, c in gv.terms.items()]
+                    diff.append((image(((g, n),) + mono.word), -1))
+                    if not State.sum(diff).is_zero:
                         return (f"{src.generators[g].name}({n}) on "
                                 f"{render_monomial(src, mono)}")
     return None

@@ -168,6 +168,10 @@ class Poly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def __reduce__(self):
+        # a slotted class has no state that pickle protocols 0 and 1 read
+        return Poly, (self.terms,)
+
     def key(self) -> tuple:
         return tuple(sorted(self.terms.items()))
 
@@ -584,6 +588,11 @@ class Scalar:
             return hash(self._frac)
         return hash((self._num.key(), self._den.key()))
 
+    def __reduce__(self):
+        if self._frac is not None:
+            return _rational, (self._frac,)
+        return Scalar, (self._num, self._den, True)
+
     def evaluate(self, point) -> Fraction:
         """Substitute rational values for all parameters and reduce."""
         if self._frac is not None:
@@ -639,6 +648,9 @@ class ParamPoint:
 
     def __getitem__(self, name):
         return self.values[name]
+
+    def __reduce__(self):
+        return ParamPoint, (), (None, {"values": self.values})
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.values.items()))

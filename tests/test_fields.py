@@ -1,5 +1,6 @@
 """Tests for state fields, reconstruction, and the translation operator."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -321,25 +322,35 @@ def _vertex_mode_oracle(alg, m, p, mono):
 
 
 def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2, 3), top=5,
-                          sectors=range(-2, 3)):
-    """First (m, p, mono) where vertex_mode differs from the oracle.
+                          sectors=range(-3, 4), ops=None):
+    """First (m, p, mono) where Y(1_m)_[p] mono differs from the oracle.
 
-    Monomials run over degrees <= top in the given sectors, and p over
-    every mode in the right coset from the largest that can give a nonzero
-    result (one above it as well) down through 5 creation layers;
-    vertex_mode takes p in units of 1/u.
+    Every column is read through one OperatorCache (`ops`, else a new one),
+    as `mono(1_m, p, mono)`: the cache runs each E-/E+ product once per
+    (m, word, shift) and relabels it into the other sectors, and the
+    monomials, of degrees <= top in the given sectors, come in a seeded
+    shuffled order, so a sector reads columns first built in another.  The
+    uncached `vertex_mode` must give the same column.  p runs over every
+    mode in the right coset from the largest that can give a nonzero
+    result (one above it as well) down through 5 creation layers; the
+    cache and vertex_mode take p in units of 1/u.
     """
     step = Fraction(1, alg.unit)
     monos = [mono for i in range(int(top / step) + 1)
              for s in sectors for mono in basis_monomials(alg, i * step, s)]
+    random.Random(0).shuffle(monos)
+    ops = ops or fields.OperatorCache(alg)
     for m in charges:
+        vacuum = PbwMonomial(m, ())
         for mono in monos:
             d = alg.mono_degree(mono) - alg.sector_energy(mono.sector)
             p_max = d - alg.sector_energy(m) - m * alg.lattice_N * mono.sector
             for i in range(-1, 6):
                 p = p_max - i
-                got = fields.vertex_mode(alg, m, alg.to_units(p), mono)
-                if got != _vertex_mode_oracle(alg, m, p, mono):
+                got = ops.mono(vacuum, alg.to_units(p), mono)
+                if (got != _vertex_mode_oracle(alg, m, p, mono) or
+                        got != fields.vertex_mode(alg, m, alg.to_units(p),
+                                                  mono)):
                     return m, p, mono
                 if i < 0:
                     assert got.is_zero
@@ -374,6 +385,57 @@ def test_vertex_mode_custom_sector_algebra():
     assert _vertex_mode_mismatch(_sector_algebra("k", central),
                                  charges=(1, -1, 2), top=3,
                                  sectors=(-1, 0, 1)) is None
+
+
+class _KeyWithout(dict):
+    """A column memo that drops one part of each (m, word, shift) key."""
+
+    def __init__(self, part):
+        super().__init__()
+        self.part = part
+
+    def _key(self, key):
+        return key[:self.part] + key[self.part + 1:]
+
+    def get(self, key):
+        return super().get(self._key(key))
+
+    def __setitem__(self, key, col):
+        super().__setitem__(self._key(key), col)
+
+
+@pytest.mark.parametrize("part", [0, 1, 2],
+                         ids=["without m", "without word", "without shift"])
+def test_vertex_column_key_negative_control(part):
+    # a column shared under a key that forgets m, the word or the shift
+    # is a wrong column somewhere in the comparison above
+    alg = get_preset("lattice:1").algebra
+    ops = fields.OperatorCache(alg)
+    ops._vertex = _KeyWithout(part)
+    assert _vertex_mode_mismatch(alg, top=2, ops=ops) is not None
+
+
+def test_vertex_columns_are_shared_across_sectors(monkeypatch):
+    # b(-1) in sectors 0 and 1 at the shift j - k = -1 (modes p = -1 -
+    # wt 1_1 - sector): one E-/E+ product, and the second column is the
+    # first relabeled into its sector, with the same Scalars
+    alg = get_preset("lattice:1").algebra
+    products = []
+    column = fields._vertex_column
+    monkeypatch.setattr(fields, "_vertex_column",
+                        lambda *args: products.append(args) or column(*args))
+    ops = fields.OperatorCache(alg)
+    word = ((alg.charge_gen, -1),)
+    cols = [ops.mono(PbwMonomial(1, ()),
+                     alg.to_units(-1 - alg.sector_energy(1) - s),
+                     PbwMonomial(s, word)) for s in (0, 1)]
+    assert len(products) == 1 and len(cols[0].terms) > 1
+    for (x, a), (y, b) in zip(cols[0].terms.items(), cols[1].terms.items(),
+                              strict=True):
+        assert (x.sector, y.sector, x.word) == (1, 2, y.word) and a is b
+    assert cols[1] == fields.vertex_mode(
+        alg, 1, alg.to_units(-2 - alg.sector_energy(1)),
+        PbwMonomial(1, word))
 
 
 def test_vertex_mode_rejects_non_central_bracket():

@@ -1,4 +1,5 @@
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -476,3 +477,22 @@ def test_constant_one_shortcuts_keep_results(monkeypatch):
     assert len(fast) == len(slow) == 7 * len(PARAMETRIC) ** 2
     for a, b in zip(fast, slow):
         assert a == b and hash(a) == hash(b) and str(a) == str(b)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_round_trips(protocol):
+    # the slotted classes pickle under every protocol, 0 and 1 included
+    k = S("(k + 2)/(3*k - 1)")
+    state = State({PbwMonomial(0, ((0, -1),)): k,
+                   PbwMonomial(0, ((0, -2),)): S("c/2 - 1")})
+    for x in (S("3/4"), S("-5"), k, P("eps*k/2 + 3"), state):
+        loaded = pickle.loads(pickle.dumps(x, protocol))
+        assert loaded == x and hash(loaded) == hash(x)
+        assert type(loaded) is type(x)
+    assert render_scalar(pickle.loads(pickle.dumps(k, protocol))) \
+        == render_scalar(k)
+    # a ParamPoint compares by identity, so its values are compared
+    point = ParamPoint(k="1/2", c=3)
+    loaded = pickle.loads(pickle.dumps(point, protocol))
+    assert loaded.values == point.values and repr(loaded) == repr(point)
+    assert k.evaluate(loaded) == k.evaluate(point)
