@@ -13,7 +13,12 @@ Each case is a JSON spec built from a seed, and its rendered output:
   them, rendered basis state by basis state;
 - `consistency_check` on the Heisenberg algebra, n = 2 and 3, for seeded
   insertions b(-1-j), functionals phi, windows and region orders, some
-  on the algebra with its central term scaled (a failing control).
+  on the algebra with its central term scaled (a failing control);
+- `lattice_vertex_op` on `lattice:1..3` for charges +-1 and +-2 over the
+  window -6..4, on seeded targets in sectors -2..2 at most 3 above the
+  sector vacuum;
+- `translate` on seeded states of every preset, the lattice ones with
+  sector vacua and charged monomials among them.
 
 `tests/fixtures/check_outputs.json` holds the cases; write it again with
 
@@ -29,11 +34,12 @@ from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
-from voa import (BracketRule, CentralTerm, ExpansionRegion, GeneratorSpec,
-                 ModeAlgebra, PbwMonomial, Poly, State, affine,
-                 boson_fermion_check, consistency_check, coset_graded,
-                 get_preset, morphism_check, normal_order, parse_scalar,
-                 render_state, sl2_data)
+from voa import (PRESET_NAMES, BracketRule, CentralTerm, ExpansionRegion,
+                 GeneratorSpec, ModeAlgebra, PbwMonomial, Poly, State, affine,
+                 basis_monomials, boson_fermion_check, consistency_check,
+                 coset_graded, get_preset, lattice_vertex_op, morphism_check,
+                 normal_order, parse_scalar, render_state, sl2_data,
+                 translate)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "check_outputs.json"
 
@@ -148,6 +154,56 @@ def _consistency_output(spec):
                              window=spec["window"]).render()
 
 
+# -- lattice_vertex_op and translate -----------------------------------------
+
+def _target_spec(rng, alg, sectors):
+    """One to three seeded PBW monomials, each in a seeded sector at most 3
+    above its vacuum, with seeded coefficients."""
+    terms = []
+    for _ in range(rng.randrange(1, 4)):
+        sector = rng.choice(sectors)
+        monos = basis_monomials(alg, alg.sector_energy(sector)
+                                + rng.randrange(4), sector)
+        if monos:
+            mono = rng.choice(monos)
+            terms.append([sector, [list(x) for x in mono.word],
+                          rng.choice(_SCALES)])
+    return terms
+
+
+def _target(terms):
+    return State.sum((State.monomial(PbwMonomial(s, tuple(map(tuple, w)))),
+                      parse_scalar(c)) for s, w, c in terms)
+
+
+def _vertex_spec(rng):
+    name = f"lattice:{rng.randrange(1, 4)}"
+    return {"check": "lattice_vertex_op", "preset": name,
+            "charge": rng.choice((1, -1, 2, -2)),
+            "target": _target_spec(rng, get_preset(name).algebra,
+                                   range(-2, 3))}
+
+
+def _vertex_output(spec):
+    inst = get_preset(spec["preset"])
+    coeffs = lattice_vertex_op(inst, spec["charge"], range(-6, 5),
+                               _target(spec["target"]))
+    return [[str(e), render_state(inst.algebra, v)]
+            for e, v in coeffs.items()]
+
+
+def _translate_spec(rng, name):
+    alg = get_preset(name).algebra
+    sectors = range(-2, 3) if alg.has_sectors else (0,)
+    return {"check": "translate", "preset": name,
+            "state": _target_spec(rng, alg, sectors)}
+
+
+def _translate_output(spec):
+    alg = get_preset(spec["preset"]).algebra
+    return render_state(alg, translate(alg, _target(spec["state"])))
+
+
 # -- the cases ----------------------------------------------------------------
 
 def outputs():
@@ -169,6 +225,13 @@ def outputs():
         spec = {"check": "morphism_check", "map": "boson-fermion",
                 "scales": [rng.choice(_SCALES) for _ in range(2)], "D": 4}
         cases.append((spec, _morphism_output(spec, maps)))
+    for _ in range(24):
+        spec = _vertex_spec(rng)
+        cases.append((spec, _vertex_output(spec)))
+    for name in PRESET_NAMES:
+        for _ in range(3):
+            spec = _translate_spec(rng, name)
+            cases.append((spec, _translate_output(spec)))
     return [{"spec": spec, "output": out} for spec, out in cases]
 
 
