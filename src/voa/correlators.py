@@ -470,17 +470,20 @@ def matrix_element_coefficient(alg, states, phi, exponents, region):
 
 
 @dataclass
-class ConsistencyReport:
+class CorrelatorReport:
+    """The verdict of `consistency_check` or `bootstrap_verify`, rendered
+    on one line under the check's label."""
+    label: str
     passed: bool
     mismatch: str | None = None
 
     def render(self):
-        return "consistency: pass" if self.passed else \
-            f"consistency: FAIL ({self.mismatch})"
+        return f"{self.label}: pass" if self.passed else \
+            f"{self.label}: FAIL ({self.mismatch})"
 
 
 def consistency_check(alg, states, phi, regions, order: int,
-                      window: int = 3) -> ConsistencyReport:
+                      window: int = 3) -> CorrelatorReport:
     """Region independence plus horizontality for free-boson insertions.
 
     In each region (an ordering of all of z1..zn) the coefficient of
@@ -517,8 +520,8 @@ def consistency_check(alg, states, phi, regions, order: int,
                if direct.get(e, 0) != expanded.get(e, 0)]
         if bad:
             e = min(bad)
-            return ConsistencyReport(
-                False, f"region {region.order}, exponents {e}: "
+            return CorrelatorReport(
+                "consistency", False, f"region {region.order}, exponents {e}: "
                        f"direct {direct.get(e, Fraction(0))} != "
                        f"expansion {expanded.get(e, Fraction(0))}")
     # horizontality: d/dz_i f = correlator with A_i replaced by T A_i
@@ -530,8 +533,9 @@ def consistency_check(alg, states, phi, regions, order: int,
         repl[i] = j + 1
         ft = heisenberg_npoint(phi, n, repl).scale(j + 1)
         if f.deriv(i + 1) != ft:
-            return ConsistencyReport(False, f"horizontality at insertion {i+1}")
-    return ConsistencyReport(True)
+            return CorrelatorReport("consistency", False,
+                               f"horizontality at insertion {i+1}")
+    return CorrelatorReport("consistency", True)
 
 
 def _region_walk(ops, sequence, phi, span):
@@ -569,17 +573,7 @@ def _region_walk(ops, sequence, phi, span):
     return out
 
 
-@dataclass
-class BootstrapReport:
-    passed: bool
-    mismatch: str | None = None
-
-    def render(self):
-        return "bootstrap: pass" if self.passed else \
-            f"bootstrap: FAIL ({self.mismatch})"
-
-
-def bootstrap_verify(phi, n_max: int) -> BootstrapReport:
+def bootstrap_verify(phi, n_max: int) -> CorrelatorReport:
     """Order-2 diagonal coefficients of omega_n reproduce omega_{n-2}.
 
     For each pair i < j of omega_n, with g = (z_i-z_j)^2 omega_n, the
@@ -597,12 +591,14 @@ def bootstrap_verify(phi, n_max: int) -> BootstrapReport:
                 rest = [k for k in range(1, n + 1) if k not in (i, j)]
                 target = _rename(family[n - 2], dict(enumerate(rest, 1)))
                 if c2 != target:
-                    return BootstrapReport(
-                        False, f"n={n}, pair ({i},{j}): order-2 coefficient")
+                    return CorrelatorReport(
+                        "bootstrap", False,
+                        f"n={n}, pair ({i},{j}): order-2 coefficient")
                 if not c1._is_zero_expanded():
-                    return BootstrapReport(
-                        False, f"n={n}, pair ({i},{j}): order-1 coefficient")
-    return BootstrapReport(True)
+                    return CorrelatorReport(
+                        "bootstrap", False,
+                        f"n={n}, pair ({i},{j}): order-1 coefficient")
+    return CorrelatorReport("bootstrap", True)
 
 
 def _diagonal_coefficients(f: RationalCorrelator, i: int, j: int):

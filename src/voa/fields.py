@@ -16,16 +16,17 @@ binom(-p - wt g, j) g_p.  Generator weights and modes are ints, and so is
 j; a field has modes off the integers only on an odd lattice, where a
 charge sector can have half-integral energy.
 
-The recursion is memoized only in the `OperatorCache` of one call; the
-algebra keeps the generator-level memos (`apply_mode`, T, E-/E+ below).
-The cache, the recursion and `vertex_mode` take the mode p as an int in
-units of 1/u (`ModeAlgebra.unit`: 2 on odd lattices, else 1), so no
-Fraction is hashed or added on the way; a real mode goes in through
-`ModeAlgebra.to_units` at a caller's boundary and comes back out only at
-the leaves, for `apply_mode` and `gbinom`.  The one-shot `field_mode` and
-`state_field_mode` take real modes.  Other callers read Y(X, z) v by
-z-exponent (`OperatorCache.coeff`), which makes the shift p = -e - deg X;
-only the mode loops of `ope` and R(rho) in `coords` see the unit.
+The recursion, the translation operator T and the E-/E+ terms below are
+memoized only in the `OperatorCache` of one call; the algebra keeps only
+its memo of generator modes (`apply_mode`).  The cache and the recursion
+take the mode p as an int in units of 1/u (`ModeAlgebra.unit`: 2 on odd
+lattices, else 1), so no Fraction is hashed or added on the way; a real
+mode goes in through `ModeAlgebra.to_units` at a caller's boundary and
+comes back out only at the leaves, for `apply_mode` and `gbinom`.  The
+one-shot `field_mode` and `state_field_mode` take real modes.  Other
+callers read Y(X, z) v by z-exponent (`OperatorCache.coeff`), which makes
+the shift p = -e - deg X; only the mode loops of `ope` and R(rho) in
+`coords` see the unit.
 
 The vertex operator of the charge-m vacuum is
 
@@ -45,8 +46,7 @@ the remaining word times prod C(a, r) c^r.  And with z_l = prod_i i^m_i m_i!,
 whose letters commute with every creation letter and merge into the word.
 The product depends on m, the word and the shift j - k that p fixes, not on
 the sector, so an `OperatorCache` runs it once per (m, word, shift) and
-relabels that first column into each later sector; a direct `vertex_mode`
-runs it every time.
+relabels that first column into each later sector.
 """
 
 from __future__ import annotations
@@ -95,6 +95,11 @@ def state_field_mode(alg: ModeAlgebra, A: State, p, v: State) -> State:
     ops = OperatorCache(alg)
     p = alg.to_units(p)
     return State.zero() if p is None else ops.apply(ops.field(A), p, v)
+
+
+def translate(alg: ModeAlgebra, state: State) -> State:
+    """The canonical translation operator T (infinitesimal shift of z)."""
+    return OperatorCache(alg).translate(state)
 
 
 def _field_mode_raw(ops, A, p, mono):
@@ -168,10 +173,12 @@ class OperatorCache:
     `mono` reaches on the empty word of sector m: it keeps the first
     column built for each (m, word, shift) and gives a later sector that
     column with its monomials relabeled and its Scalars shared, so the
-    E-/E+ product runs once per key.  Two-mode products X_[p] Y_[q] m are
-    not kept here: the locality and associativity checks hold them in a
-    `ope.TwoModeProducts` table for one test state at a time, so that
-    memory stays flat over the call.
+    E-/E+ product runs once per key; the E- terms of each word and each
+    E+_k it multiplies are kept for the call as well.  `translate(v)` is
+    T v, with T of each monomial kept for the call.  Two-mode products
+    X_[p] Y_[q] m are not kept here: the locality and associativity checks
+    hold them in a `ope.TwoModeProducts` table for one test state at a
+    time, so that memory stays flat over the call.
     """
 
     def __init__(self, alg: ModeAlgebra):
@@ -182,6 +189,9 @@ class OperatorCache:
         self._cols = {}      # (x, p, m) -> X_[p] m, X not one monomial
         self._degrees = {}   # field number -> degree in units of 1/u
         self._vertex = {}    # (m, word, shift) -> first column of Y(1_m)
+        self._lower = {}     # (lam_N, word) -> E- terms of the word
+        self._upper = {}     # (lam_N, k) -> E+_k terms
+        self._translations = {}  # monomial -> T of it
 
     def mono(self, A: PbwMonomial, p: int, m: PbwMonomial) -> State:
         """A_[p] m for the field of the monomial A."""
@@ -194,13 +204,26 @@ class OperatorCache:
     def vertex(self, m: int, p: int, mono: PbwMonomial) -> State:
         """Y(1_m)_[p] mono, the E-/E+ product run once per (m, word, shift)
         of the call; a later sector gets the first column relabeled."""
-        shift = _vertex_shift(self.alg, m, p, mono.sector)
-        if shift is None:
+        alg = self.alg
+        if not alg.has_sectors:
+            raise ValueError(f"algebra {alg.name!r} has no lattice sectors")
+        if alg._non_central_charge:
+            x, y = alg._non_central_charge
+            raise ValueError(f"no lattice vertex operator in {alg.name!r}: "
+                             f"[{x}, {y}] is not central")
+        # E+_k z^k S_m z^(lam b_0) E-_j z^-j on a monomial has the
+        # z-exponent k - j + lam * sector, which p fixes at -p - wt 1_m
+        u = alg.unit
+        if type(p) is not int:
+            raise TypeError(f"mode {p!r} is not an int in units of 1/{u}")
+        shift, r = divmod(p + alg.scaled_energy(m)
+                          + m * alg.lattice_N * mono.sector * u, u)
+        if r:
             return State.zero()
         key = (m, mono.word, shift)
         col = self._vertex.get(key)
         if col is None:
-            col = self._vertex[key] = _vertex_column(self.alg, m, shift, mono)
+            col = self._vertex[key] = _vertex_column(self, m, shift, mono)
         elif col.terms:
             # only `mono` reaches here, and it memoizes (1_m, p, mono): a
             # stored column is always of another sector
@@ -208,6 +231,34 @@ class OperatorCache:
             col = State({PbwMonomial(sector, x.word): c
                          for x, c in col.terms.items()})
         return col
+
+    def translate(self, v: State) -> State:
+        """T v for the canonical translation operator T (infinitesimal
+        shift of z), T of each monomial kept for the call."""
+        alg, memo = self.alg, self._translations
+        pairs = []
+        for mono, c in v.terms.items():
+            t = memo.get(mono)
+            if t is None:
+                word, sector = mono.word, mono.sector
+                if word:
+                    g, n = word[0]
+                    rest = State.monomial(PbwMonomial(sector, word[1:]))
+                    # [T, g_n] = (1 - n - wt) g_{n-1}
+                    lead = apply_mode(alg, g, n - 1, rest)
+                    t = (lead.scale(1 - n - alg.weight(g))
+                         + apply_mode(alg, g, n, self.translate(rest)))
+                elif sector:
+                    # T 1_lam = lam b_{-1} 1_lam, rescaled to
+                    # (sector*N) beta_{-1}
+                    t = apply_mode(alg, alg.charge_gen, -1,
+                                   State.monomial(mono))
+                    t = t.scale(sector * alg.lattice_N)
+                else:
+                    t = State.zero()
+                memo[mono] = t
+            pairs.append((t, c))
+        return State.sum(pairs)
 
     def field(self, X: State) -> int:
         x = self._index.get(X)
@@ -254,43 +305,25 @@ class OperatorCache:
 # Lattice vertex operators
 # ---------------------------------------------------------------------------
 
-def vertex_mode(alg: ModeAlgebra, m: int, p: int, mono: PbwMonomial) -> State:
-    """Shifted mode of the vertex operator of the charge-m sector vacuum,
-    p in units of 1/u."""
-    shift = _vertex_shift(alg, m, p, mono.sector)
-    if shift is None:
-        return State.zero()
-    return _vertex_column(alg, m, shift, mono)
-
-
-def _vertex_shift(alg, m: int, p: int, sector: int):
-    """The int j - k that the mode p fixes for E+_k ... E-_j in the sector,
-    or None when p is off the grid of the sector."""
-    if not alg.has_sectors:
-        raise ValueError(f"algebra {alg.name!r} has no lattice sectors")
-    if alg._non_central_charge:
-        x, y = alg._non_central_charge
-        raise ValueError(f"no lattice vertex operator in {alg.name!r}: "
-                         f"[{x}, {y}] is not central")
-    # E+_k z^k S_m z^(lam b_0) E-_j z^-j on a monomial has the z-exponent
-    # k - j + lam * sector, which the mode p fixes at -p - wt 1_m
-    if type(p) is not int:
-        raise TypeError(f"mode {p!r} is not an int in units of 1/{alg.unit}")
-    shift, r = divmod(p + alg.scaled_energy(m)
-                      + m * alg.lattice_N * sector * alg.unit, alg.unit)
-    return None if r else shift
-
-
-def _vertex_column(alg, m: int, shift: int, mono: PbwMonomial) -> State:
-    """sum_j E+_(j - shift) S_m E-_j mono, in sector mono.sector + m."""
+def _vertex_column(ops, m: int, shift: int, mono: PbwMonomial) -> State:
+    """sum_j E+_(j - shift) S_m E-_j mono, in sector mono.sector + m, with
+    the E- terms of the word and each E+_k kept in the cache `ops`."""
+    alg = ops.alg
     lam_N = m * alg.lattice_N
-    lower = _annihilation_terms(alg, lam_N, mono.word)
+    lower = ops._lower.get((lam_N, mono.word))
+    if lower is None:
+        lower = ops._lower[lam_N, mono.word] = _annihilation_terms(
+            alg, lam_N, mono.word)
     top = max(max(j for _, j, _ in lower) - shift, 0)
     acc = {}  # numerators over top!, as each E+_k is over k!
     for rest, j, c in lower:
-        if j >= shift:
-            c *= factorial(top) // factorial(j - shift)
-            for letters, num in _creation_terms(alg, lam_N, j - shift):
+        k = j - shift
+        if k >= 0:
+            upper = ops._upper.get((lam_N, k))
+            if upper is None:
+                upper = ops._upper[lam_N, k] = _creation_terms(alg, lam_N, k)
+            c *= factorial(top) // factorial(k)
+            for letters, num in upper:
                 word = tuple(sorted(rest + letters, key=itemgetter(1, 0)))
                 acc[word] = acc.get(word, 0) + c * num
     den, out = factorial(top), {}
@@ -303,69 +336,25 @@ def _vertex_column(alg, m: int, shift: int, mono: PbwMonomial) -> State:
 
 def _annihilation_terms(alg, lam_N: int, word: tuple) -> list:
     """E-_j on the word as (remaining word, j, coefficient) triples."""
-    key = ("E-", lam_N, word)
-    terms = alg._apply_memo.get(key)
-    if terms is None:
-        terms = [((), 0, 1)]
-        for g, n in dict.fromkeys(word):
-            a = word.count((g, n))
-            c = (alg.bracket(alg.charge_gen, -n, g, n)[1] * Fraction(lam_N, n)
-                 if n else Scalar.zero())
-            c = mode_index(c.as_fraction()) if c.is_rational else c
-            terms = [(kept + ((g, n),) * (a - r), j - r * n,
-                      coeff * comb(a, r) * c ** r) for kept, j, coeff in terms
-                     for r in range(a + 1 if c else 1)]
-        alg._apply_memo[key] = terms
+    terms = [((), 0, 1)]
+    for g, n in dict.fromkeys(word):
+        a = word.count((g, n))
+        c = (alg.bracket(alg.charge_gen, -n, g, n)[1] * Fraction(lam_N, n)
+             if n else Scalar.zero())
+        c = mode_index(c.as_fraction()) if c.is_rational else c
+        terms = [(kept + ((g, n),) * (a - r), j - r * n,
+                  coeff * comb(a, r) * c ** r) for kept, j, coeff in terms
+                 for r in range(a + 1 if c else 1)]
     return terms
 
 
 def _creation_terms(alg, lam_N: int, k: int) -> list:
     """E+_k as (b_{-lambda}, lam_N^len(lambda) k! / z_lambda) pairs."""
-    key = ("E+", lam_N, k)
-    terms = alg._apply_memo.get(key)
-    if terms is None:
-        # the factors exp(lam b_{-n} z^n / n), n = k..1, with their degree
-        terms = [((), 0, factorial(k))]
-        for n in range(k, 0, -1):
-            terms = [(letters + ((alg.charge_gen, -n),) * c, d + n * c,
-                      num * lam_N ** c // (n ** c * factorial(c)))
-                     for letters, d, num in terms
-                     for c in range((k - d) // n + 1)]
-        alg._apply_memo[key] = terms = [(w, num) for w, d, num in terms
-                                        if d == k]
-    return terms
-
-
-# ---------------------------------------------------------------------------
-# Translation operator
-# ---------------------------------------------------------------------------
-
-def translate(alg: ModeAlgebra, state: State) -> State:
-    """The canonical translation operator T (infinitesimal shift of z)."""
-    return State.sum((_translate_mono(alg, mono), c)
-                     for mono, c in state.terms.items())
-
-
-def _translate_mono(alg: ModeAlgebra, mono: PbwMonomial) -> State:
-    key = ("T", mono)
-    hit = alg._apply_memo.get(key)
-    if hit is not None:
-        return hit
-    word, sector = mono.word, mono.sector
-    if not word:
-        if sector == 0:
-            result = State.zero()
-        else:
-            # T 1_lam = lam b_{-1} 1_lam, rescaled to (sector*N) beta_{-1}
-            result = apply_mode(alg, alg.charge_gen, -1,
-                                State.vacuum(sector)).scale(sector * alg.lattice_N)
-    else:
-        g, n = word[0]
-        rest = PbwMonomial(sector, word[1:])
-        w = alg.weight(g)
-        # [T, g_n] = (1 - n - wt) g_{n-1}
-        lead = apply_mode(alg, g, n - 1, State.monomial(rest)).scale(1 - n - w)
-        tail = apply_mode(alg, g, n, _translate_mono(alg, rest))
-        result = lead + tail
-    alg._apply_memo[key] = result
-    return result
+    # the factors exp(lam b_{-n} z^n / n), n = k..1, with their degree
+    terms = [((), 0, factorial(k))]
+    for n in range(k, 0, -1):
+        terms = [(letters + ((alg.charge_gen, -n),) * c, d + n * c,
+                  num * lam_N ** c // (n ** c * factorial(c)))
+                 for letters, d, num in terms
+                 for c in range((k - d) // n + 1)]
+    return [(w, num) for w, d, num in terms if d == k]

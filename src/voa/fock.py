@@ -143,19 +143,13 @@ class ModeAlgebra:
     The table never changes.  The algebra memoizes pure functions of it for
     its whole life: the first non-central bracket of the charge generator
     in `_non_central_charge`, `bracket` in `_bracket_memo` under
-    (i, m, j, n), and the mode actions on PBW monomials in `_apply_memo`,
-    under one key kind each:
+    (i, m, j, n), and the generator modes g_n on PBW monomials
+    (`apply_mode`) in `_apply_memo` under (g, n, mono).
 
-    - (g, n, mono), untagged: the generator mode g_n (`apply_mode`);
-    - ("T", mono): the translation operator (`fields.translate`);
-    - ("E-", lam_N, word): the (remaining word, j, coefficient) terms of
-      E-_j on a word for a lattice vertex operator, any j and sector;
-    - ("E+", lam_N, k): its E+_k, as (letters, numerator over k!) pairs
-      (both in `fields.vertex_mode`).
-
-    Modes of composite fields belong to the call that computes them: every
-    function that applies fields to states reads A_[p] on monomials, and
-    the axiom checks their two-mode products, through a
+    Everything built from them belongs to the call that computes it: every
+    function that applies fields to states reads A_[p] on monomials, the
+    translation operator T and the E-/E+ terms of the lattice vertex
+    operators, and the axiom checks their two-mode products, through a
     `fields.OperatorCache` made for its call.
 
     Weights and generator modes (`apply_mode`, the words of PBW

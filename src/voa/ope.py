@@ -37,7 +37,7 @@ from math import comb
 
 from .fock import (ModeAlgebra, State, _apply_mono, all_sector_monomials,
                    basis_monomials, mode_index, render_monomial, render_state)
-from .fields import OperatorCache, gbinom, translate
+from .fields import OperatorCache, gbinom
 from .linalg import kernel_basis
 
 
@@ -365,9 +365,9 @@ def _translation_failures(ops, groups, D):
             continue
         a = ops.field(A)
         b, = B.terms
-        TB = translate(alg, B)
+        TB = ops.translate(B)
         for p in range(-dA - u, _max_target_degree(alg, B) + u + 1, u):
-            lhs = translate(alg, ops.col(a, p, b)) - ops.apply(a, p, TB)
+            lhs = ops.translate(ops.col(a, p, b)) - ops.apply(a, p, TB)
             rhs = ops.col(a, p - u, b).scale(alg.from_units(u - p - dA))
             if lhs != rhs:
                 yield (f"A={render_state(alg, A)}, "
@@ -504,9 +504,10 @@ def verify_axioms(alg: ModeAlgebra, D: int) -> AxiomReport:
       n < m <= 0, give 0 or carry the factor C(-m - wt g, j) = 0, as
       0 <= -m - wt g < j = -n - wt g; the outside terms, m <= n, carry
       R_[p-m]|0> with p - m > -deg R, which is 0.  The base case of a
-      lattice sector vacuum 1_k holds as E-|0> = |0> in
-      `fields.vertex_mode`, so Y(1_k, z)|0> = E+(z) z^(...) 1_k is
-      regular.  The vacuum check still runs, on every A.
+      lattice sector vacuum 1_k holds as E-|0> = |0> (the one term,
+      j = 0, of `fields._annihilation_terms` on the empty word), so
+      Y(1_k, z)|0> = E+(z) z^(...) 1_k is regular.  The vacuum check
+      still runs, on every A.
 
     A lattice sector vacuum 1_m with m != 0 is an ordinary field and is
     checked like any other state.

@@ -639,7 +639,8 @@ _ONE = _SMALL_INTS[1]
 
 
 class ParamPoint:
-    """Assignment of exact rational values to parameter names."""
+    """Assignment of exact rational values to parameter names; two points
+    are equal, and hash equal, when they assign the same values."""
 
     __slots__ = ("values",)
 
@@ -648,6 +649,14 @@ class ParamPoint:
 
     def __getitem__(self, name):
         return self.values[name]
+
+    def __eq__(self, other):
+        if not isinstance(other, ParamPoint):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash(frozenset(self.values.items()))
 
     def __reduce__(self):
         return ParamPoint, (), (None, {"values": self.values})

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from voa import (State, character, get_preset, heisenberg_npoint,
-                 render_state, singular_part)
+                 parse_scalar, render_state, singular_part, translate)
 from voa.cli import parse_state, run
 from voa.scalars import ParamPoint
 
@@ -304,6 +304,25 @@ def test_readme_commands_run():
             # the comment under the command is its output
             assert next_line == f"# {_OPE_TABLE}"
             assert result.stdout == _OPE_TABLE + "\n"
+
+
+_LIBRARY_TABLE = "# {4: (3k/(2k+4)) v_k, 2: 2 omega, 1: T omega}"
+
+
+def test_readme_library_block_runs():
+    # README's "Library" block runs as written, and the comment under its
+    # singular_part call is the table it computes
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    assert _LIBRARY_TABLE in block.splitlines()
+    scope = {}
+    exec(block, scope)
+    inst, omega = scope["inst"], scope["omega"]
+    assert scope["report"].passed
+    assert scope["table"] == {
+        4: State.vacuum().scale(parse_scalar("3*k/(2*k+4)")),
+        2: omega.scale(2), 1: translate(inst.algebra, omega)}
 
 
 PRESET_PARAMETERS = [

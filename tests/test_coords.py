@@ -402,8 +402,8 @@ def test_first_order_parameter_must_occur_in_rho(check):
 
 def test_checks_leave_no_state_behind():
     # R(rho) with its decomposed charges and cleared omega lives as long
-    # as one check: the instance, the algebra's memo kinds and the module
-    # are as they were
+    # as one check: the instance and the module are as they were, and the
+    # algebra's memo holds only generator modes
     import voa.coords as coords
     inst = get_preset("affine:sl2")
     module = dict(vars(coords))
@@ -413,9 +413,16 @@ def test_checks_leave_no_state_behind():
                                         first_order_in="eps")
     assert report.passed
     assert vars(inst) == fields
-    assert {key[0] if isinstance(key[0], str) else "apply_mode"
-            for key in inst.algebra._apply_memo} <= {"apply_mode", "T"}
     assert vars(coords) == module
+    # the lattice vertex operator of 1_1 is a weight-1 primary; its E-/E+
+    # terms lived in the check's OperatorCache
+    lat = get_preset("lattice:2")
+    assert primary_differential_check(lat, State.vacuum(1), _cc(1, "eps"),
+                                      window=2, D=1,
+                                      first_order_in="eps").passed
+    for alg in (inst.algebra, lat.algebra):
+        assert {key[0] if isinstance(key[0], str) else "apply_mode"
+                for key in alg._apply_memo} == {"apply_mode"}
 
 
 def test_primary_check_rejects_nonprimary():

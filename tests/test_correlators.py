@@ -205,6 +205,30 @@ def test_consistency_negative_control_witnesses():
         "(-5, -5, 3, 3): direct 128 != expansion 32)")
 
 
+def _with_vacuum_insertion():
+    b = get_preset("heisenberg", lam=0).state([("b", -1)])
+    return [b, State.vacuum(), b]
+
+
+def test_consistency_with_a_vacuum_insertion():
+    # the field of |0> is the identity: the region walks pass through it,
+    # and horizontality skips its insertion, which has no boson
+    inst = get_preset("heisenberg", lam=0)
+    states = _with_vacuum_insertion()
+    assert state_insertion(inst.algebra, states[1]) is None
+    report = consistency_check(inst.algebra, states, VACUUM_PHI,
+                               _all_regions(3), 8)
+    assert report.passed, report.render()
+
+
+def test_consistency_with_a_vacuum_insertion_negative_control():
+    report = consistency_check(_doubled_heisenberg(), _with_vacuum_insertion(),
+                               VACUUM_PHI, _all_regions(3), 8, window=2)
+    assert report.render() == (
+        "consistency: FAIL (region ('z1', 'z2', 'z3'), exponents "
+        "(-4, 0, 2): direct 6 != expansion 3)")
+
+
 def _order_cases():
     """Criterion 6's n = 2, 3, 4 inputs, three b(-1) under ONE_BOSON_PHI (a
     nonzero odd-point correlator), then the three pinned witnesses."""

@@ -329,11 +329,11 @@ def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2, 3), top=5,
     as `mono(1_m, p, mono)`: the cache runs each E-/E+ product once per
     (m, word, shift) and relabels it into the other sectors, and the
     monomials, of degrees <= top in the given sectors, come in a seeded
-    shuffled order, so a sector reads columns first built in another.  The
-    uncached `vertex_mode` must give the same column.  p runs over every
-    mode in the right coset from the largest that can give a nonzero
-    result (one above it as well) down through 5 creation layers; the
-    cache and vertex_mode take p in units of 1/u.
+    shuffled order, so a sector reads columns first built in another.  A
+    fresh cache, which builds the column in its own sector, must give the
+    same column.  p runs over every mode in the right coset from the
+    largest that can give a nonzero result (one above it as well) down
+    through 5 creation layers; the caches take p in units of 1/u.
     """
     step = Fraction(1, alg.unit)
     monos = [mono for i in range(int(top / step) + 1)
@@ -348,9 +348,9 @@ def _vertex_mode_mismatch(alg, charges=(1, -1, 2, -2, 3), top=5,
             for i in range(-1, 6):
                 p = p_max - i
                 got = ops.mono(vacuum, alg.to_units(p), mono)
+                fresh = fields.OperatorCache(alg)
                 if (got != _vertex_mode_oracle(alg, m, p, mono) or
-                        got != fields.vertex_mode(alg, m, alg.to_units(p),
-                                                  mono)):
+                        got != fresh.mono(vacuum, alg.to_units(p), mono)):
                     return m, p, mono
                 if i < 0:
                     assert got.is_zero
@@ -433,8 +433,8 @@ def test_vertex_columns_are_shared_across_sectors(monkeypatch):
     for (x, a), (y, b) in zip(cols[0].terms.items(), cols[1].terms.items(),
                               strict=True):
         assert (x.sector, y.sector, x.word) == (1, 2, y.word) and a is b
-    assert cols[1] == fields.vertex_mode(
-        alg, 1, alg.to_units(-2 - alg.sector_energy(1)),
+    assert cols[1] == fields.OperatorCache(alg).mono(
+        PbwMonomial(1, ()), alg.to_units(-2 - alg.sector_energy(1)),
         PbwMonomial(1, word))
 
 
@@ -442,7 +442,8 @@ def test_vertex_mode_rejects_non_central_bracket():
     alg = _sector_algebra(extra={"terms": [{"gen": "a", "coeff": "1"}]})
     with pytest.raises(ValueError, match=r"^no lattice vertex operator in "
                        r"'sectors': \[b, a\] is not central$"):
-        fields.vertex_mode(alg, 1, 0, PbwMonomial(0, ()))
+        fields.OperatorCache(alg).mono(PbwMonomial(1, ()), 0,
+                                       PbwMonomial(0, ()))
     with pytest.raises(ValueError, match="is not central"):
         state_field_mode(alg, State.vacuum(1), 0, State.vacuum())
 

@@ -516,27 +516,29 @@ def _memo_kinds(alg):
 
 def test_axiom_checks_free_their_caches():
     # after verify_axioms, locality_order, coset_graded and morphism_check
-    # return, the algebra holds only its memo of generator modes and T (and
-    # the E-/E+ terms of the vertex operators on a lattice target): the
-    # modes of composite fields lived in the call's OperatorCache
-    pure = {"apply_mode", "T"}
+    # return, the algebra holds only its memo of generator modes: the modes
+    # of composite fields, T and the E-/E+ terms of the vertex operators on
+    # a lattice target lived in the call's OperatorCache
+    pure = {"apply_mode"}
     inst = get_preset("heisenberg")
     alg, b = inst.algebra, inst.gen_state("b")
     assert verify_axioms(alg, 3).passed
-    assert _memo_kinds(alg) <= pure
+    assert _memo_kinds(alg) == pure
     assert locality_order(alg, b, b, 3) == 2
-    assert _memo_kinds(alg) <= pure
+    assert _memo_kinds(alg) == pure
     sl2 = get_preset("affine:sl2")
     currents = [s for _, s in sl2.generator_states()]
     assert coset_graded(sl2.algebra, currents, 3) == []
-    assert _memo_kinds(sl2.algebra) <= pure
+    assert _memo_kinds(sl2.algebra) == pure
     src = affine(sl2_data(), 1).algebra
     lat = get_preset("lattice:2").algebra
     images = [State.vacuum(1), normal_order(lat, [("b", -1)]).scale(2),
               State.vacuum(-1)]
     assert morphism_check(src, lat, images, 3) is None
-    assert "fm" not in _memo_kinds(lat)
-    assert _memo_kinds(lat) <= pure | {"E-", "E+"}
+    assert _memo_kinds(lat) == pure
+    lat1 = get_preset("lattice:1").algebra
+    assert verify_axioms(lat1, 1).passed
+    assert _memo_kinds(lat1) == pure
 
 
 _RSS_GROWTH = """
@@ -572,9 +574,9 @@ def test_verify_axioms_memory_stays_flat():
 
 def test_one_shot_calls_free_their_caches():
     # each one-shot call makes its own OperatorCache: composite fields,
-    # vertex operators and the coordinate and correlator checks leave only
-    # the generator-level memo kinds on the algebra
-    pure = {"apply_mode", "T", "E-", "E+"}
+    # T, vertex operators and the coordinate and correlator checks leave
+    # only the memo of generator modes on the algebra
+    pure = {"apply_mode"}
     heis = get_preset("heisenberg", lam=0)
     alg, omega, b = heis.algebra, heis.conformal, heis.gen_state("b")
     assert set(singular_part(alg, omega, omega)) == {1, 2, 4}
@@ -587,10 +589,13 @@ def test_one_shot_calls_free_their_caches():
                for perm in permutations((1, 2, 3))]
     states = [b, heis.state([("b", -2)]), b]
     assert consistency_check(alg, states, VACUUM_PHI, regions, 8).passed
-    assert _memo_kinds(alg) <= pure
+    assert not translate(alg, omega).is_zero
+    assert _memo_kinds(alg) == pure
     lat = get_preset("lattice:2")
     coeffs = lattice_vertex_op(lat, 1, range(-3, 3), State.vacuum())
-    assert coeffs and _memo_kinds(lat.algebra) <= pure
+    charged = lat.state([("b", -1)], sector=1)
+    assert coeffs and not translate(lat.algebra, charged).is_zero
+    assert _memo_kinds(lat.algebra) == pure
 
 
 def _numbers(key):
@@ -626,7 +631,8 @@ def _verify_numbers(monkeypatch, alg, D):
     assert any(tables)
     keys = [*alg._apply_memo]
     for ops in caches:
-        keys += [*ops._modes, *ops._cols]
+        keys += [*ops._modes, *ops._cols, *ops._translations, *ops._lower,
+                 *ops._upper]
     for table in tables:
         keys += [*table]
     return [x for key in keys for x in _numbers(key)]

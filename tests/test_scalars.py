@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from voa import coset_graded, get_preset, verify_axioms
+from voa import coset_graded, get_preset, ope, verify_axioms
 from voa import scalars as scalars_module
 from voa.fock import PbwMonomial, State
 from voa.scalars import (
@@ -366,12 +366,13 @@ class TestIntegralValues:
 
     @staticmethod
     def _scalars(value):
-        """Every Scalar in a memo value: States, tuples of them, brackets."""
+        """Every Scalar in a memo value: States, tuples and lists of them,
+        brackets."""
         if isinstance(value, Scalar):
             yield value
         elif isinstance(value, State):
             yield from value.terms.values()
-        elif isinstance(value, tuple):
+        elif isinstance(value, (tuple, list)):
             for v in value:
                 yield from TestIntegralValues._scalars(v)
 
@@ -389,11 +390,25 @@ class TestIntegralValues:
 
     @pytest.mark.parametrize("name", ["weyl:1", "fermion", "lattice:1",
                                       "affine:sl2"])
-    def test_memo_after_verify_axioms(self, name):
+    def test_memo_after_verify_axioms(self, name, monkeypatch):
+        # the algebra's memos and the T and E-/E+ entries of the call's
+        # OperatorCache
+        caches = []
+
+        class Recorded(ope.OperatorCache):
+            def __init__(self, alg):
+                super().__init__(alg)
+                caches.append(self)
+
+        monkeypatch.setattr(ope, "OperatorCache", Recorded)
         alg = get_preset(name).algebra
         assert verify_axioms(alg, 2).passed
+        assert caches
         seen = 0
-        for memo in (alg._apply_memo, alg._bracket_memo):
+        memos = [alg._apply_memo, alg._bracket_memo]
+        for ops in caches:
+            memos += [ops._translations, ops._lower, ops._upper]
+        for memo in memos:
             for value in memo.values():
                 for s in self._scalars(value):
                     seen += 1
@@ -491,8 +506,19 @@ def test_pickle_round_trips(protocol):
         assert type(loaded) is type(x)
     assert render_scalar(pickle.loads(pickle.dumps(k, protocol))) \
         == render_scalar(k)
-    # a ParamPoint compares by identity, so its values are compared
     point = ParamPoint(k="1/2", c=3)
     loaded = pickle.loads(pickle.dumps(point, protocol))
+    assert loaded == point and hash(loaded) == hash(point)
     assert loaded.values == point.values and repr(loaded) == repr(point)
     assert k.evaluate(loaded) == k.evaluate(point)
+
+
+def test_param_points_compare_by_values():
+    a, b = ParamPoint(k=1, c="1/2"), ParamPoint(c=Fraction(1, 2), k="1")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert ParamPoint(k=1) == ParamPoint(k=1)
+    assert len({ParamPoint(k=1), ParamPoint(k=1)}) == 1
+    for other in (ParamPoint(k=2, c="1/2"), ParamPoint(k=1, eps="1/2"),
+                  ParamPoint(k=1), ParamPoint()):
+        assert a != other
+    assert ParamPoint(k=1) != {"k": 1} and ParamPoint() == ParamPoint()
