@@ -521,9 +521,10 @@ def consistency_check(alg, states, phi, regions, order: int,
         if bad:
             e = min(bad)
             return CorrelatorReport(
-                "consistency", False, f"region {region.order}, exponents {e}: "
-                       f"direct {direct.get(e, Fraction(0))} != "
-                       f"expansion {expanded.get(e, Fraction(0))}")
+                "consistency", False,
+                f"region {region.order}, exponents {e}: "
+                f"direct {direct.get(e, Fraction(0))} != "
+                f"expansion {expanded.get(e, Fraction(0))}")
     # horizontality: d/dz_i f = correlator with A_i replaced by T A_i
     for i in range(n):
         if insertions[i] is None:
@@ -534,7 +535,7 @@ def consistency_check(alg, states, phi, regions, order: int,
         ft = heisenberg_npoint(phi, n, repl).scale(j + 1)
         if f.deriv(i + 1) != ft:
             return CorrelatorReport("consistency", False,
-                               f"horizontality at insertion {i+1}")
+                                    f"horizontality at insertion {i+1}")
     return CorrelatorReport("consistency", True)
 
 
